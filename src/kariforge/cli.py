@@ -79,10 +79,13 @@ def cmd_verify(args) -> int:
     if args.map:
         f = pamaps.pamap_from_obj(_read_json(args.map))
         violations = verify.periodic_soundness(ts, f, args.max_n)
-        for k in range(1, args.max_k + 1):
-            pts = pamaps.periodic_points(f, k)
-            if pts:
-                oracle_points.append({"k": k, "points": [[str(iv.lo), str(iv.hi)] for iv in pts]})
+        if not f.is_total():
+            oracle_points = None  # the exact solver needs a total map
+        else:
+            for k in range(1, args.max_k + 1):
+                pts = pamaps.periodic_points(f, k)
+                if pts:
+                    oracle_points.append({"k": k, "points": [[str(iv.lo), str(iv.hi)] for iv in pts]})
     report["soundness_violations"] = violations
     report["oracle_periodic_points"] = oracle_points
     _write_text(args.out, _dump(report))

@@ -10,21 +10,31 @@ set of a pattern list is everything disagreeing with every pattern.  For a
 finite list, emptiness only depends on the union U of the supports, so it is
 decided by exhausting the |A|^|U| colorings of U (guarded by a budget).
 
-Word problem oracles are plain callables word -> bool (true iff the word is
-the identity in the group); concrete groups plug in through them.
+A word problem oracle is a callable word -> bool, true iff the word is the
+identity in the group.  The built-in oracles are `WordProblem`s: each carries
+a hashable normal form `nf(word)` (the reduced word for the free group, the
+exponent vector for Z^d, the residue for Z/n, the element for a finite table,
+the canonical composite `PAMap` for piecewise affine groups), and the bool
+answer is the one-line adapter `nf(w) == nf(())`.  Classes of words and
+neighbor lookups are then dict lookups on normal forms.  Any other callable
+(a user lambda, a counting wrapper) is given a normal form by
+`word_problem`, which tests each new word against the representatives seen
+so far; that pairwise path is the reference the normal forms are checked
+against.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from . import pamaps
 from .pamaps import PAGroupPresentation
 
 FGWord = tuple[int, ...]
 Oracle = Callable[[FGWord], bool]
+NormalForm = Callable[[FGWord], Hashable]
 
 DEFAULT_BUDGET = 1 << 24
 
@@ -98,42 +108,66 @@ def ball(p: int, radius: int) -> list[FGWord]:
 
 def canonical_classes(words: Sequence[FGWord], oracle: Oracle) -> dict[FGWord, FGWord]:
     """Map each word to the earliest enumerated word equal to it in the group."""
-    reps: list[FGWord] = []
-    out: dict[FGWord, FGWord] = {}
-    for w in words:
-        for r in reps:
-            if oracle(w_mul(w_inv(r), w)):
-                out[w] = r
-                break
-        else:
-            reps.append(w)
-            out[w] = w
-    return out
+    nf = word_problem(oracle).nf
+    first: dict = {}
+    return {w: first.setdefault(nf(w), w) for w in words}
 
 
 # ---------------------------------------------------------------------------
 # Oracles
 
 
-def free_oracle(w: FGWord) -> bool:
-    return not w
+class WordProblem:
+    """Word-problem oracle given by a normal form: w is trivial iff nf(w) == nf(())."""
+
+    def __init__(self, nf: NormalForm):
+        self.nf = nf
+        self.identity = nf(())
+
+    def __call__(self, w: FGWord) -> bool:
+        return self.nf(w) == self.identity
 
 
-def abelian_oracle(w: FGWord) -> bool:
-    """Z^d for any d: a word is trivial iff every generator's exponents cancel."""
+def word_problem(oracle: Oracle) -> WordProblem:
+    """The oracle itself if it carries a normal form, else the pairwise adapter:
+    a word's normal form is the first word seen equal to it, found by asking
+    the oracle about r^-1 w for each earlier representative r."""
+    if hasattr(oracle, "nf"):
+        return oracle
+    reps: list[FGWord] = []
+
+    def nf(w: FGWord) -> FGWord:
+        for r in reps:
+            if oracle(w_mul(w_inv(r), w)):
+                return r
+        reps.append(w)
+        return w
+
+    return WordProblem(nf)
+
+
+free_oracle = WordProblem(w_reduce)
+
+
+def _exponents(w: FGWord) -> tuple[tuple[int, int], ...]:
     totals: dict[int, int] = {}
     for s in w:
         totals[abs(s)] = totals.get(abs(s), 0) + (1 if s > 0 else -1)
-    return all(v == 0 for v in totals.values())
+    return tuple(sorted((g, e) for g, e in totals.items() if e))
 
 
-def cyclic_oracle(n: int) -> Oracle:
-    def oracle(w: FGWord) -> bool:
-        return sum(1 if s > 0 else -1 for s in w) % n == 0
-    return oracle
+# Z^d for any d: a word is trivial iff every generator's exponents cancel.
+abelian_oracle = WordProblem(_exponents)
 
 
-def table_oracle(mult: Sequence[Sequence[int]], gens: Sequence[int], identity: int = 0) -> Oracle:
+def cyclic_oracle(n: int) -> WordProblem:
+    """Z/n with every generator mapped to 1."""
+    if n < 1:
+        raise ValueError(f"cyclic group order must be >= 1, got {n}")
+    return WordProblem(lambda w: sum(1 if s > 0 else -1 for s in w) % n)
+
+
+def table_oracle(mult: Sequence[Sequence[int]], gens: Sequence[int], identity: int = 0) -> WordProblem:
     """Finite group by multiplication table; gens[i] is the element of x_{i+1}."""
     inv = {}
     for a in range(len(mult)):
@@ -141,37 +175,54 @@ def table_oracle(mult: Sequence[Sequence[int]], gens: Sequence[int], identity: i
             if mult[a][b] == identity:
                 inv[a] = b
 
-    def oracle(w: FGWord) -> bool:
+    def nf(w: FGWord) -> int:
         acc = identity
         for s in w:
             g = gens[abs(s) - 1]
             acc = mult[acc][g if s > 0 else inv[g]]
-        return acc == identity
+        return acc
 
-    return oracle
+    return WordProblem(nf)
 
 
-def pa_oracle(pres: PAGroupPresentation) -> Oracle:
-    """Word problem through exact piecewise affine composition."""
-    names = pres.names()
-    cache: dict[FGWord, pamaps.PAMap] = {(): pamaps.identity(pres.space)}
+def pa_oracle(pres: PAGroupPresentation) -> WordProblem:
+    """Word problem through exact piecewise affine composition.
 
-    def composite(w: FGWord) -> pamaps.PAMap:
-        if w in cache:
-            return cache[w]
-        head, tail = w[0], w[1:]
-        m = pres.map_for(names[abs(head) - 1])
-        if head < 0:
-            m = pamaps.invert(m)
-        result = pamaps.compose(m, composite(tail))
-        cache[w] = result
-        return result
+    The normal form of w = s1 s2 ... sk is the canonical map f_s1 o ... o f_sk
+    when that composite is total.  A word whose composite is partial is its
+    own class: v^-1 w is the total identity only if both composites are total
+    and equal, so this is the relation the bool oracle decides.  Composites
+    are memoized by word and by (map, signed letter), so a prefix-closed set
+    of words such as a ball costs one composition per (element, letter) it
+    reaches.  `composite(w)` gives the map itself.
+    """
+    letters: dict[int, pamaps.PAMap] = {}
+    for i, (_, m) in enumerate(pres.generators, start=1):
+        letters[i] = m
+        letters[-i] = pamaps.invert(m)
+    # (composite, is it total) by word and by (composite, letter)
+    by_word: dict[FGWord, tuple[pamaps.PAMap, bool]] = {(): (pamaps.identity(pres.space), True)}
+    by_step: dict[tuple[pamaps.PAMap, int], tuple[pamaps.PAMap, bool]] = {}
 
-    ident = pamaps.identity(pres.space)
+    def composite(w: FGWord) -> tuple[pamaps.PAMap, bool]:
+        k = len(w)
+        while w[:k] not in by_word:
+            k -= 1
+        m, total = by_word[w[:k]]
+        for j in range(k, len(w)):
+            key = (m, w[j])
+            if key not in by_step:
+                c = pamaps.compose(m, letters[w[j]])
+                by_step[key] = (c, c.is_total())
+            m, total = by_word[w[:j + 1]] = by_step[key]
+        return m, total
 
-    def oracle(w: FGWord) -> bool:
-        return pamaps.equals(composite(w), ident)
+    def nf(w: FGWord) -> pamaps.PAMap | FGWord:
+        m, total = composite(w)
+        return m if total else w
 
+    oracle = WordProblem(nf)
+    oracle.composite = lambda w: composite(w)[0]
     return oracle
 
 
@@ -291,22 +342,19 @@ def simple_sft_check(oracle: Oracle, p: int, radius: int, a: FGWord,
     """
     if oracle(a):
         raise ValueError("a must not be the identity")
+    wp = word_problem(oracle)
     words = ball(p, radius)
-    canon = canonical_classes(words, oracle)
-    reps = sorted({canon[w] for w in words})
-    in_ball = set(reps)
+    canon = canonical_classes(words, wp)
+    reps = sorted(set(canon.values()))
+    rep_of = {wp.nf(r): r for r in reps}
 
-    def step(g: FGWord, direction: int) -> Optional[FGWord]:
-        target = w_mul(g, a if direction > 0 else w_inv(a))
-        for r in reps:
-            if oracle(w_mul(w_inv(r), target)):
-                return r
-        return None
+    def step(g: FGWord) -> Optional[FGWord]:
+        return rep_of.get(wp.nf(w_mul(g, a)))
 
     neighbors: dict[FGWord, list[FGWord]] = {g: [] for g in reps}
     for g in reps:
-        nxt = step(g, +1)
-        if nxt is not None and nxt in in_ball:
+        nxt = step(g)
+        if nxt is not None:
             neighbors[g].append(nxt)
             neighbors[nxt].append(g)
 
@@ -328,8 +376,8 @@ def simple_sft_check(oracle: Oracle, p: int, radius: int, a: FGWord,
                 raise RuntimeError("no color left; oracle is inconsistent")
             stack.extend(n for n in neighbors[g] if n not in coloring)
     for g in reps:
-        nxt = step(g, +1)
-        if nxt is not None and nxt in in_ball and coloring[g] == coloring[nxt]:
+        nxt = step(g)
+        if nxt is not None and coloring[g] == coloring[nxt]:
             raise RuntimeError("coloring check failed; oracle is inconsistent")
     return coloring
 

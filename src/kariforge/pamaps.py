@@ -251,7 +251,11 @@ class PAMap:
 
     @staticmethod
     def make(space: Space, pieces: Iterable[AffinePiece]) -> "PAMap":
-        return PAMap(space, _canonical_pieces(space, pieces))
+        # _canonical_pieces validates every input piece, so skip __post_init__
+        f = object.__new__(PAMap)
+        object.__setattr__(f, "space", space)
+        object.__setattr__(f, "pieces", _canonical_pieces(space, pieces))
+        return f
 
     def domain(self) -> tuple[Interval, ...]:
         return merge_intervals(p.dom for p in self.pieces)

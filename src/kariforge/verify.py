@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
-from . import pamaps
+from . import freegroup, pamaps
 from .pamaps import OutOfDomain, PAGroupPresentation, PAMap, rat
 from .tiles import (
     GroupTileSet,
@@ -241,6 +241,8 @@ def periodic_soundness(ts: ZTileSet, f: PAMap, n_max: int,
     """Check every n-periodic row, n <= n_max: its bit averages must follow f.
 
     Returns violation records; an empty list certifies soundness up to n_max.
+    A row whose top average lies outside f's domain is a violation with
+    "expected" None.
     """
     name = ts.single_out()
     sp = f.space
@@ -255,14 +257,14 @@ def periodic_soundness(ts: ZTileSet, f: PAMap, n_max: int,
             try:
                 expected = pamaps.apply(f, x)
             except OutOfDomain:
-                continue
-            if not sp.equiv(bot_avg, expected):
+                expected = None  # a row the map cannot account for
+            if expected is None or not sp.equiv(bot_avg, expected):
                 violations.append({
                     "n": n,
                     "cycle": list(walk),
                     "top_avg": str(top_avg),
                     "bottom_avg": str(bot_avg),
-                    "expected": str(expected),
+                    "expected": None if expected is None else str(expected),
                 })
                 if stop_early:
                     return violations
@@ -360,20 +362,6 @@ class PatchRow:
 FGWord = tuple[int, ...]
 
 
-def _w_inv(w: FGWord) -> FGWord:
-    return tuple(-g for g in reversed(w))
-
-
-def _w_concat(a: FGWord, b: FGWord) -> FGWord:
-    out = list(a)
-    for g in b:
-        if out and out[-1] == -g:
-            out.pop()
-        else:
-            out.append(g)
-    return tuple(out)
-
-
 def patch_check(gts: GroupTileSet, patch: dict[FGWord, PatchRow],
                 is_identity: Callable[[FGWord], bool]) -> bool:
     """Check a finite patch: keyed by group words, one row window per element.
@@ -384,16 +372,13 @@ def patch_check(gts: GroupTileSet, patch: dict[FGWord, PatchRow],
     pointwise on the shared window.
     """
     known = frozenset(gts.tiles)
-    keys = list(patch)
-    reps: list[FGWord] = []
-    for w in keys:
-        for v in reps:
-            if is_identity(_w_concat(_w_inv(v), w)):
-                if patch[v] != patch[w]:
-                    raise InconsistentPatch(f"{v} and {w} are equal in G but carry different rows")
-                break
-        else:
-            reps.append(w)
+    nf = freegroup.word_problem(is_identity).nf
+    rep_of: dict = {}
+    for w in patch:
+        v = rep_of.setdefault(nf(w), w)
+        if patch[v] != patch[w]:
+            raise InconsistentPatch(f"{v} and {w} are equal in G but carry different rows")
+    reps = list(rep_of.values())
     for w in reps:
         row = patch[w]
         for t in row.tiles:
@@ -403,35 +388,19 @@ def patch_check(gts: GroupTileSet, patch: dict[FGWord, PatchRow],
             if u.right != v.left:
                 return False
     for w in reps:
-        for v in reps:
-            for i, h in enumerate(gts.generators, start=1):
-                if not is_identity(_w_concat(_w_inv(v), _w_concat(w, (-i,)))):
-                    continue  # v != w * h^-1
-                rw, rv = patch[w], patch[v]
-                lo = max(rw.offset, rv.offset)
-                hi = min(rw.offset + len(rw.tiles), rv.offset + len(rv.tiles))
-                for n in range(lo, hi):
-                    tw = rw.tiles[n - rw.offset]
-                    tv = rv.tiles[n - rv.offset]
-                    if gts.phi(tw, h) != gts.psi(tv, h):
-                        return False
+        for i, h in enumerate(gts.generators, start=1):
+            v = rep_of.get(nf(freegroup.w_mul(w, (-i,))))
+            if v is None:
+                continue  # w * h^-1 lies outside the patch
+            rw, rv = patch[w], patch[v]
+            lo = max(rw.offset, rv.offset)
+            hi = min(rw.offset + len(rw.tiles), rv.offset + len(rv.tiles))
+            for n in range(lo, hi):
+                tw = rw.tiles[n - rw.offset]
+                tv = rv.tiles[n - rv.offset]
+                if gts.phi(tw, h) != gts.psi(tv, h):
+                    return False
     return True
-
-
-def _ball_words(p: int, radius: int) -> list[FGWord]:
-    words: list[FGWord] = [()]
-    frontier: list[FGWord] = [()]
-    for _ in range(radius):
-        nxt = []
-        for w in frontier:
-            for g in range(1, p + 1):
-                for s in (g, -g):
-                    if w and w[-1] == -s:
-                        continue
-                    nxt.append(w + (s,))
-        words.extend(nxt)
-        frontier = nxt
-    return words
 
 
 def search_base_point(pres: PAGroupPresentation, radius: int,
@@ -464,15 +433,11 @@ def build_orbit_patch(pres: PAGroupPresentation, gts: GroupTileSet, radius: int,
         z0 = search_base_point(pres, radius)
     z0 = rat(z0)
     out_max = gts.out_maxes[0][1]
+    oracle = freegroup.pa_oracle(pres)
+    words = freegroup.ball(len(pres.generators), radius)
     patch: dict[FGWord, PatchRow] = {}
-    seen_maps: dict[PAMap, FGWord] = {}
-    for w in _ball_words(len(pres.generators), radius):
-        signed = [(pres.generators[abs(g) - 1][0], 1 if g > 0 else -1) for g in _w_inv(w)]
-        m = pamaps.word_apply(pres, signed)
-        if m in seen_maps:
-            continue
-        seen_maps[m] = w
-        z = pamaps.apply(m, z0)
+    for w in dict.fromkeys(freegroup.canonical_classes(words, oracle).values()):
+        z = pamaps.apply(oracle.composite(freegroup.w_inv(w)), z0)
         # request the canonical representative of each neighbor's value, so
         # the emitted bits match the neighboring rows' input encodings
         targets = {name: pamaps.apply(gen, z) for name, gen in pres.generators}

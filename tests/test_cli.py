@@ -102,6 +102,23 @@ def test_verify_identity_periodic_exit2(tmp_path, identity_map_file):
     assert any(r["n"] == 1 and r["k"] == 1 for r in report["periodic"])
 
 
+def test_verify_partial_map_reports_rows_outside_domain(tmp_path):
+    tiles_file = tmp_path / "kari.json"
+    main(["gen", "--preset", "z-kari", "--out", str(tiles_file)])
+    kari = kari_map()
+    half = pamaps.PAMap.make(kari.space, [p for p in kari.pieces if p.dom.hi <= F(1, 2)])
+    map_file = tmp_path / "half.json"
+    map_file.write_text(json.dumps(pamaps.pamap_to_obj(half)))
+    rep = tmp_path / "rep.json"
+    code = main(["verify", "--tiles", str(tiles_file), "--map", str(map_file),
+                 "--max-n", "5", "--max-k", "2", "--out", str(rep)])
+    assert code == 3  # 5-periodic rows average in (1/2, 1)
+    report = json.loads(rep.read_text())
+    violations = report["soundness_violations"]
+    assert violations and all(v["expected"] is None for v in violations)
+    assert report["oracle_periodic_points"] is None  # the exact solver needs a total map
+
+
 def test_verify_corrupted_exit3(tmp_path, kari_map_file):
     tiles_file = tmp_path / "kari.json"
     main(["gen", "--preset", "z-kari", "--out", str(tiles_file)])

@@ -2,7 +2,10 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kariforge import pamaps, presets
 from kariforge.freegroup import (
     BudgetExceeded,
     Pattern,
@@ -26,6 +29,7 @@ from kariforge.freegroup import (
     w_inv,
     w_mul,
     word_from_str,
+    word_problem,
     word_to_str,
     xleq1_forbidden,
 )
@@ -195,11 +199,114 @@ def test_simple_sft_rejects_identity():
         simple_sft_check(free_oracle, 2, 2, ())
 
 
+Z3 = [[(i + j) % 3 for j in range(3)] for i in range(3)]
+
+
 def test_table_oracle_z3():
-    mult = [[(i + j) % 3 for j in range(3)] for i in range(3)]
-    oracle = table_oracle(mult, gens=[1])
+    oracle = table_oracle(Z3, gens=[1])
     assert oracle((1, 1, 1))
     assert not oracle((1, 1))
+
+
+# -- normal forms --------------------------------------------------------
+
+
+def test_normal_forms_of_builtin_oracles(psl2z):
+    assert free_oracle.nf((1, -2, 2)) == (1,)
+    assert abelian_oracle.nf((1, 2, -1, 2)) == ((2, 2),)
+    assert cyclic_oracle(3).nf((1, 1, 1, 1)) == 1
+    assert table_oracle(Z3, gens=[1, 2]).nf((2, 2, 1)) == 2
+    oracle = pa_oracle(psl2z)
+    assert oracle.nf((1, 1, 1)) == oracle.nf(()) == pamaps.identity(psl2z.space)
+    assert oracle.nf((2,)) == psl2z.map_for("e")
+
+
+def test_pa_normal_form_of_partial_composites(thompson_v):
+    # v^-1 w is the total identity only when both composites are total, so a
+    # word with a partial composite is its own class
+    oracle = pa_oracle(thompson_v)
+    assert oracle.nf((4,)) == (4,)
+    assert oracle.composite((4,)) == thompson_v.map_for("pi0")
+    assert not oracle((4, 4))
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_cyclic_oracle_rejects_bad_order(n):
+    with pytest.raises(ValueError):
+        cyclic_oracle(n)
+
+
+def test_word_problem_keeps_normal_forms():
+    assert word_problem(abelian_oracle) is abelian_oracle
+    pairwise = word_problem(lambda w: abelian_oracle(w))
+    assert pairwise.nf((1, 2)) == (1, 2)
+    assert pairwise.nf((2, 1)) == (1, 2)  # the first word seen in its class
+    assert pairwise((1, -1)) and not pairwise((1,))
+
+
+def test_perg_psl2z_radius4_composition_count(psl2z, monkeypatch):
+    # one composition per (element, letter) the ball reaches
+    calls = []
+    compose = pamaps.compose
+    monkeypatch.setattr(pamaps, "compose", lambda f, g: calls.append(1) or compose(f, g))
+    perg_forbidden(pa_oracle(psl2z), 2, 4)
+    assert 0 < len(calls) <= 64
+
+
+# -- normal forms against the pairwise reference ---------------------------
+
+
+ORACLES = {
+    "free": lambda: free_oracle,
+    "abelian": lambda: abelian_oracle,
+    "cyclic3": lambda: cyclic_oracle(3),
+    "z3-table": lambda: table_oracle(Z3, gens=[1, 2]),
+    "psl2z": lambda: pa_oracle(presets.psl2z()),
+}
+
+
+def both_ways(fn, name):
+    """fn through the oracle's normal form and through the pairwise adapter."""
+    def outcome(oracle):
+        try:
+            return "ok", fn(oracle)
+        except (ValueError, RuntimeError) as exc:  # the same failure must come out both ways
+            return type(exc).__name__, str(exc)
+    oracle = ORACLES[name]()
+    return outcome(oracle), outcome(lambda w: oracle(w))
+
+
+def reduced_words(p, max_len):
+    letters = st.sampled_from([s for g in range(1, p + 1) for s in (g, -g)])
+    return st.lists(letters, max_size=max_len).map(lambda w: w_mul(tuple(w), ()))
+
+
+oracle_names = st.sampled_from(sorted(ORACLES))
+
+
+@settings(max_examples=40, deadline=None)
+@given(oracle_names, st.lists(reduced_words(2, 4), max_size=40))
+def test_canonical_classes_normal_form_matches_pairwise(name, words):
+    via_nf, pairwise = both_ways(lambda o: canonical_classes(words, o), name)
+    assert via_nf == pairwise
+
+
+@settings(max_examples=30, deadline=None)
+@given(oracle_names, st.integers(1, 2), st.integers(0, 4), st.integers(2, 3))
+def test_pattern_families_normal_form_match_pairwise(name, p, radius, alphabet):
+    if name == "psl2z":
+        p = 2  # two generators, d and e
+    via_nf, pairwise = both_ways(lambda o: perg_forbidden(o, p, radius, alphabet), name)
+    assert via_nf == pairwise
+    via_nf, pairwise = both_ways(lambda o: xleq1_forbidden(o, p, radius), name)
+    assert via_nf == pairwise
+
+
+@settings(max_examples=30, deadline=None)
+@given(oracle_names, st.integers(0, 4), reduced_words(2, 3))
+def test_simple_sft_normal_form_matches_pairwise(name, radius, a):
+    via_nf, pairwise = both_ways(lambda o: simple_sft_check(o, 2, radius, a), name)
+    assert via_nf == pairwise
 
 
 # -- serialization -----------------------------------------------------------

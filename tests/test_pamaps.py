@@ -153,6 +153,33 @@ def test_union_conflict():
         union(a, b)
 
 
+# -- validation -----------------------------------------------------------
+
+
+OUTSIDE_SEG1 = [
+    AffinePiece(Interval(F(1, 2), F(3, 2)), F(1), F(0)),  # domain leaves [0, 1]
+    AffinePiece(Interval(F(0), F(1)), F(2), F(0)),  # image leaves [0, 1]
+]
+
+
+@pytest.mark.parametrize("piece", OUTSIDE_SEG1)
+def test_make_rejects_piece_outside_space(piece):
+    with pytest.raises(ValueError):
+        PAMap.make(SEG1, [piece])
+
+
+@pytest.mark.parametrize("piece", OUTSIDE_SEG1)
+def test_direct_construction_rejects_piece_outside_space(piece):
+    with pytest.raises(ValueError):
+        PAMap(SEG1, (piece,))
+
+
+def test_make_checks_pieces_before_normalizing():
+    # on a circle a point value of 3/2 would normalize to 1/2; it is refused first
+    with pytest.raises(ValueError):
+        PAMap.make(CIRCLE1, [AffinePiece(Interval(F(1, 2), F(1, 2)), F(0), F(3, 2))])
+
+
 # -- equals -------------------------------------------------------------
 
 

@@ -5,7 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kariforge import pamaps
-from kariforge.freegroup import pa_oracle
+from kariforge.freegroup import (
+    abelian_oracle,
+    ball,
+    canonical_classes,
+    cyclic_oracle,
+    free_oracle,
+    pa_oracle,
+    table_oracle,
+)
 from kariforge.pamaps import AffinePiece, Interval, PAMap, Space
 from kariforge.tiles import ZTile, ZTileSet, affine_tiles, atom, pamap_tiles
 from kariforge.verify import (
@@ -188,6 +196,21 @@ def test_soundness_detects_corruption(kari, kari_tiles):
     assert periodic_soundness(mutated, kari, 8, stop_early=True)
 
 
+def test_soundness_reports_rows_outside_the_domain(kari, kari_tiles):
+    half = PAMap.make(kari.space, [p for p in kari.pieces if p.dom.hi <= F(1, 2)])
+    assert half.domain() == (Interval(F(0), F(1, 2)),)
+    outside = set()
+    for n in range(1, 7):
+        for row in periodic_rows(kari_tiles, n):
+            avg = F(sum(kari_tiles.tiles[i].top for i in row.cycle), n) % 1
+            if F(1, 2) < avg < 1:
+                outside.add((n, row.cycle))
+    violations = periodic_soundness(kari_tiles, half, 6)
+    assert outside
+    assert {(v["n"], tuple(v["cycle"])) for v in violations} == outside
+    assert all(v["expected"] is None for v in violations)
+
+
 # -- stacked scan ----------------------------------------------------------
 
 
@@ -285,6 +308,55 @@ def test_patch_inconsistent_keys_raise(psl2z, psl2z_family):
     bad = {(1, 1, 1): row, (): other}  # ddd equals the identity in the group
     with pytest.raises(InconsistentPatch):
         patch_check(psl2z_family, bad, pa_oracle(psl2z))
+
+
+Z3 = [[(i + j) % 3 for j in range(3)] for i in range(3)]
+PATCH_ORACLES = {
+    "free": lambda pres: free_oracle,
+    "abelian": lambda pres: abelian_oracle,
+    "cyclic3": lambda pres: cyclic_oracle(3),
+    "z3-table": lambda pres: table_oracle(Z3, gens=[1, 2]),
+    "psl2z": pa_oracle,
+}
+
+
+@pytest.fixture(scope="module")
+def psl2z_patch(psl2z, psl2z_family):
+    return build_orbit_patch(psl2z, psl2z_family, 2, 8, F(1, 5))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(PATCH_ORACLES)), st.data())
+def test_patch_check_normal_form_matches_pairwise(psl2z, psl2z_family, psl2z_patch, name, data):
+    patch = psl2z_patch
+    canon = canonical_classes(ball(2, 3), pa_oracle(psl2z))
+    sub = {k: patch[k] for k in data.draw(st.lists(st.sampled_from(sorted(patch)), unique=True))}
+    # other words for the same elements, carrying their row or a wrong one
+    aliases = sorted(w for w in canon if canon[w] in sub and w not in sub)
+    consistent = True
+    for w in data.draw(st.lists(st.sampled_from(aliases), unique=True, max_size=3)) if aliases else ():
+        donor = data.draw(st.sampled_from(sorted(patch)))
+        sub[w] = patch[donor]
+        consistent &= patch[donor] == patch[canon[w]]
+    corrupt = bool(sub) and data.draw(st.booleans())
+    if corrupt:
+        key = data.draw(st.sampled_from(sorted(sub)))
+        row = sub[key]
+        donor = next(t for t in psl2z_family.tiles if t.left != row.tiles[0].left)
+        sub[key] = PatchRow(row.offset, (donor,) + row.tiles[1:])
+    items = data.draw(st.permutations(list(sub.items())))
+
+    def outcome(oracle):
+        try:
+            return "ok", patch_check(psl2z_family, dict(items), oracle)
+        except InconsistentPatch as exc:
+            return "inconsistent", str(exc)
+
+    oracle = PATCH_ORACLES[name](psl2z)
+    via_nf = outcome(oracle)
+    assert via_nf == outcome(lambda w: oracle(w))
+    if name == "psl2z" and consistent and not corrupt:
+        assert via_nf == ("ok", True)
 
 
 def test_search_base_point(psl2z):
