@@ -38,7 +38,6 @@ from .verify import (
     disc,
     nonempty_rows,
     patch_check,
-    periodic_rows,
     periodic_soundness,
     stacked_periodic_scan,
     witness_row,

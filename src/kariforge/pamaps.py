@@ -269,6 +269,14 @@ class PAMap:
     def __call__(self, x: RatLike) -> Fraction:
         return apply(self, rat(x))
 
+    def __hash__(self):
+        # maps key dicts in the word problems; hash the Fractions once
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.space, self.pieces))
+            object.__setattr__(self, "_hash", h)
+        return h
+
 
 def identity(space: Space) -> PAMap:
     return PAMap.make(space, [AffinePiece(space.whole(), Fraction(1), Fraction(0))])

@@ -116,12 +116,19 @@ def label_to_obj(l: HLabel):
     return [label_to_obj(x) for x in l.value]
 
 
-def label_from_obj(obj) -> HLabel:
+def label_from_obj(obj, atoms: Optional[dict[str, HLabel]] = None) -> HLabel:
+    """Inverse of label_to_obj.  A load passes one `atoms` dict to all its
+    labels, so each distinct carry string is parsed once."""
     if isinstance(obj, str):
-        return atom(obj)
+        if atoms is None:
+            return atom(obj)
+        label = atoms.get(obj)
+        if label is None:
+            label = atoms[obj] = atom(obj)
+        return label
     if isinstance(obj, dict):
-        return tag(obj["tag"], label_from_obj(obj["label"]))
-    return tup(*(label_from_obj(x) for x in obj))
+        return tag(obj["tag"], label_from_obj(obj["label"], atoms))
+    return tup(*(label_from_obj(x, atoms) for x in obj))
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +398,14 @@ def product_tiles(components: Sequence[tuple[str, ZTileSet]]) -> ZTileSet:
 # Compiling a piecewise map
 
 
+def _successors(tiles: Sequence[ZTile]) -> list[list[int]]:
+    """Row adjacency: succ[i] lists the tiles whose left label is tile i's right."""
+    by_left: dict[HLabel, list[int]] = {}
+    for j, t in enumerate(tiles):
+        by_left.setdefault(t.left, []).append(j)
+    return [by_left.get(t.right, []) for t in tiles]
+
+
 def trim_tiles(ts: ZTileSet) -> ZTileSet:
     """Drop tiles that cannot occur in any bi-infinite row.
 
@@ -399,10 +414,7 @@ def trim_tiles(ts: ZTileSet) -> ZTileSet:
     label), so the set of bi-infinite valid rows is preserved exactly.
     """
     tiles = ts.tiles
-    by_left: dict[HLabel, list[int]] = {}
-    for j, t in enumerate(tiles):
-        by_left.setdefault(t.left, []).append(j)
-    succ = [by_left.get(t.right, []) for t in tiles]
+    succ = _successors(tiles)
     pred: list[list[int]] = [[] for _ in tiles]
     for u, vs in enumerate(succ):
         for v in vs:
@@ -541,9 +553,9 @@ def tile_to_obj(t: ZTile) -> dict:
     }
 
 
-def tile_from_obj(obj: dict) -> ZTile:
+def tile_from_obj(obj: dict, atoms: Optional[dict[str, HLabel]] = None) -> ZTile:
     return ZTile(int(obj["top"]), _mk_bottoms({n: int(v) for n, v in obj["bottom"].items()}),
-                 label_from_obj(obj["left"]), label_from_obj(obj["right"]))
+                 label_from_obj(obj["left"], atoms), label_from_obj(obj["right"], atoms))
 
 
 def tileset_to_obj(ts: ZTileSet) -> dict:
@@ -555,8 +567,9 @@ def tileset_to_obj(ts: ZTileSet) -> dict:
 
 
 def tileset_from_obj(obj: dict) -> ZTileSet:
+    atoms: dict[str, HLabel] = {}
     return ZTileSet(int(obj["in_max"]), _mk_bottoms({n: int(v) for n, v in obj["outs"].items()}),
-                    tuple(tile_from_obj(t) for t in obj["tiles"]))
+                    tuple(tile_from_obj(t, atoms) for t in obj["tiles"]))
 
 
 def grouptileset_to_obj(g: GroupTileSet) -> dict:
@@ -578,12 +591,13 @@ def grouptileset_to_obj(g: GroupTileSet) -> dict:
 
 def grouptileset_from_obj(obj: dict) -> GroupTileSet:
     gens = tuple(obj["generators"])
+    atoms: dict[str, HLabel] = {}
     tiles = []
     for t in obj["tiles"]:
         tops = set(t["psi"].values())
         if len(tops) != 1:
             raise ValueError("psi colors must agree across generators")
         tiles.append(ZTile(int(tops.pop()), _mk_bottoms({n: int(v) for n, v in t["phi"].items()}),
-                           label_from_obj(t["left"]), label_from_obj(t["right"])))
+                           label_from_obj(t["left"], atoms), label_from_obj(t["right"], atoms)))
     return GroupTileSet(gens, int(obj["in_max"]), _mk_bottoms({n: int(v) for n, v in obj["outs"].items()}),
                         tuple(tiles))

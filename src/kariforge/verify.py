@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
-from . import freegroup, pamaps
+from . import freegroup, pamaps, tiles
 from .pamaps import OutOfDomain, PAGroupPresentation, PAMap, rat
 from .tiles import (
     GroupTileSet,
@@ -174,41 +174,12 @@ class TransitionGraph:
 
     @staticmethod
     def of(ts: ZTileSet | GroupTileSet) -> "TransitionGraph":
-        by_left: dict = {}
-        for j, t in enumerate(ts.tiles):
-            by_left.setdefault(t.left, []).append(j)
-        return TransitionGraph(tuple(tuple(by_left.get(t.right, ())) for t in ts.tiles))
-
-
-@dataclass(frozen=True)
-class PeriodicRow:
-    cycle: tuple[int, ...]
+        return TransitionGraph(tuple(map(tuple, tiles._successors(ts.tiles))))
 
 
 def nonempty_rows(ts: ZTileSet | GroupTileSet) -> bool:
-    """A bi-infinite valid row exists iff the transition graph has a cycle."""
-    succ = TransitionGraph.of(ts).succ
-    color = [0] * len(succ)  # 0 unseen, 1 active, 2 done
-    for start in range(len(succ)):
-        if color[start]:
-            continue
-        stack = [(start, iter(succ[start]))]
-        color[start] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color[nxt] == 1:
-                    return True
-                if color[nxt] == 0:
-                    color[nxt] = 1
-                    stack.append((nxt, iter(succ[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = 2
-                stack.pop()
-    return False
+    """A bi-infinite valid row exists iff some tile survives trimming."""
+    return bool(tiles.trim_tiles(ts).tiles)
 
 
 def closed_walks(succ: Sequence[Sequence[int]], n: int) -> Iterator[tuple[int, ...]]:
@@ -231,9 +202,52 @@ def closed_walks(succ: Sequence[Sequence[int]], n: int) -> Iterator[tuple[int, .
         yield from extend(start, start, 1)
 
 
-def periodic_rows(ts: ZTileSet | GroupTileSet, n: int) -> list[PeriodicRow]:
-    succ = TransitionGraph.of(ts).succ
-    return [PeriodicRow(w) for w in closed_walks(succ, n)]
+def _closed_walk_sums(succ: Sequence[Sequence[int]], tops: Sequence[int], bots: Sequence[int],
+                      n_max: int) -> dict[int, set[tuple[int, int]]]:
+    """The (top sum, bottom sum) pairs of the closed walks of each length n <= n_max.
+
+    The periodic-row checks depend on a walk only through these sums, and a
+    DP over (start tile, current tile, sums) finds them without listing the
+    walks.  Sums are rotation invariant and every closed walk has a rotation
+    starting at its smallest tile index, so the walks from each start tile
+    stay on tiles at or after it.  A set of sum pairs is one integer with
+    bit T * width + B set: taking a tile shifts it, merging two sets ORs them.
+    """
+    if n_max < 1:
+        return {}
+    width = n_max * max(bots, default=0) + 1
+    shift = [t * width + b for t, b in zip(tops, bots)]
+    pred: list[list[int]] = [[] for _ in succ]
+    for u, vs in enumerate(succ):
+        for v in vs:
+            pred[v].append(u)
+    found = [0] * (n_max + 1)
+    for start in range(len(succ)):
+        closers = [u for u in pred[start] if u >= start]
+        if not closers:
+            continue
+        layer = {start: 1 << shift[start]}
+        for n in range(1, n_max + 1):
+            for u in closers:
+                if u in layer:
+                    found[n] |= layer[u]
+            if n == n_max or not layer:
+                break
+            nxt: dict[int, int] = {}
+            for u, sums in layer.items():
+                for v in succ[u]:
+                    if v >= start:
+                        nxt[v] = nxt.get(v, 0) | (sums << shift[v])
+            layer = nxt
+    out = {}
+    for n in range(1, n_max + 1):
+        pairs, bits = set(), found[n]
+        while bits:
+            low = bits & -bits
+            pairs.add(divmod(low.bit_length() - 1, width))
+            bits ^= low
+        out[n] = pairs
+    return out
 
 
 def periodic_soundness(ts: ZTileSet, f: PAMap, n_max: int,
@@ -242,29 +256,38 @@ def periodic_soundness(ts: ZTileSet, f: PAMap, n_max: int,
 
     Returns violation records; an empty list certifies soundness up to n_max.
     A row whose top average lies outside f's domain is a violation with
-    "expected" None.
+    "expected" None.  Each (n, top sum, bottom sum) class is checked once;
+    only the lengths with a violating class list their walks, to report them.
     """
     name = ts.single_out()
     sp = f.space
     succ = TransitionGraph.of(ts).succ
+    tops = [t.top for t in ts.tiles]
+    bots = [t.bottom(name) for t in ts.tiles]
     violations = []
-    for n in range(1, n_max + 1):
+    for n, sums in _closed_walk_sums(succ, tops, bots, n_max).items():
+        expected: dict[int, Optional[Fraction]] = {}
+        bad = set()
+        for T, B in sums:
+            if T not in expected:
+                try:
+                    expected[T] = pamaps.apply(f, sp.normalize(Fraction(T, n)))
+                except OutOfDomain:
+                    expected[T] = None  # a row the map cannot account for
+            if expected[T] is None or not sp.equiv(Fraction(B, n), expected[T]):
+                bad.add((T, B))
+        if not bad:
+            continue
         for walk in closed_walks(succ, n):
-            tiles = [ts.tiles[i] for i in walk]
-            top_avg = Fraction(sum(t.top for t in tiles), n)
-            bot_avg = Fraction(sum(t.bottom(name) for t in tiles), n)
-            x = sp.normalize(top_avg)
-            try:
-                expected = pamaps.apply(f, x)
-            except OutOfDomain:
-                expected = None  # a row the map cannot account for
-            if expected is None or not sp.equiv(bot_avg, expected):
+            T = sum(tops[i] for i in walk)
+            B = sum(bots[i] for i in walk)
+            if (T, B) in bad:
                 violations.append({
                     "n": n,
                     "cycle": list(walk),
-                    "top_avg": str(top_avg),
-                    "bottom_avg": str(bot_avg),
-                    "expected": None if expected is None else str(expected),
+                    "top_avg": str(Fraction(T, n)),
+                    "bottom_avg": str(Fraction(B, n)),
+                    "expected": None if expected[T] is None else str(expected[T]),
                 })
                 if stop_early:
                     return violations
@@ -290,16 +313,13 @@ def stacked_periodic_scan(ts: ZTileSet, n_max: int, k_max: int) -> list[dict]:
     """
     name = ts.single_out()
     succ = TransitionGraph.of(ts).succ
+    tops = [t.top for t in ts.tiles]
+    bots = [t.bottom(name) for t in ts.tiles]
     found: dict[tuple[int, int, int], dict] = {}
-    for n in range(1, n_max + 1):
-        pairs: dict[tuple, dict[tuple, tuple]] = {}
+    for n, sums in _closed_walk_sums(succ, tops, bots, n_max).items():
         avg_succ: dict[Fraction, set[Fraction]] = {}
-        for walk in closed_walks(succ, n):
-            tiles = [ts.tiles[i] for i in walk]
-            tops = tuple(t.top for t in tiles)
-            bots = tuple(t.bottom(name) for t in tiles)
-            pairs.setdefault(tops, {}).setdefault(bots, walk)
-            avg_succ.setdefault(Fraction(sum(tops), n), set()).add(Fraction(sum(bots), n))
+        for T, B in sums:
+            avg_succ.setdefault(Fraction(T, n), set()).add(Fraction(B, n))
 
         def avg_loop_lengths(a0: Fraction) -> set[int]:
             lengths = set()
@@ -312,14 +332,21 @@ def stacked_periodic_scan(ts: ZTileSet, n_max: int, k_max: int) -> list[dict]:
                     break
             return lengths
 
-        loop_cache: dict[Fraction, set[int]] = {}
+        loops = {a: ks for a in avg_succ if (ks := avg_loop_lengths(a))}
+        if not loops:
+            continue
+        looping_tops = {T for T, _ in sums if Fraction(T, n) in loops}
+        # Every row of a stacked configuration, and every row on a BFS path
+        # from one row to a row that closes the stack, has its top average on
+        # an averages cycle of length <= k_max.  Leaving the other walks out
+        # changes neither those rows' BFS levels nor their parents.
+        pairs: dict[tuple, dict[tuple, tuple]] = {}
+        for walk in closed_walks(succ, n):
+            row_tops = tuple(tops[i] for i in walk)
+            if sum(row_tops) in looping_tops:
+                pairs.setdefault(row_tops, {}).setdefault(tuple(bots[i] for i in walk), walk)
         for t0 in sorted(pairs):
-            a0 = Fraction(sum(t0), n)
-            if a0 not in loop_cache:
-                loop_cache[a0] = avg_loop_lengths(a0)
-            ks = loop_cache[a0]
-            if not ks:
-                continue
+            ks = loops[Fraction(sum(t0), n)]
             # BFS over top words, remembering one parent per word per level
             levels: list[dict[tuple, Optional[tuple]]] = [{t0: None}]
             for _ in range(1, max(ks)):

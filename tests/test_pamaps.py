@@ -450,6 +450,20 @@ def test_pamap_json_roundtrip(kari):
     assert equals(pamap_from_obj(pamap_to_obj(kari)), kari)
 
 
+def test_equal_maps_hash_equal(kari):
+    routes = [
+        kari,
+        PAMap(kari.space, kari.pieces),
+        pamap_from_obj(pamap_to_obj(kari)),
+        compose(kari, identity(kari.space)),
+        invert(invert(kari)),
+    ]
+    assert all(f == kari and f is not kari for f in routes[1:])
+    assert {hash(f) for f in routes} == {hash(kari)}
+    assert len(dict.fromkeys(routes)) == 1
+    assert hash(compose(invert(kari), kari)) == hash(identity(kari.space))
+
+
 def test_rat_parsing():
     assert rat("-1/3") == F(-1, 3)
     assert rat("2") == F(2)

@@ -340,6 +340,10 @@ def test_grouptileset_roundtrip(psl2z_family):
 def test_label_roundtrip():
     lab = tup(tag("L", atom(F(-1, 3))), atom(F(2)))
     assert label_from_obj(json.loads(json.dumps(label_to_obj(lab)))) is lab
+    atoms = {}
+    obj = json.loads(json.dumps([label_to_obj(lab), label_to_obj(lab)]))
+    assert label_from_obj(obj, atoms) is tup(lab, lab)
+    assert atoms == {"-1/3": atom(F(-1, 3)), "2": atom(F(2))}
 
 
 def test_json_shape_matches_contract(kari_tiles):

@@ -1,10 +1,12 @@
+import functools
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kariforge import pamaps
+import periodic_reference as reference
+from kariforge import pamaps, presets, verify
 from kariforge.freegroup import (
     abelian_oracle,
     ball,
@@ -20,13 +22,14 @@ from kariforge.verify import (
     BitWindow,
     InconsistentPatch,
     PatchRow,
+    TransitionGraph,
     WitnessFailure,
     build_orbit_patch,
+    closed_walks,
     cont_window,
     disc,
     nonempty_rows,
     patch_check,
-    periodic_rows,
     periodic_soundness,
     search_base_point,
     stacked_periodic_scan,
@@ -34,6 +37,10 @@ from kariforge.verify import (
 )
 
 IDENTITY_CIRCLE = pamaps.identity(Space(F(1), circle=True))
+
+
+def walks_of(ts, n):
+    return list(closed_walks(TransitionGraph.of(ts).succ, n))
 
 
 # -- disc / cont ----------------------------------------------------------
@@ -145,21 +152,21 @@ def test_empty_single_mismatched_tile():
 
 
 def test_periodic_rows_identity():
-    rows = periodic_rows(pamap_tiles(IDENTITY_CIRCLE), 1)
+    rows = walks_of(pamap_tiles(IDENTITY_CIRCLE), 1)
     assert len(rows) == 2
 
 
 def test_periodic_rows_rejects_zero():
     with pytest.raises(ValueError):
-        periodic_rows(pamap_tiles(IDENTITY_CIRCLE), 0)
+        walks_of(pamap_tiles(IDENTITY_CIRCLE), 0)
 
 
 def test_periodic_rows_average_relation():
     ts = affine_tiles(F(2, 3), F(-1, 3), 1, 1)
-    rows = periodic_rows(ts, 2)
+    rows = walks_of(ts, 2)
     assert rows
     for row in rows:
-        tiles = [ts.tiles[i] for i in row.cycle]
+        tiles = [ts.tiles[i] for i in row]
         top = F(sum(t.top for t in tiles), 2)
         bot = F(sum(t.bottom() for t in tiles), 2)
         assert bot == F(2, 3) * top - F(1, 3)
@@ -171,7 +178,7 @@ def test_periodic_rows_marked_rotations():
     # identity carries are all 0, so every tile pair is adjacent: n=2 walks
     # are all four marked sequences, rotations listed separately
     ts = affine_tiles(1, 0, 1, 1)
-    rows = {r.cycle for r in periodic_rows(ts, 2)}
+    rows = set(walks_of(ts, 2))
     assert rows == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
 
@@ -201,10 +208,10 @@ def test_soundness_reports_rows_outside_the_domain(kari, kari_tiles):
     assert half.domain() == (Interval(F(0), F(1, 2)),)
     outside = set()
     for n in range(1, 7):
-        for row in periodic_rows(kari_tiles, n):
-            avg = F(sum(kari_tiles.tiles[i].top for i in row.cycle), n) % 1
+        for row in walks_of(kari_tiles, n):
+            avg = F(sum(kari_tiles.tiles[i].top for i in row), n) % 1
             if F(1, 2) < avg < 1:
-                outside.add((n, row.cycle))
+                outside.add((n, row))
     violations = periodic_soundness(kari_tiles, half, 6)
     assert outside
     assert {(v["n"], tuple(v["cycle"])) for v in violations} == outside
@@ -268,6 +275,85 @@ def test_oracle_agreement_on_preset_generators(kari, psl2z, thompson_t):
         oracle = {k for k in range(1, k_max + 1) if pamaps.periodic_points(m, k)}
         assert found == oracle
         assert periodic_soundness(ts, m, 3) == []
+
+
+# -- closed-walk sums against walk enumeration -------------------------
+
+
+def rotation_map(p, q):
+    sp = Space(F(1), circle=True)
+    r = F(p, q)
+    if r == 0:
+        return pamaps.identity(sp)
+    return PAMap.make(sp, [AffinePiece(Interval(F(0), 1 - r), F(1), r),
+                           AffinePiece(Interval(1 - r, F(1)), F(1), r - 1)])
+
+
+@functools.lru_cache(maxsize=64)
+def compiled(f):
+    return pamap_tiles(f)
+
+
+def flip_bottom(ts, i):
+    t = ts.tiles[i]
+    flipped = ZTile(t.top, ((ts.single_out(), 1 - t.bottom()),), t.left, t.right)
+    return ZTileSet.make(ts.in_max, dict(ts.out_maxes), ts.tiles[:i] + (flipped,) + ts.tiles[i + 1:])
+
+
+@st.composite
+def walk_check_cases(draw):
+    """(tile set, map) pairs: sound and unsound, with and without stacked
+    configurations, and rows outside the map's domain."""
+    kind = draw(st.sampled_from(["random", "rotation", "identity", "flipped", "half"]))
+    kari = presets.kari_map()
+    if kind == "random":
+        f = draw(circle_homeos(max_denominator=4))
+        return compiled(f), f
+    if kind == "rotation":
+        q = draw(st.integers(1, 6))
+        f = rotation_map(draw(st.integers(0, q - 1)), q)
+        return compiled(f), f
+    if kind == "identity":
+        f = IDENTITY_CIRCLE
+        return draw(st.sampled_from([compiled(f), compiled(kari)])), f
+    if kind == "flipped":
+        ts = compiled(kari)
+        return flip_bottom(ts, draw(st.integers(0, len(ts.tiles) - 1))), kari
+    half = PAMap.make(kari.space, [p for p in kari.pieces if p.dom.hi <= F(1, 2)])
+    return compiled(kari), half
+
+
+@given(walk_check_cases(), st.integers(1, 6), st.integers(1, 4), st.booleans())
+@settings(max_examples=120, deadline=None)
+def test_periodic_checks_match_walk_enumeration(case, n_max, k_max, stop_early):
+    ts, f = case
+    assert (periodic_soundness(ts, f, n_max, stop_early)
+            == reference.periodic_soundness(ts, f, n_max, stop_early))
+    assert stacked_periodic_scan(ts, n_max, k_max) == reference.stacked_periodic_scan(ts, n_max, k_max)
+
+
+def test_kari_checks_list_no_walks(kari, kari_tiles, monkeypatch):
+    listed = []
+    real = verify.closed_walks
+    monkeypatch.setattr(verify, "closed_walks", lambda succ, n: listed.append(n) or real(succ, n))
+    assert periodic_soundness(kari_tiles, kari, 12) == []
+    assert stacked_periodic_scan(kari_tiles, 12, 8) == []
+    assert listed == []
+    # a violating length lists its walks once, to report them
+    assert periodic_soundness(flip_bottom(kari_tiles, 0), kari, 6)
+    assert listed and len(listed) == len(set(listed))
+
+
+def test_kari_clean_to_24(kari, kari_tiles):
+    assert periodic_soundness(kari_tiles, kari, 24) == []
+    assert stacked_periodic_scan(kari_tiles, 24, 12) == []
+
+
+@pytest.mark.parametrize("n_max", [0, -3])
+def test_periodic_checks_need_a_length(n_max):
+    ts = flip_bottom(compiled(IDENTITY_CIRCLE), 0)
+    assert periodic_soundness(ts, IDENTITY_CIRCLE, n_max) == []
+    assert stacked_periodic_scan(ts, n_max, 2) == []
 
 
 # -- patches ----------------------------------------------------------
@@ -365,9 +451,9 @@ def test_search_base_point(psl2z):
 
 
 @st.composite
-def circle_homeos(draw):
+def circle_homeos(draw, max_denominator=8):
     # monotone dyadic-ish bijection of [0,1] fixing the ends, then a rotation
-    fracs = st.fractions(min_value=0, max_value=1, max_denominator=8)
+    fracs = st.fractions(min_value=0, max_value=1, max_denominator=max_denominator)
     inner_x = sorted(draw(st.sets(fracs, min_size=1, max_size=3)) - {F(0), F(1)})
     inner_y = sorted(draw(st.sets(fracs, min_size=len(inner_x), max_size=len(inner_x))
                           ) - {F(0), F(1)})
