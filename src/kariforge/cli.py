@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import freegroup, pamaps, presets, render, tiles, verify
 
@@ -98,7 +97,7 @@ def cmd_verify(args) -> int:
 
 def cmd_simulate(args) -> int:
     f = pamaps.pamap_from_obj(_read_json(args.map))
-    x = Fraction(args.x)
+    x = pamaps.rat(args.x)
     ts = tiles.pamap_tiles(f)
     try:
         row = verify.witness_row(ts, x, args.window)

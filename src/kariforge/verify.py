@@ -16,6 +16,7 @@ has no periodic points).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
@@ -59,13 +60,19 @@ class BitWindow:
     bits: tuple[int, ...]
 
 
+def _floors(v: Fraction, n_from: int, n_to: int) -> list[int]:
+    """floor(n * v) for n = n_from..n_to+1: the bit window's boundaries."""
+    p, q = v.numerator, v.denominator
+    return [n * p // q for n in range(n_from, n_to + 2)]
+
+
 def disc(y, n_from: int, n_to: int) -> BitWindow:
     """Balanced bit window of y >= 0 over positions n_from..n_to inclusive."""
     y = rat(y)
     if y < 0:
         raise ValueError("disc needs y >= 0")
-    bits = tuple(math.floor((n + 1) * y) - math.floor(n * y) for n in range(n_from, n_to + 1))
-    return BitWindow(n_from, bits)
+    fl = _floors(y, n_from, n_to)
+    return BitWindow(n_from, tuple(map(operator.sub, fl[1:], fl)))
 
 
 def cont_window(w: BitWindow) -> Fraction:
@@ -76,25 +83,105 @@ def cont_window(w: BitWindow) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # Witness rows
+#
+# A row is built in two passes.  The first picks every union branch and every
+# intermediate value from the plan alone, with a few exact Fraction steps per
+# plan node; the second builds rows only for the chosen leaves.  Until the
+# root a row is kept as columns: its top bits, its per-tile bottoms, and the
+# codes of its W + 1 boundary labels (the rows are connected, so tile i's
+# right label is tile i+1's left label), with a table from code to label.
+# A leaf's codes are its carry numerators and a combined row's codes are
+# tuples of its parts' codes, so tagging or joining labels touches each
+# distinct label once.
+
+_Row = tuple[list[int], list[tuple[tuple[str, int], ...]], list, dict]
 
 
-def _affine_row(a: Fraction, b: Fraction, x: Fraction, n_from: int, n_to: int,
-                in_max: int, out_max: int, out_name: str,
-                y_target: Optional[Fraction]) -> tuple[list[ZTile], Fraction]:
-    if not 0 <= x <= in_max:
-        raise WitnessFailure(f"input {x} not encodable in bits 0..{in_max}")
-    y = a * x + b
-    if not 0 <= y <= out_max:
-        raise WitnessFailure(f"output {y} not encodable in bits 0..{out_max}")
-    if y_target is not None and y != y_target:
-        raise WitnessFailure(f"branch outputs {y}, not the requested {y_target}")
-    tiles = []
-    carry = lambda n: a * math.floor(n * x) + n * b - math.floor(n * y)
-    tops = disc(x, n_from, n_to).bits
-    bots = disc(y, n_from, n_to).bits
-    for i, n in enumerate(range(n_from, n_to + 1)):
-        tiles.append(ZTile(tops[i], ((out_name, bots[i]),), atom(carry(n)), atom(carry(n + 1))))
-    return tiles, y
+def _affine_row(a: Fraction, b: Fraction, x: Fraction, y: Fraction,
+                n_from: int, n_to: int) -> _Row:
+    """Row of x -> y = a*x + b in integers.  With D = lcm(den a, den b),
+    A = a*D and B = b*D, the carry a*floor(nx) + n*b - floor(ny) at n is
+    (A*floor(nx) + n*B - D*floor(ny)) / D."""
+    D = math.lcm(a.denominator, b.denominator)
+    A = a.numerator * (D // a.denominator)
+    B = b.numerator * (D // b.denominator)
+    fx, fy = _floors(x, n_from, n_to), _floors(y, n_from, n_to)
+    bits = list(map(operator.sub, fy[1:], fy))
+    cells = {u: (("f", u),) for u in set(bits)}
+    carries = [A * u + n * B - D * v for n, u, v in zip(range(n_from, n_to + 2), fx, fy)]
+    return (list(map(operator.sub, fx[1:], fx)), [cells[u] for u in bits],
+            carries, {c: atom(Fraction(c, D)) for c in set(carries)})
+
+
+def _tagged(name: str, row: _Row) -> _Row:
+    tops, bots, codes, table = row
+    return tops, bots, codes, {c: tag(name, l) for c, l in table.items()}
+
+
+def _joined(rows: list[_Row]) -> tuple[list, dict]:
+    """Codes and table of the tuple labels of rows laid side by side."""
+    codes = list(zip(*(row[2] for row in rows)))
+    tables = [row[3] for row in rows]
+    return codes, {c: tup(*map(dict.__getitem__, tables, c)) for c in set(codes)}
+
+
+def _product(parts: list[tuple[str, _Row]]) -> _Row:
+    names = [name for name, _ in parts]
+    rows = [row for _, row in parts]
+    cols = list(zip(*([b[0][1] for b in row[1]] for row in rows)))
+    made = {c: tuple(sorted(zip(names, c))) for c in set(cols)}
+    return (rows[0][0], [made[c] for c in cols]) + _joined(rows)
+
+
+def _resolve(plan: Plan, x: Fraction, n_from: int, n_to: int, in_max: int, out_max: int,
+             y_target) -> tuple[Callable[[], _Row], Fraction, Optional[Fraction]]:
+    """Choose the plan's branches for input x without building any row.
+
+    Returns (build, y, out): build() makes the row of the chosen leaves, y is
+    the value the node passes on, and out the value its bottom bits encode
+    (None for several outputs).  Failures are the ones building would meet.
+    """
+    if isinstance(plan, PlanAff):
+        a, b = plan.a, plan.b
+        if not 0 <= x <= in_max:
+            raise WitnessFailure(f"input {x} not encodable in bits 0..{in_max}")
+        y = a * x + b
+        if not 0 <= y <= out_max:
+            raise WitnessFailure(f"output {y} not encodable in bits 0..{out_max}")
+        if y_target is not None and y != y_target:
+            raise WitnessFailure(f"branch outputs {y}, not the requested {y_target}")
+        return (lambda: _affine_row(a, b, x, y, n_from, n_to)), y, y
+    if isinstance(plan, PlanUnion):
+        try:
+            build, y, out = _resolve(plan.first, x, n_from, n_to, in_max, out_max, y_target)
+            name = "L"
+        except WitnessFailure:
+            build, y, out = _resolve(plan.second, x, n_from, n_to, in_max, out_max, y_target)
+            name = "R"
+        return (lambda: _tagged(name, build())), y, out
+    if isinstance(plan, PlanComp):
+        first, mid, out = _resolve(plan.first, x, n_from, n_to, in_max, out_max, None)
+        second, y, out_y = _resolve(plan.second, mid, n_from, n_to, in_max, out_max, y_target)
+        # the first row's bottom bits must be the second row's top bits
+        if out is None:
+            raise ValueError("tile has several outputs; name one")
+        if out != mid and disc(out, n_from, n_to) != disc(mid, n_from, n_to):
+            raise WitnessFailure("middle bit rows disagree")
+
+        def build() -> _Row:
+            ra, rb = first(), second()
+            return (ra[0], rb[1]) + _joined([ra, rb])
+        return build, y, out_y
+    if isinstance(plan, PlanProd):
+        parts = []
+        for name, p in plan.parts:
+            target = y_target.get(name) if isinstance(y_target, dict) else y_target
+            parts.append((name, _resolve(p, x, n_from, n_to, in_max, out_max, target)))
+        if any(out is None for _, (_, _, out) in parts):
+            raise ValueError("tile has several outputs; name one")
+        out = parts[0][1][2] if len(parts) == 1 else None
+        return (lambda: _product([(name, build()) for name, (build, _, _) in parts])), x, out
+    raise TypeError(f"not a plan: {plan!r}")
 
 
 def plan_row(plan: Plan, x, n_from: int, n_to: int, in_max: int, out_max: int,
@@ -106,49 +193,25 @@ def plan_row(plan: Plan, x, n_from: int, n_to: int, in_max: int, out_max: int,
     output value is given, only branches emitting exactly that value are
     accepted; two branches can encode the same circle point by different
     representatives (a raw value of L against a wrapped 0), and neighbors in
-    a patch care about the bits, not the point.
+    a patch care about the bits, not the point.  Branches are chosen before
+    any row is built, and bits and carries are integer floor differences.
     """
     x = rat(x)
-    if isinstance(plan, PlanAff):
-        return _affine_row(plan.a, plan.b, x, n_from, n_to, in_max, out_max, "f", y_target)
-    if isinstance(plan, PlanUnion):
-        try:
-            tiles, y = plan_row(plan.first, x, n_from, n_to, in_max, out_max, y_target)
-            tname = "L"
-        except WitnessFailure:
-            tiles, y = plan_row(plan.second, x, n_from, n_to, in_max, out_max, y_target)
-            tname = "R"
-        return [ZTile(t.top, t.bottoms, tag(tname, t.left), tag(tname, t.right)) for t in tiles], y
-    if isinstance(plan, PlanComp):
-        first, mid = plan_row(plan.first, x, n_from, n_to, in_max, out_max)
-        second, y = plan_row(plan.second, mid, n_from, n_to, in_max, out_max, y_target)
-        tiles = []
-        for ta, tb in zip(first, second):
-            if ta.bottom() != tb.top:
-                raise WitnessFailure("middle bit rows disagree")
-            tiles.append(ZTile(ta.top, tb.bottoms, tup(ta.left, tb.left), tup(ta.right, tb.right)))
-        return tiles, y
-    if isinstance(plan, PlanProd):
-        parts = []
-        for name, p in plan.parts:
-            target = y_target.get(name) if isinstance(y_target, dict) else y_target
-            parts.append((name, plan_row(p, x, n_from, n_to, in_max, out_max, target)))
-        tiles = []
-        for i in range(n_to - n_from + 1):
-            chosen = [rows[i] for _, (rows, _) in parts]
-            bottoms = tuple(sorted((name, t.bottom()) for (name, _), t in zip(parts, chosen)))
-            tiles.append(ZTile(chosen[0].top, bottoms,
-                               tup(*(t.left for t in chosen)), tup(*(t.right for t in chosen))))
-        return tiles, x
-    raise TypeError(f"not a plan: {plan!r}")
+    if n_from > n_to:
+        raise ValueError(f"empty window: positions {n_from}..{n_to}")
+    build, y, _ = _resolve(plan, x, n_from, n_to, in_max, out_max, y_target)
+    tops, bots, codes, table = build()
+    cells = list(zip(tops, bots, codes, codes[1:]))
+    made = {c: ZTile(c[0], c[1], table[c[2]], table[c[3]]) for c in set(cells)}
+    return [made[c] for c in cells], y
 
 
 def _check_row(tiles: Sequence[ZTile], known: frozenset[ZTile]) -> None:
-    for t in tiles:
+    for t in dict.fromkeys(tiles):  # each distinct tile once, in row order
         if t not in known:
             raise WitnessFailure(f"witness tile not in set: {t}")
     for u, v in zip(tiles, tiles[1:]):
-        if u.right != v.left:
+        if u.right is not v.left:  # labels are interned
             raise WitnessFailure("witness row is not connected")
 
 

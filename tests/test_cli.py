@@ -153,6 +153,16 @@ def test_simulate_out_of_domain(tmp_path, capsys):
     assert capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [["--x", "1/3", "--window", "-2"],
+                                  ["--x", "1/0"],
+                                  ["--x", "abc"]])
+def test_simulate_refuses_bad_input(kari_map_file, capsys, args):
+    assert main(["simulate", "--map", kari_map_file] + args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_group_is_identity(capsys):
     assert main(["group", "--preset", "psl2z", "--word", "ddd", "--is-identity"]) == 0
     assert capsys.readouterr().out.strip() == "true"

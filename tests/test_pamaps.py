@@ -469,3 +469,5 @@ def test_rat_parsing():
     assert rat("2") == F(2)
     with pytest.raises(TypeError):
         rat(0.5)
+    with pytest.raises(ValueError, match="zero denominator"):
+        rat("1/0")

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import periodic_reference as reference
+import witness_reference
 from kariforge import pamaps, presets, verify
 from kariforge.freegroup import (
     abelian_oracle,
@@ -17,7 +18,17 @@ from kariforge.freegroup import (
     table_oracle,
 )
 from kariforge.pamaps import AffinePiece, Interval, PAMap, Space
-from kariforge.tiles import ZTile, ZTileSet, affine_tiles, atom, pamap_tiles
+from kariforge.tiles import (
+    PlanComp,
+    PlanProd,
+    ZTile,
+    ZTileSet,
+    affine_tiles,
+    atom,
+    bit_max,
+    pamap_plan,
+    pamap_tiles,
+)
 from kariforge.verify import (
     BitWindow,
     InconsistentPatch,
@@ -31,6 +42,7 @@ from kariforge.verify import (
     nonempty_rows,
     patch_check,
     periodic_soundness,
+    plan_row,
     search_base_point,
     stacked_periodic_scan,
     witness_row,
@@ -130,6 +142,118 @@ def test_witness_on_group_tileset(psl2z, psl2z_family):
     assert tuple(t.top for t in row) == disc(F(1, 5), -12, 12).bits
     d_out = tuple(t.bottom("d") for t in row)
     assert d_out == disc(pamaps.apply(psl2z.map_for("d"), F(1, 5)), -12, 12).bits
+
+
+def test_witness_row_refuses_an_empty_window(kari_tiles):
+    for N in (-1, -2):
+        with pytest.raises(ValueError, match="empty window"):
+            witness_row(kari_tiles, F(1, 3), N)
+    with pytest.raises(ValueError, match="empty window"):
+        plan_row(kari_tiles.source, F(1, 3), 3, 2, 1, 1)
+    assert len(witness_row(kari_tiles, F(1, 3), 0)) == 1
+
+
+@given(st.fractions(min_value=0, max_value=3, max_denominator=30), st.integers(-20, 0),
+       st.integers(-1, 20))
+@settings(max_examples=200, deadline=None)
+def test_disc_matches_fraction_floors(y, n_from, length):
+    assert disc(y, n_from, n_from + length).bits == witness_reference.disc_bits(y, n_from, n_from + length)
+
+
+LENGTHS = [F(1), F(3, 2), F(2)]
+
+
+@st.composite
+def interval_maps(draw):
+    """Total continuous piecewise affine maps of [0, L], not monotone."""
+    L = draw(st.sampled_from(LENGTHS))
+    fracs = st.fractions(min_value=0, max_value=L, max_denominator=6)
+    xs = sorted(draw(st.sets(fracs, min_size=0, max_size=3)) - {F(0), L})
+    xs = [F(0)] + xs + [L]
+    ys = draw(st.lists(fracs, min_size=len(xs), max_size=len(xs), unique=True))
+    pieces = []
+    for (x0, x1), (y0, y1) in zip(zip(xs, xs[1:]), zip(ys, ys[1:])):
+        slope = (y1 - y0) / (x1 - x0)
+        pieces.append(AffinePiece(Interval(x0, x1), slope, y0 - slope * x0))
+    return PAMap.make(Space(L, circle=False), pieces)
+
+
+def row_outcome(fn, plan, x, N, m, target):
+    try:
+        return fn(plan, x, -N, N, m, m, target)
+    except WitnessFailure as exc:
+        return "no witness", str(exc)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+@st.composite
+def witness_cases(draw):
+    """(plan, bit range, x, y_target): single maps, products with target
+    dicts, and compositions after a product, at points in and out of range."""
+    kind = draw(st.sampled_from(["interval", "circle", "psl2z", "after-product"]))
+    fast = draw(st.booleans())
+    if kind == "interval":
+        f = draw(interval_maps())
+    elif kind == "circle":
+        f = draw(circle_homeos(max_denominator=6))
+    else:
+        pres = presets.psl2z()
+        parts = tuple((name, pamap_plan(g, fast)) for name, g in pres.generators)
+        m = bit_max(pres.space)
+        x = draw(st.fractions(min_value=0, max_value=m + 1, max_denominator=12))
+        if kind == "after-product":
+            # the product's bottom row must match the next stage's top row
+            parts = draw(st.sampled_from([parts[:1], parts[1:], parts]))
+            return PlanComp(PlanProd(parts), parts[0][1]), m, x, None
+        target = None
+        if draw(st.booleans()) and x <= pres.space.length:
+            target = {name: pamaps.apply(g, x) for name, g in pres.generators}
+            if draw(st.booleans()):
+                name = draw(st.sampled_from(sorted(target)))
+                target[name] = pres.space.length - target[name]  # the other representative, or wrong
+        return PlanProd(parts), m, x, target
+    m = bit_max(f.space)
+    x = draw(st.fractions(min_value=0, max_value=m + 1, max_denominator=12))
+    target = None
+    if draw(st.booleans()) and x <= f.space.length:
+        target = pamaps.apply(f, x) if draw(st.booleans()) else f.space.length
+    return pamap_plan(f, fast), m, x, target
+
+
+@given(witness_cases(), st.integers(0, 8))
+@settings(max_examples=300, deadline=None)
+def test_plan_row_matches_fraction_reference(case, N):
+    plan, m, x, target = case
+    got = row_outcome(plan_row, plan, x, N, m, target)
+    assert got == row_outcome(witness_reference.plan_row, plan, x, N, m, target)
+
+
+def count_leaves(monkeypatch):
+    built = []
+    real = verify._affine_row
+    monkeypatch.setattr(verify, "_affine_row", lambda a, b, *rest: built.append((a, b)) or real(a, b, *rest))
+    return built
+
+
+def test_kari_row_builds_one_affine_row(kari_tiles, monkeypatch):
+    built = count_leaves(monkeypatch)
+    for x in (F(0), F(1, 3), F(1, 2), F(5, 7), F(1)):
+        built.clear()
+        witness_row(kari_tiles, x, 16)
+        assert len(built) == 1
+
+
+def test_wrapped_circle_row_builds_only_its_chosen_leaves(monkeypatch):
+    sp = Space(F(1), circle=True)
+    rot = PAMap.make(sp, [AffinePiece(Interval(F(0), F(2, 3)), F(1), F(1, 3)),
+                          AffinePiece(Interval(F(2, 3), F(1)), F(1), F(-2, 3))])
+    ts = pamap_tiles(rot, fast_path=False)
+    built = count_leaves(monkeypatch)
+    # 5/6 lies in the second piece: the first piece's wrap stage accepts it,
+    # its scaling stage does not, and nothing of the first piece is built
+    witness_row(ts, F(5, 6), 8)
+    assert built == [(F(1), F(0)), (F(3), F(-2)), (F(1, 3), F(0)), (F(1), F(0))]
 
 
 # -- nonemptiness ----------------------------------------------------------
