@@ -51,16 +51,15 @@ def cmd_gen(args) -> int:
         pres = presets.load_preset(args.preset)
         if len(pres.generators) == 1:
             ts = tiles.pamap_tiles(pres.generators[0][1], fast_path=fast)
-            obj = tiles.tileset_to_obj(ts)
+            text = tiles.tileset_to_json(ts)
         else:
-            gts = tiles.family_tiles(pres, fast_path=fast)
-            ts = gts
-            obj = tiles.grouptileset_to_obj(gts)
+            ts = tiles.family_tiles(pres, fast_path=fast)
+            text = tiles.grouptileset_to_json(ts)
     else:
         f = pamaps.pamap_from_obj(_read_json(args.map))
         ts = tiles.pamap_tiles(f, fast_path=fast)
-        obj = tiles.tileset_to_obj(ts)
-    _write_text(args.out, _dump(obj))
+        text = tiles.tileset_to_json(ts)
+    _write_text(args.out, text)
     print(f"{len(ts.tiles)} tiles")
     return 0
 

@@ -27,6 +27,16 @@ def label_text(l: HLabel) -> str:
     return repr(l)
 
 
+def _label_texts(tiles) -> dict[HLabel, str]:
+    """label_text of each distinct side label, computed once."""
+    texts: dict[HLabel, str] = {}
+    for t in tiles:
+        for l in (t.left, t.right):
+            if l not in texts:
+                texts[l] = label_text(l)
+    return texts
+
+
 def _text(x, y, s, size=9, anchor="middle") -> str:
     return (f'<text x="{x}" y="{y}" font-size="{size}" font-family="monospace" '
             f'text-anchor="{anchor}">{_esc(s)}</text>')
@@ -66,12 +76,13 @@ def render_tileset(ts: ZTileSet) -> str:
     if len(ts.tiles) > MAX_TILES:
         raise TooLarge(f"{len(ts.tiles)} tiles exceed the {MAX_TILES} tile limit")
     cols, rows = _grid(len(ts.tiles))
+    texts = _label_texts(ts.tiles)
     body: list[str] = []
     for i, t in enumerate(ts.tiles):
         x0 = PAD + (i % cols) * (CELL + PAD)
         y0 = PAD + (i // cols) * (CELL + PAD)
         souths = [f"{n}:{v}" for n, v in t.bottoms] if len(t.bottoms) > 1 else [str(t.bottom())]
-        body.extend(_tile_cell(x0, y0, label_text(t.left), label_text(t.right), [str(t.top)], souths))
+        body.extend(_tile_cell(x0, y0, texts[t.left], texts[t.right], [str(t.top)], souths))
     width = PAD + cols * (CELL + PAD)
     height = PAD + rows * (CELL + PAD)
     return _document(body, width, height)
@@ -81,12 +92,13 @@ def render_grouptileset(g: GroupTileSet) -> str:
     if len(g.tiles) > MAX_TILES:
         raise TooLarge(f"{len(g.tiles)} tiles exceed the {MAX_TILES} tile limit")
     cols, rows = _grid(len(g.tiles))
+    texts = _label_texts(g.tiles)
     body: list[str] = []
     for i, t in enumerate(g.tiles):
         x0 = PAD + (i % cols) * (CELL + PAD)
         y0 = PAD + (i // cols) * (CELL + PAD)
         norths = [f"{h}:{t.bottom(h)}" for h in g.generators]
-        body.extend(_tile_cell(x0, y0, label_text(t.left), label_text(t.right), norths, [str(t.top)]))
+        body.extend(_tile_cell(x0, y0, texts[t.left], texts[t.right], norths, [str(t.top)]))
     caption_y = PAD + rows * (CELL + PAD) + 14
     caption = [
         _text(PAD, caption_y, "tile x at (n,g):", size=10, anchor="start"),

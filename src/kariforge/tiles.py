@@ -18,6 +18,8 @@ explicit witness rows.
 
 from __future__ import annotations
 
+import itertools
+import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -76,9 +78,11 @@ class HLabel:
         return self is other
 
     def sort_key(self):
+        # an atom's float comes first: it is correctly rounded, so it never
+        # reverses the order, and a tie falls through to the exact value
         if self._key is None:
             if self.kind == "atom":
-                self._key = (0, self.value)
+                self._key = (0, _float_key(self.value), self.value)
             elif self.kind == "tag":
                 name, inner = self.value
                 self._key = (1, name, inner.sort_key())
@@ -93,6 +97,17 @@ class HLabel:
             name, inner = self.value
             return f"{name}:{inner!r}"
         return "(" + ",".join(repr(l) for l in self.value) + ")"
+
+
+def _float_key(v) -> float:
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
+def _ranks(values, key=None) -> dict:
+    return {v: i for i, v in enumerate(sorted(values, key=key))}
 
 
 def atom(q) -> HLabel:
@@ -173,9 +188,6 @@ class ZTile:
                 return v
         raise KeyError(name)
 
-    def sort_key(self):
-        return (self.top, self.bottoms, self.left.sort_key(), self.right.sort_key())
-
 
 def _mk_bottoms(d: dict[str, int]) -> tuple[tuple[str, int], ...]:
     return tuple(sorted(d.items()))
@@ -222,10 +234,15 @@ class ZTileSet:
         if sorted(names) != names:
             raise ValueError("output names must be sorted")
         seen = set()
+        checked = set()  # (top, bottoms) pairs already found in range
         for t in self.tiles:
             if t in seen:
                 raise ValueError(f"duplicate tile {t}")
             seen.add(t)
+            bits = (t.top, t.bottoms)
+            if bits in checked:
+                continue
+            checked.add(bits)
             if not 0 <= t.top <= self.in_max:
                 raise ValueError(f"top bit {t.top} out of range")
             if tuple(n for n, _ in t.bottoms) != tuple(names):
@@ -236,7 +253,31 @@ class ZTileSet:
 
     @staticmethod
     def make(in_max, out_maxes: dict[str, int], tiles: Iterable[ZTile], source=None) -> "ZTileSet":
-        return ZTileSet(in_max, _mk_bottoms(out_maxes), tuple(sorted(set(tiles), key=ZTile.sort_key)), source)
+        """Deduplicate and sort by (top, bottoms, left, right), labels in
+        `HLabel.sort_key` order.  Each field's distinct values are sorted once
+        and numbered, and the tiles are sorted by one integer built from the
+        numbers, so no tile comparison reaches a label."""
+        tiles = set(tiles)
+        tops = _ranks({t.top for t in tiles})
+        bottoms = _ranks({t.bottoms for t in tiles})
+        labels = {t.left for t in tiles}
+        labels.update(t.right for t in tiles)
+        sides = _ranks(labels, key=HLabel.sort_key)
+        nb, nl = len(bottoms), len(sides)
+        order = sorted(tiles, key=lambda t: ((tops[t.top] * nb + bottoms[t.bottoms]) * nl
+                                             + sides[t.left]) * nl + sides[t.right])
+        return ZTileSet(in_max, _mk_bottoms(out_maxes), tuple(order), source)
+
+    @staticmethod
+    def _unchecked(in_max, out_maxes, tiles, source) -> "ZTileSet":
+        """A set whose tiles are a subset of a validated set with the same
+        alphabets; skips __post_init__."""
+        ts = object.__new__(ZTileSet)
+        object.__setattr__(ts, "in_max", in_max)
+        object.__setattr__(ts, "out_maxes", out_maxes)
+        object.__setattr__(ts, "tiles", tiles)
+        object.__setattr__(ts, "source", source)
+        return ts
 
     def single_out(self) -> str:
         if len(self.out_maxes) != 1:
@@ -287,6 +328,15 @@ class GroupTileSet:
 # Generators
 
 
+def _carry_range(a: Fraction, b: Fraction) -> tuple[int, int, int]:
+    """(D, lo, hi): the carries of x -> a*x + b are k/D for lo <= k <= hi."""
+    D = math.lcm(a.denominator, b.denominator)
+    if a > 0:
+        # exclusive left endpoint -a; a*D is integral by choice of D
+        return D, -a.numerator * (D // a.denominator) + 1, D - 1
+    return D, 0, (1 - a).numerator * (D // a.denominator) - 1
+
+
 def carry_set(a, b) -> tuple[Fraction, ...]:
     """All possible side carries for the map x -> a*x + b.
 
@@ -295,31 +345,29 @@ def carry_set(a, b) -> tuple[Fraction, ...]:
     it lies in [0, 1 - a) and the left endpoint is attained (at n = 0), so 0
     must be included.
     """
-    a, b = rat(a), rat(b)
-    D = math.lcm(a.denominator, b.denominator)
-    if a > 0:
-        lo_k = -a * D + 1  # exclusive left endpoint; a*D is integral by choice of D
-        hi_k = Fraction(D - 1)
-    else:
-        lo_k = Fraction(0)
-        hi_k = (1 - a) * D - 1
-    assert lo_k.denominator == 1 and hi_k.denominator == 1
-    return tuple(Fraction(k, D) for k in range(lo_k.numerator, hi_k.numerator + 1))
+    D, lo, hi = _carry_range(rat(a), rat(b))
+    return tuple(Fraction(k, D) for k in range(lo, hi + 1))
 
 
 def affine_tiles(a, b, in_max: int, out_max: int, out_name: str = "f") -> ZTileSet:
-    """All tiles satisfying bottom = a*top + b + left - right over the carry set."""
+    """All tiles satisfying bottom = a*top + b + left - right over the carry set.
+
+    With carries k/D and A = a*D, B = b*D, the relation reads
+    D*bottom = A*top + B + k - k', so for each (top, k) the bottoms are the
+    integers u with k' = A*top + B + k - u*D inside the carry range.
+    """
     a, b = rat(a), rat(b)
     if a == 0:
         raise ValueError("slope must be nonzero")
-    carries = carry_set(a, b)
+    D, lo, hi = _carry_range(a, b)
+    A, B = a.numerator * (D // a.denominator), b.numerator * (D // b.denominator)
+    labels = [atom(Fraction(k, D)) for k in range(lo, hi + 1)]
     tiles = []
     for t in range(in_max + 1):
-        for c in carries:
-            for cp in carries:
-                u = a * t + b + c - cp
-                if u.denominator == 1 and 0 <= u <= out_max:
-                    tiles.append(ZTile(t, _mk_bottoms({out_name: int(u)}), atom(c), atom(cp)))
+        for k in range(lo, hi + 1):
+            base = A * t + B + k
+            for u in range(max(0, -((hi - base) // D)), min(out_max, (base - lo) // D) + 1):
+                tiles.append(ZTile(t, ((out_name, u),), labels[k - lo], labels[base - u * D - lo]))
     if not tiles:
         raise EmptyTileSetError(f"no tiles for a={a}, b={b}")
     return ZTileSet.make(in_max, {out_name: out_max}, tiles, source=PlanAff(a, b))
@@ -365,30 +413,18 @@ def product_tiles(components: Sequence[tuple[str, ZTileSet]]) -> ZTileSet:
             raise AlphabetMismatch("product components must share the input alphabet")
         c.single_out()
     out_maxes = {name: c.out_max() for name, c in components}
+    names = [name for name, _ in components]
+    bottoms_of: dict[tuple[int, ...], tuple[tuple[str, int], ...]] = {}
     tiles = []
     for t in range(in_max + 1):
-        rows = [[tile for tile in c.tiles if tile.top == t] for _, c in components]
-        idx = [0] * len(rows)
-        if any(not r for r in rows):
-            continue
-        while True:
-            chosen = [rows[i][idx[i]] for i in range(len(rows))]
-            bottoms = {name: tile.bottom() for (name, _), tile in zip(components, chosen)}
-            tiles.append(ZTile(
-                t,
-                _mk_bottoms(bottoms),
-                tup(*(tile.left for tile in chosen)),
-                tup(*(tile.right for tile in chosen)),
-            ))
-            i = len(rows) - 1
-            while i >= 0:
-                idx[i] += 1
-                if idx[i] < len(rows[i]):
-                    break
-                idx[i] = 0
-                i -= 1
-            if i < 0:
-                break
+        rows = [[(tile.bottom(), tile.left, tile.right) for tile in c.tiles if tile.top == t]
+                for _, c in components]
+        for chosen in itertools.product(*rows):
+            bits = tuple(b for b, _, _ in chosen)
+            bottoms = bottoms_of.get(bits)
+            if bottoms is None:
+                bottoms = bottoms_of[bits] = _mk_bottoms(dict(zip(names, bits)))
+            tiles.append(ZTile(t, bottoms, tup(*(l for _, l, _ in chosen)), tup(*(r for _, _, r in chosen))))
     srcs = [(name, c.source) for name, c in components]
     src = PlanProd(tuple(srcs)) if all(s is not None for _, s in srcs) else None
     return ZTileSet.make(in_max, out_maxes, tiles, source=src)
@@ -435,7 +471,7 @@ def trim_tiles(ts: ZTileSet) -> ZTileSet:
 
     alive = extendable(succ, pred) & extendable(pred, succ)
     kept = tuple(t for i, t in enumerate(tiles) if i in alive)
-    return ZTileSet(ts.in_max, ts.out_maxes, kept, ts.source)
+    return ZTileSet._unchecked(ts.in_max, ts.out_maxes, kept, ts.source)
 
 
 def bit_max(space: pamaps.Space) -> int:
@@ -566,6 +602,44 @@ def tileset_to_obj(ts: ZTileSet) -> dict:
     }
 
 
+def _json_text(obj, depth: int) -> str:
+    """`json.dumps(obj, indent=1)` as it reads nested `depth` levels deep."""
+    return json.dumps(obj, indent=1).replace("\n", "\n" + " " * depth)
+
+
+def _text_cache(encode, key=None):
+    """encode(x), computed once per distinct key(x) (default x)."""
+    cache: dict = {}
+
+    def text(x):
+        k = x if key is None else key(x)
+        s = cache.get(k)
+        if s is None:
+            s = cache[k] = encode(x)
+        return s
+    return text
+
+
+def _json_document(head: dict, tiles: list[str]) -> str:
+    """`json.dumps(dict(head, tiles=...), indent=1) + "\n"`, given the text of
+    each tile object at depth 2."""
+    text = json.dumps(dict(head, tiles=[]), indent=1)
+    if tiles:
+        text = text[:-len("[]\n}")] + "[\n  " + ",\n  ".join(tiles) + "\n ]\n}"
+    return text + "\n"
+
+
+def tileset_to_json(ts: ZTileSet) -> str:
+    """`json.dumps(tileset_to_obj(ts), indent=1) + "\n"`, encoding each
+    distinct label and (top, bottoms) pair once."""
+    label = _text_cache(lambda l: _json_text(label_to_obj(l), 3))
+    head = _text_cache(lambda t: ('{\n   "top": ' + json.dumps(t.top) + ',\n   "bottom": '
+                                  + _json_text({n: v for n, v in t.bottoms}, 3) + ',\n   "left": '),
+                       key=lambda t: (t.top, t.bottoms))
+    tiles = [head(t) + label(t.left) + ',\n   "right": ' + label(t.right) + "\n  }" for t in ts.tiles]
+    return _json_document({"in_max": ts.in_max, "outs": {n: v for n, v in ts.out_maxes}}, tiles)
+
+
 def tileset_from_obj(obj: dict) -> ZTileSet:
     atoms: dict[str, HLabel] = {}
     return ZTileSet(int(obj["in_max"]), _mk_bottoms({n: int(v) for n, v in obj["outs"].items()}),
@@ -587,6 +661,19 @@ def grouptileset_to_obj(g: GroupTileSet) -> dict:
             for t in g.tiles
         ],
     }
+
+
+def grouptileset_to_json(g: GroupTileSet) -> str:
+    """`json.dumps(grouptileset_to_obj(g), indent=1) + "\n"`, encoding each
+    distinct label and (top, bottoms) pair once."""
+    label = _text_cache(lambda l: _json_text(label_to_obj(l), 3))
+    tail = _text_cache(lambda t: (',\n   "psi": ' + _json_text({h: t.top for h in g.generators}, 3)
+                                  + ',\n   "phi": ' + _json_text({h: t.bottom(h) for h in g.generators}, 3)
+                                  + "\n  }"),
+                       key=lambda t: (t.top, t.bottoms))
+    tiles = ['{\n   "left": ' + label(t.left) + ',\n   "right": ' + label(t.right) + tail(t) for t in g.tiles]
+    return _json_document({"generators": list(g.generators), "in_max": g.in_max,
+                           "outs": {n: v for n, v in g.out_maxes}}, tiles)
 
 
 def grouptileset_from_obj(obj: dict) -> GroupTileSet:

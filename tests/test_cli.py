@@ -1,9 +1,10 @@
+import hashlib
 import json
 from fractions import Fraction as F
 
 import pytest
 
-from kariforge import pamaps
+from kariforge import pamaps, presets
 from kariforge.cli import main
 from kariforge.pamaps import Space
 from kariforge.presets import kari_map
@@ -56,6 +57,33 @@ def test_gen_deterministic_bytes(tmp_path):
     main(["gen", "--preset", "z-kari", "--out", str(a)])
     main(["gen", "--preset", "z-kari", "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# sha256 of the files written by earlier releases; the writers must keep them
+@pytest.mark.parametrize("preset, tiles_sha, svg_sha", [
+    ("z-kari", "7efa7d4f3c7b6201b62ff0f7a8289c4ecf1f662dd10cc78ff47d349df3a61583",
+     "50cf6d58bb5f1f62d64eb3e3653e5e53f0cfeaf4fb271b224e738758c44bd839"),
+    ("psl2z", "55a2d8946c429461ab6d8336acc8c7eb9d0abfcb3e23c1d035c1607fb3468ea9",
+     "a51a957e25a7f5a78033c335f9ca0f64bca946793ce1a7300a70cb88e0e0708f"),
+], ids=["z-kari", "psl2z"])
+def test_gen_and_render_golden_bytes(tmp_path, preset, tiles_sha, svg_sha):
+    out, svg = tmp_path / "tiles.json", tmp_path / "tiles.svg"
+    assert main(["gen", "--preset", preset, "--out", str(out)]) == 0
+    assert _sha256(out) == tiles_sha
+    assert main(["render", "--tiles", str(out), "--out", str(svg)]) == 0
+    assert _sha256(svg) == svg_sha
+
+
+def test_gen_map_golden_bytes(tmp_path, capsys):
+    src, out = tmp_path / "b-map.json", tmp_path / "b.json"
+    src.write_text(json.dumps(pamaps.pamap_to_obj(presets.thompson_t().map_for("b"))))
+    assert main(["gen", "--map", str(src), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "450 tiles\n"
+    assert _sha256(out) == "6beb64546e1a0bf86edf2fac130146773db4ce0a0ce86231628eb929e56989ae"
 
 
 def test_gen_fast_path_off_still_verifies(tmp_path, kari_map_file, capsys):

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from kariforge import pamaps
+from kariforge import pamaps, render
 from kariforge.pamaps import Space
 from kariforge.render import TooLarge, render_grouptileset, render_tileset
 from kariforge.tiles import ZTile, ZTileSet, atom, family_tiles, pamap_tiles
@@ -36,3 +36,14 @@ def test_too_large():
     ts = ZTileSet.make(0, {"f": 0}, tiles)
     with pytest.raises(TooLarge):
         render_tileset(ts)
+
+
+def test_label_text_once_per_distinct_label(monkeypatch, kari_tiles, psl2z_family):
+    calls = []
+    text = render.label_text
+    monkeypatch.setattr(render, "label_text", lambda l: calls.append(l) or text(l))
+    for ts, draw in ((kari_tiles, render_tileset), (psl2z_family, render_grouptileset)):
+        calls.clear()
+        draw(ts)
+        distinct = {t.left for t in ts.tiles} | {t.right for t in ts.tiles}
+        assert sorted(calls, key=id) == sorted(distinct, key=id)

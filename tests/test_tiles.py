@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kariforge import pamaps
+import tiles_reference as reference
+from kariforge import pamaps, presets
 from kariforge.pamaps import Space
 from kariforge.tiles import (
     AlphabetMismatch,
@@ -21,6 +22,7 @@ from kariforge.tiles import (
     compose_tiles,
     family_tiles,
     grouptileset_from_obj,
+    grouptileset_to_json,
     grouptileset_to_obj,
     label_from_obj,
     label_to_obj,
@@ -28,6 +30,7 @@ from kariforge.tiles import (
     product_tiles,
     tag,
     tileset_from_obj,
+    tileset_to_json,
     tileset_to_obj,
     trim_tiles,
     tup,
@@ -73,6 +76,24 @@ def test_affine_kari_counts():
 def test_affine_relation_reasserts():
     assert relation_holds(affine_tiles(F(2, 3), F(-1, 3), 1, 1), F(2, 3), F(-1, 3))
     assert relation_holds(affine_tiles(F(4, 3), F(1, 3), 1, 1), F(4, 3), F(1, 3))
+
+
+def _outcome(build, *args):
+    try:
+        ts = build(*args)
+    except (EmptyTileSetError, ValueError) as exc:
+        return type(exc), str(exc)
+    return ts.in_max, ts.out_maxes, ts.tiles, ts.source
+
+
+@given(st.fractions(min_value=-3, max_value=3, max_denominator=6),
+       st.fractions(min_value=-3, max_value=3, max_denominator=6),
+       st.integers(-1, 3), st.integers(-1, 3))
+@settings(max_examples=300, deadline=None)
+def test_affine_tiles_match_fraction_reference(a, b, in_max, out_max):
+    if a != 0:
+        assert carry_set(a, b) == reference.carry_set(a, b)
+    assert _outcome(affine_tiles, a, b, in_max, out_max) == _outcome(reference.affine_tiles, a, b, in_max, out_max)
 
 
 def test_affine_empty():
@@ -352,6 +373,149 @@ def test_json_shape_matches_contract(kari_tiles):
     t = obj["tiles"][0]
     assert set(t) == {"top", "bottom", "left", "right"}
     assert isinstance(t["bottom"], dict)
+
+
+# -- label-rank order and the JSON writers against tests/tiles_reference.py
+
+# atoms whose floats tie (all read 1.0) or overflow, beside ordinary carries
+TIE_ATOMS = [F(1), F(10**20 + 1, 10**20), F(10**20 + 2, 10**20), F(10**400), F(10**400 + 1),
+             F(-10**400), F(0), F(-1, 3)]
+atoms = st.one_of(st.sampled_from(TIE_ATOMS),
+                  st.fractions(min_value=-3, max_value=3, max_denominator=12)).map(atom)
+
+
+def labels(depth: int):
+    if depth == 0:
+        return atoms
+    inner = labels(depth - 1)
+    return st.one_of(atoms,
+                     st.builds(tag, st.sampled_from(["L", "R", 'q"\u00e9']), inner),
+                     st.lists(inner, min_size=1, max_size=3).map(lambda xs: tup(*xs)))
+
+
+@st.composite
+def tile_cases(draw):
+    names = draw(st.sampled_from([("f",), ("a", "b")]))
+    pool = draw(st.lists(labels(3), min_size=1, max_size=8))
+    side = st.sampled_from(pool)
+    bits = st.tuples(*[st.integers(0, 2) for _ in names])
+    tiles = draw(st.lists(st.builds(lambda top, bs, l, r: ZTile(top, tuple(zip(names, bs)), l, r),
+                                    st.integers(0, 2), bits, side, side), max_size=30))
+    return names, tiles
+
+
+@given(tile_cases(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_make_and_writers_match_reference(case, reverse_generators):
+    names, tiles = case
+    outs = {n: 2 for n in names}
+    ts = ZTileSet.make(2, outs, tiles)
+    assert ts.tiles == reference.make(2, outs, tiles).tiles
+    assert tileset_to_json(ts) == reference.tileset_json(ts)
+    g = GroupTileSet(names[::-1] if reverse_generators else names, 2, ts.out_maxes, ts.tiles)
+    assert grouptileset_to_json(g) == reference.grouptileset_json(g)
+
+
+def test_make_breaks_float_ties_exactly():
+    carries = [F(10**20 + 2, 10**20), F(1), F(10**20 + 1, 10**20)]
+    ts = ZTileSet.make(0, {"f": 0}, [ZTile(0, (("f", 0),), atom(c), atom(0)) for c in carries])
+    assert [t.left.value for t in ts.tiles] == sorted(carries)
+
+
+def test_writers_match_reference_on_empty_sets():
+    for outs in ({"f": 1}, {}):
+        ts = ZTileSet.make(1, outs, [])
+        assert tileset_to_json(ts) == reference.tileset_json(ts)
+        g = GroupTileSet(tuple(outs), 1, ts.out_maxes, ())
+        assert grouptileset_to_json(g) == reference.grouptileset_json(g)
+    no_outputs = ZTileSet.make(1, {}, [ZTile(0, (), atom(0), atom(1)), ZTile(1, (), tag("L", atom(0)), tup())])
+    assert tileset_to_json(no_outputs) == reference.tileset_json(no_outputs)
+    g = GroupTileSet((), 1, (), no_outputs.tiles)
+    assert grouptileset_to_json(g) == reference.grouptileset_json(g)
+
+
+@pytest.fixture
+def checked_make(monkeypatch):
+    """ZTileSet.make, compared with the reference order on every call; the
+    list holds the size of each set made."""
+    sizes = []
+    fast = ZTileSet.make
+
+    def make(in_max, out_maxes, tiles, source=None):
+        tiles = list(tiles)
+        got = fast(in_max, out_maxes, tiles, source)
+        assert got.tiles == reference.make(in_max, out_maxes, tiles).tiles
+        sizes.append(len(got.tiles))
+        return got
+
+    monkeypatch.setattr(ZTileSet, "make", staticmethod(make))
+    return sizes
+
+
+@pytest.mark.parametrize("preset, fast_path", [("z-kari", True), ("z-kari", False), ("psl2z", True),
+                                               ("thompson-t", True)])
+def test_presets_match_reference(checked_make, preset, fast_path):
+    # thompson-v's maps are partial, so no tile set compiles from them, and
+    # the full thompson-t family has about 400,000 tiles: its generators are
+    # compiled one by one
+    pres = presets.load_preset(preset)
+    if preset != "thompson-t":
+        gts = family_tiles(pres, fast_path=fast_path)
+        assert grouptileset_to_json(gts) == reference.grouptileset_json(gts)
+    for _, f in pres.generators:
+        ts = pamap_tiles(f, fast_path=fast_path)
+        assert tileset_to_json(ts) == reference.tileset_json(ts)
+    assert checked_make
+
+
+def test_chain_matches_reference(checked_make):
+    a = affine_tiles(F(2, 3), F(-1, 3), 1, 1)
+    b = affine_tiles(F(4, 3), F(1, 3), 1, 1)
+    u = union_tiles(a, b)
+    c = compose_tiles(u, a)
+    p = product_tiles([("g", trim_tiles(c)), ("h", union_tiles(c, b))])
+    assert len(checked_make) == 6
+    for ts in (a, b, u, c, p, trim_tiles(p)):
+        assert tileset_to_json(ts) == reference.tileset_json(ts)
+    g = GroupTileSet(("h", "g"), p.in_max, p.out_maxes, p.tiles)
+    assert grouptileset_to_json(g) == reference.grouptileset_json(g)
+
+
+def test_trim_tiles_does_not_revalidate(monkeypatch):
+    a = affine_tiles(F(2, 3), F(-1, 3), 1, 1)
+    ts = compose_tiles(union_tiles(a, affine_tiles(F(4, 3), F(1, 3), 1, 1)), a)
+    calls = []
+    check = ZTileSet.__post_init__
+
+    def counting(self):
+        calls.append(self)
+        check(self)
+
+    monkeypatch.setattr(ZTileSet, "__post_init__", counting)
+    trimmed = trim_tiles(ts)
+    assert calls == []
+    assert len(trimmed.tiles) < len(ts.tiles)
+    validated = ZTileSet(trimmed.in_max, trimmed.out_maxes, trimmed.tiles, trimmed.source)
+    assert len(calls) == 1
+    assert trimmed == validated and hash(trimmed) == hash(validated)
+    assert trimmed.source is ts.source
+
+
+def _bad_tile_sets():
+    ok = ZTile(0, (("f", 0),), atom(0), atom(0))
+    yield "top bit 2", lambda: ZTileSet.make(1, {"f": 1}, [ok, ZTile(2, (("f", 0),), atom(0), atom(0))])
+    yield "bottom bit 2", lambda: ZTileSet.make(1, {"f": 1}, [ok, ZTile(0, (("f", 2),), atom(1), atom(0))])
+    yield "outputs do not match", lambda: ZTileSet.make(1, {"f": 1}, [ZTile(0, (("g", 0),), atom(0), atom(0))])
+    obj = tileset_to_obj(ZTileSet.make(1, {"f": 1}, [ok]))
+    obj["tiles"] *= 2
+    yield "duplicate tile", lambda: tileset_from_obj(obj)
+    yield "bottom bit 3", lambda: GroupTileSet(("f",), 1, (("f", 1),), (ok, ZTile(1, (("f", 3),), atom(0), atom(0))))
+
+
+@pytest.mark.parametrize("message, build", list(_bad_tile_sets()))
+def test_constructors_still_validate(message, build):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 # -- witness-based completeness property ----------------------------------
