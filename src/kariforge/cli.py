@@ -80,8 +80,12 @@ def cmd_verify(args) -> int:
         if not f.is_total():
             oracle_points = None  # the exact solver needs a total map
         else:
+            # one power chain: f^k = f o f^(k-1), the power periodic_points builds
+            power = f
             for k in range(1, args.max_k + 1):
-                pts = pamaps.periodic_points(f, k)
+                if k > 1:
+                    power = pamaps.compose(f, power)
+                pts = pamaps.fixed_points(power)
                 if pts:
                     oracle_points.append({"k": k, "points": [[str(iv.lo), str(iv.hi)] for iv in pts]})
     report["soundness_violations"] = violations

@@ -14,13 +14,16 @@ the word problem of groups of such maps) a plain comparison.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 Rat = Fraction
 RatLike = Union[Fraction, int, str]
+PieceTuple = tuple[Fraction, Fraction, Fraction, Fraction]  # (lo, hi, slope, offset)
+
+_ZERO = Fraction(0)
+_new = object.__new__
 
 
 class PAMapError(Exception):
@@ -89,7 +92,7 @@ class Interval:
     def intersect(self, other: "Interval") -> Optional["Interval"]:
         lo = max(self.lo, other.lo)
         hi = min(self.hi, other.hi)
-        return Interval(lo, hi) if lo <= hi else None
+        return _interval(lo, hi) if lo <= hi else None
 
     def __repr__(self):
         return f"[{self.lo}, {self.hi}]"
@@ -102,20 +105,29 @@ def merge_intervals(ivs: Iterable[Interval]) -> tuple[Interval, ...]:
     for iv in ivs:
         if out and iv.lo <= out[-1].hi:
             if iv.hi > out[-1].hi:
-                out[-1] = Interval(out[-1].lo, iv.hi)
+                out[-1] = _interval(out[-1].lo, iv.hi)
         else:
             out.append(iv)
     return tuple(out)
 
 
 def intersect_interval_sets(a: Sequence[Interval], b: Sequence[Interval]) -> tuple[Interval, ...]:
+    """Intersection of two outputs of `merge_intervals` (sorted, never
+    touching), in one sweep over both."""
     out = []
-    for x in a:
-        for y in b:
-            z = x.intersect(y)
-            if z is not None:
-                out.append(z)
-    return merge_intervals(out)
+    i = j = 0
+    while i < len(a) and j < len(b):
+        x, y = a[i], b[j]
+        lo = x.lo if x.lo >= y.lo else y.lo
+        if x.hi <= y.hi:
+            hi = x.hi
+            i += 1
+        else:
+            hi = y.hi
+            j += 1
+        if lo <= hi:
+            out.append(_interval(lo, hi))
+    return tuple(out)
 
 
 def interval_set_contains(ivs: Sequence[Interval], x: Fraction) -> bool:
@@ -144,7 +156,7 @@ class Space:
         return u == v
 
     def whole(self) -> Interval:
-        return Interval(Fraction(0), self.length)
+        return _interval(_ZERO, self.length)
 
 
 @dataclass(frozen=True)
@@ -165,80 +177,126 @@ class AffinePiece:
         return Interval(min(a, b), max(a, b))
 
 
-def _check_piece(space: Space, p: AffinePiece) -> None:
-    whole = space.whole()
-    if not (whole.contains(p.dom.lo) and whole.contains(p.dom.hi)):
-        raise ValueError(f"piece domain {p.dom} outside [0, {space.length}]")
-    img = p.image()
-    if not (whole.contains(img.lo) and whole.contains(img.hi)):
-        raise ValueError(f"piece image {img} outside [0, {space.length}]")
+def _interval(lo: Fraction, hi: Fraction) -> Interval:
+    """Trusted Interval: lo <= hi are Fractions already."""
+    iv = _new(Interval)
+    d = iv.__dict__
+    d["lo"] = lo
+    d["hi"] = hi
+    return iv
 
 
-def _canonical_pieces(space: Space, pieces: Iterable[AffinePiece]) -> tuple[AffinePiece, ...]:
-    prepared: list[AffinePiece] = []
-    for p in pieces:
-        _check_piece(space, p)
-        if p.dom.is_point():
-            v = space.normalize(p.value_at(p.dom.lo))
-            prepared.append(AffinePiece(p.dom, Fraction(0), v))
-        elif p.slope == 0:
-            prepared.append(AffinePiece(p.dom, Fraction(0), space.normalize(p.offset)))
-        else:
-            prepared.append(p)
+def _piece(lo: Fraction, hi: Fraction, a: Fraction, b: Fraction) -> AffinePiece:
+    """Trusted AffinePiece from a (lo, hi, slope, offset) tuple of Fractions."""
+    p = _new(AffinePiece)
+    d = p.__dict__
+    d["dom"] = _interval(lo, hi)
+    d["slope"] = a
+    d["offset"] = b
+    return p
+
+
+def _check_piece(L: Fraction, lo: Fraction, hi: Fraction, a: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:
+    """Range check of one piece; returns its values at lo and hi, one object
+    for both when the piece is a point or constant.  Signs are read off
+    numerators, which is exact and cheaper than comparing with 0."""
+    if lo.numerator < 0 or hi > L:
+        raise ValueError(f"piece domain [{lo}, {hi}] outside [0, {L}]")
+    if not a:
+        va = vb = ilo = ihi = b
+    elif lo == hi:
+        va = vb = ilo = ihi = a * lo + b
+    else:
+        va = a * lo + b
+        vb = a * hi + b
+        ilo, ihi = (va, vb) if a.numerator > 0 else (vb, va)
+    if ilo.numerator < 0 or ihi > L:
+        raise ValueError(f"piece image [{ilo}, {ihi}] outside [0, {L}]")
+    return va, vb
+
+
+def _canonical(space: Space, pieces: Iterable[PieceTuple]) -> tuple[AffinePiece, ...]:
+    """Canonical pieces of a list of (lo, hi, slope, offset) Fraction tuples.
+
+    Every piece is range-checked first, in input order.  Each piece then
+    carries its values at lo and hi, so the merge, the covered-point drop and
+    the overlap and wrap checks rarely evaluate a piece again.
+    """
+    L = space.length
+    circle = space.circle
+    by_fn: dict[tuple[Fraction, Fraction], list[PieceTuple]] = {}
+    for lo, hi, a, b in pieces:
+        va, vb = _check_piece(L, lo, hi, a, b)
+        if va is vb:  # a point or a constant: slope 0 and a normalized value
+            if circle and va == L:
+                va = vb = _ZERO
+            a, b = _ZERO, va
+        by_fn.setdefault((a, b), []).append((lo, hi, va, vb))
 
     # merge touching/overlapping pieces carrying the same affine function
-    by_fn: dict[tuple[Fraction, Fraction], list[Interval]] = {}
-    for p in prepared:
-        by_fn.setdefault((p.slope, p.offset), []).append(p.dom)
-    merged: list[AffinePiece] = []
+    merged: list[tuple[Fraction, ...]] = []  # (lo, hi, slope, offset, value at lo, value at hi)
     for (a, b), doms in by_fn.items():
-        for dom in merge_intervals(doms):
-            merged.append(AffinePiece(dom, a, b))
-    merged.sort(key=lambda p: (p.dom.lo, p.dom.hi, p.slope, p.offset))
+        if len(doms) > 1:
+            doms.sort()
+        lo, hi, va, vb = doms[0]
+        for lo2, hi2, va2, vb2 in doms[1:]:
+            if lo2 <= hi:
+                if hi2 > hi:
+                    hi, vb = hi2, vb2
+            else:
+                merged.append((lo, hi, a, b, va, vb))
+                lo, hi, va, vb = lo2, hi2, va2, vb2
+        merged.append((lo, hi, a, b, va, vb))
+    merged.sort()
 
     # drop degenerate pieces already covered by another piece (values must agree)
-    kept: list[AffinePiece] = []
-    for p in merged:
-        if p.dom.is_point():
-            x = p.dom.lo
-            covered = False
-            for q in merged:
-                if q is p or not q.dom.contains(x):
+    kept = merged
+    if any(p[0] == p[1] for p in merged):
+        kept = []
+        for i, p in enumerate(merged):
+            x, x_hi, _, v, _, _ = p
+            if x == x_hi:
+                covered = False
+                for j, (lo, hi, a, b, va, vb) in enumerate(merged):
+                    if j > i and lo != x:
+                        break  # sorted by lo: no later piece contains x
+                    if j == i or hi < x:
+                        continue
+                    w = va if lo == x else vb if hi == x else a * x + b
+                    if w != v and (not circle or (w - v) % L):
+                        raise Conflict(f"values disagree at {x}: {w} vs {v}")
+                    if lo != hi:
+                        covered = True
+                if covered:
                     continue
-                if not space.equiv(q.value_at(x), p.offset):
-                    raise Conflict(f"values disagree at {x}: {q.value_at(x)} vs {p.offset}")
-                if not q.dom.is_point():
-                    covered = True
-            if covered:
-                continue
-        kept.append(p)
+            kept.append(p)
 
     # remaining overlaps must be single shared endpoints with agreeing values
-    for i, p in enumerate(kept):
-        for q in kept[i + 1:]:
-            if q.dom.lo > p.dom.hi:
+    for i, (plo, phi, pa, pb, _, pv) in enumerate(kept):
+        for qlo, qhi, qa, qb, qv, _ in kept[i + 1:]:
+            if qlo > phi:
                 break
-            ov = p.dom.intersect(q.dom)
-            if ov is None:
-                continue
-            if not ov.is_point():
-                raise Conflict(f"overlapping pieces on {ov} with different functions")
-            if not space.equiv(p.value_at(ov.lo), q.value_at(ov.lo)):
-                raise Conflict(
-                    f"values disagree at {ov.lo}: {p.value_at(ov.lo)} vs {q.value_at(ov.lo)}"
-                )
+            if phi <= qhi:
+                if qlo != phi:
+                    raise Conflict(f"overlapping pieces on [{qlo}, {phi}] with different functions")
+                u, w = pv, qv
+            else:
+                if qlo != qhi:
+                    raise Conflict(f"overlapping pieces on [{qlo}, {qhi}] with different functions")
+                u, w = pa * qlo + pb, qv
+            if u != w and (not circle or (u - w) % L):
+                raise Conflict(f"values disagree at {qlo}: {u} vs {w}")
 
     # on a circle, 0 and length are one point: all pieces defined there must agree
-    if space.circle:
-        L = space.length
-        at_zero = [p for p in kept if p.dom.contains(Fraction(0))]
-        at_len = [p for p in kept if p.dom.contains(L)]
-        for p0, pl in itertools.product(at_zero, at_len):
-            if not space.equiv(p0.value_at(Fraction(0)), pl.value_at(L)):
-                raise Conflict(
-                    f"wrap point ill-defined: {p0.value_at(Fraction(0))} vs {pl.value_at(L)}"
-                )
-    return tuple(kept)
+    if circle and kept:
+        at_zero = [va for lo, _, _, _, va, _ in kept if not lo]
+        if at_zero:
+            at_len = [vb for _, hi, _, _, _, vb in kept if hi == L]
+            for u in at_zero:
+                for w in at_len:
+                    if u != w and (u - w) % L:
+                        raise Conflict(f"wrap point ill-defined: {u} vs {w}")
+    return tuple([_piece(lo, hi, a, b) for lo, hi, a, b, _, _ in kept])
 
 
 @dataclass(frozen=True)
@@ -249,16 +307,13 @@ class PAMap:
     pieces: tuple[AffinePiece, ...]
 
     def __post_init__(self):
+        L = self.space.length
         for p in self.pieces:
-            _check_piece(self.space, p)
+            _check_piece(L, p.dom.lo, p.dom.hi, p.slope, p.offset)
 
     @staticmethod
     def make(space: Space, pieces: Iterable[AffinePiece]) -> "PAMap":
-        # _canonical_pieces validates every input piece, so skip __post_init__
-        f = object.__new__(PAMap)
-        object.__setattr__(f, "space", space)
-        object.__setattr__(f, "pieces", _canonical_pieces(space, pieces))
-        return f
+        return _make(space, [(p.dom.lo, p.dom.hi, p.slope, p.offset) for p in pieces])
 
     def domain(self) -> tuple[Interval, ...]:
         return merge_intervals(p.dom for p in self.pieces)
@@ -281,8 +336,21 @@ class PAMap:
         return h
 
 
+def _make(space: Space, pieces: Iterable[PieceTuple]) -> PAMap:
+    # _canonical validates every input piece, so skip __post_init__
+    f = _new(PAMap)
+    d = f.__dict__
+    d["space"] = space
+    d["pieces"] = _canonical(space, pieces)
+    return f
+
+
+def _tuples(f: PAMap) -> list[PieceTuple]:
+    return [(p.dom.lo, p.dom.hi, p.slope, p.offset) for p in f.pieces]
+
+
 def identity(space: Space) -> PAMap:
-    return PAMap.make(space, [AffinePiece(space.whole(), Fraction(1), Fraction(0))])
+    return _make(space, [(_ZERO, space.length, Fraction(1), _ZERO)])
 
 
 def apply(f: PAMap, x: RatLike) -> Fraction:
@@ -291,7 +359,7 @@ def apply(f: PAMap, x: RatLike) -> Fraction:
     sp = f.space
     if sp.circle:
         x = sp.normalize(x)
-    elif not sp.whole().contains(x):
+    elif not 0 <= x <= sp.length:
         raise OutOfDomain(f"{x} outside [0, {sp.length}]")
     for p in f.pieces:
         if p.dom.contains(x):
@@ -319,39 +387,65 @@ def compose(f: PAMap, g: PAMap) -> PAMap:
         raise SpaceMismatch(f"{f.space} vs {g.space}")
     sp = f.space
     L = sp.length
-    out: list[AffinePiece] = []
-    for q in g.pieces:
-        for p in f.pieces:
-            dom = _preimage(q, p.dom.lo, p.dom.hi)
-            if dom is not None:
-                a = p.slope * q.slope
-                b = p.slope * q.offset + p.offset
-                out.append(AffinePiece(dom, a, b))
-            if sp.circle:
-                # hitting one representative of the wrap point counts for the other
-                for target, rep in ((L, Fraction(0)), (Fraction(0), L)):
-                    if not p.dom.contains(rep):
-                        continue
-                    pin = _preimage(q, target, target)
-                    if pin is not None:
-                        v = sp.normalize(p.value_at(rep))
-                        out.append(AffinePiece(pin, Fraction(0), v))
-    return PAMap.make(sp, out)
+    circle = sp.circle
+    fs = _tuples(f)
+    if circle:
+        # f's values at 0 and at L; hitting one representative of the wrap
+        # point counts for the other
+        at_zero = [pb if pb != L else _ZERO for plo, _, _, pb in fs if not plo]
+        at_len = [v if v != L else _ZERO for v in (pa * L + pb for _, phi, pa, pb in fs if phi == L)]
+    out: list[PieceTuple] = []
+    for ql, qh, qa, qb in _tuples(g):
+        # q's image [ylo, yhi], and where q reaches L and 0
+        if not qa:
+            ylo = yhi = qb
+            if circle:
+                pin_len = (ql, qh) if qb == L else None
+                pin_zero = (ql, qh) if not qb else None
+        else:
+            y0 = qa * ql + qb
+            y1 = qa * qh + qb
+            ylo, yhi = (y0, y1) if qa.numerator > 0 else (y1, y0)
+            if circle:
+                pin_len = ((ql, ql) if y0 == L else (qh, qh)) if yhi == L else None
+                pin_zero = ((ql, ql) if not y0 else (qh, qh)) if not ylo else None
+        for plo, phi, pa, pb in fs:
+            if phi < ylo or plo > yhi:
+                continue  # f's piece misses q's image; a PAMap built directly may be unsorted
+            # the preimage of [plo, phi] under q, cut to q's domain
+            if not qa:
+                lo, hi = ql, qh
+            elif qa.numerator > 0:
+                lo = ql if plo <= ylo else (plo - qb) / qa
+                hi = qh if phi >= yhi else (phi - qb) / qa
+            else:
+                lo = ql if phi >= yhi else (phi - qb) / qa
+                hi = qh if plo <= ylo else (plo - qb) / qa
+            out.append((lo, hi, pa * qa, pa * qb + pb))
+        if circle:
+            if pin_len is not None:
+                out.extend((*pin_len, _ZERO, v) for v in at_zero)
+            if pin_zero is not None:
+                out.extend((*pin_zero, _ZERO, v) for v in at_len)
+    return _make(sp, out)
 
 
 def invert(f: PAMap) -> PAMap:
     """Exact inverse; domain is range(f). Fails if f is not injective mod the wrap."""
-    inv: list[AffinePiece] = []
+    inv: list[PieceTuple] = []
     for p in f.pieces:
-        if p.dom.is_point():
-            v = p.value_at(p.dom.lo)
-            inv.append(AffinePiece(Interval(v, v), Fraction(0), p.dom.lo))
+        lo, hi, a, b = p.dom.lo, p.dom.hi, p.slope, p.offset
+        if lo == hi:
+            v = a * lo + b
+            inv.append((v, v, _ZERO, lo))
             continue
-        if p.slope == 0:
+        if not a:
             raise ZeroSlope(f"piece on {p.dom} has slope 0")
-        inv.append(AffinePiece(p.image(), 1 / p.slope, -p.offset / p.slope))
+        va = a * lo + b
+        vb = a * hi + b
+        inv.append((va, vb, 1 / a, -b / a) if a > 0 else (vb, va, 1 / a, -b / a))
     try:
-        return PAMap.make(f.space, inv)
+        return _make(f.space, inv)
     except Conflict as exc:
         raise NotInjective(str(exc)) from exc
 
@@ -443,10 +537,14 @@ def parse_word(pres: PAGroupPresentation, text: str) -> tuple[tuple[str, int], .
 def word_apply(pres: PAGroupPresentation, word: Word) -> PAMap:
     """Composite of the word: the rightmost symbol acts first."""
     acc = identity(pres.space)
+    inverses: dict[str, PAMap] = {}
     for name, sign in word:
-        m = pres.map_for(name)
         if sign < 0:
-            m = invert(m)
+            m = inverses.get(name)
+            if m is None:
+                m = inverses[name] = invert(pres.map_for(name))
+        else:
+            m = pres.map_for(name)
         acc = compose(acc, m)
     return acc
 
@@ -547,6 +645,8 @@ def nontriviality_witness(pres: PAGroupPresentation, word: Word, budget: int) ->
     A returned t survives every domain restriction enumerated up to the budget
     depth, so it witnesses that the word acts nontrivially on the common domain.
     """
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
     g = word_apply(pres, word)
     for depth in range(1, budget + 1):
         maps = enumerate_maps(pres, depth)

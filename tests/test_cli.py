@@ -244,3 +244,76 @@ def test_verify_rejects_group_tiles(tmp_path, capsys):
     tiles_file = tmp_path / "psl.json"
     main(["gen", "--preset", "psl2z", "--out", str(tiles_file)])
     assert main(["verify", "--tiles", str(tiles_file)]) == 1
+
+
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_group_witness_refuses_budget_below_one(budget, capsys):
+    assert main(["group", "--preset", "psl2z", "--word", "dd", "--witness", "--budget", budget]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: budget must be >= 1, got {budget}\n"
+
+
+# -- verify's periodic-point oracle: one power chain ----------------------
+
+import pamaps_reference  # noqa: E402
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+from test_verify import circle_homeos  # noqa: E402
+
+
+@pytest.fixture(scope="module")
+def kari_tiles_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("oracle") / "kari.json"
+    main(["gen", "--preset", "z-kari", "--out", str(path)])
+    return path
+
+
+def oracle_report(tiles_file, f, max_k):
+    """verify's oracle_periodic_points for map f; the tile set only sets the exit code."""
+    map_file = tiles_file.with_name("map.json")
+    map_file.write_text(json.dumps(pamaps.pamap_to_obj(f)))
+    rep = tiles_file.with_name("rep.json")
+    main(["verify", "--tiles", str(tiles_file), "--map", str(map_file),
+          "--max-n", "1", "--max-k", str(max_k), "--out", str(rep)])
+    return json.loads(rep.read_text())["oracle_periodic_points"]
+
+
+def per_k_points(f, max_k):
+    out = []
+    for k in range(1, max_k + 1):
+        pts = pamaps_reference.periodic_points(f, k)
+        if pts:
+            out.append({"k": k, "points": [[str(iv.lo), str(iv.hi)] for iv in pts]})
+    return out
+
+
+def rotation(p, q):
+    sp, r = Space(F(1), circle=True), F(p, q)
+    return pamaps.PAMap.make(sp, [pamaps.AffinePiece(pamaps.Interval(F(0), 1 - r), F(1), r),
+                                  pamaps.AffinePiece(pamaps.Interval(1 - r, F(1)), F(1), r - 1)])
+
+
+@pytest.mark.parametrize("q", range(2, 8))
+def test_verify_oracle_matches_per_k_periodic_points_on_rotations(kari_tiles_file, q):
+    for p in range(1, q):
+        f = rotation(p, q)
+        got = oracle_report(kari_tiles_file, f, 8)
+        assert got == per_k_points(f, 8)
+        if F(p, q).denominator == q:
+            assert [e["k"] for e in got] == [k for k in range(1, 9) if k % q == 0]
+
+
+@given(circle_homeos(), st.integers(0, 8))
+@settings(max_examples=25, deadline=None)
+def test_verify_oracle_matches_per_k_periodic_points_on_homeos(kari_tiles_file, f, max_k):
+    assert oracle_report(kari_tiles_file, f, max_k) == per_k_points(f, max_k)
+
+
+@pytest.mark.parametrize("max_k", [1, 2, 5, 8])
+def test_verify_builds_one_power_chain(kari_tiles_file, monkeypatch, max_k):
+    calls = []
+    compose = pamaps.compose
+    monkeypatch.setattr(pamaps, "compose", lambda f, g: calls.append(1) or compose(f, g))
+    oracle_report(kari_tiles_file, kari_map(), max_k)
+    assert len(calls) == max_k - 1

@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kariforge.pamaps import (
@@ -27,6 +27,7 @@ from kariforge.pamaps import (
     invert,
     is_circle_homeo,
     is_identity_word,
+    merge_intervals,
     nontriviality_witness,
     pamap_from_obj,
     pamap_to_obj,
@@ -471,3 +472,267 @@ def test_rat_parsing():
         rat(0.5)
     with pytest.raises(ValueError, match="zero denominator"):
         rat("1/0")
+
+
+# -- the tuple kernel against the object-by-object reference ---------------
+
+import pamaps_reference as reference  # noqa: E402
+from kariforge import presets  # noqa: E402
+
+PRESET_NAMES = ("z-kari", "psl2z", "thompson-t", "thompson-v")
+PRESETS = {name: presets.load_preset(name) for name in PRESET_NAMES}
+
+
+def outcome(fn, *args):
+    """Canonical pieces of the result, or the exception's type and text."""
+    try:
+        return "ok", fn(*args).pieces
+    except Exception as exc:  # noqa: BLE001 - the type is part of the answer
+        return type(exc), str(exc)
+
+
+def _pieces(rows):
+    return [AffinePiece(Interval(lo, hi), a, b) for lo, hi, a, b in rows]
+
+
+LENGTHS = st.sampled_from([F(1), F(2), F(3, 2)])
+
+
+def grid(L, den=6):
+    return st.fractions(min_value=0, max_value=1, max_denominator=den).map(lambda t: t * L)
+
+
+@st.composite
+def circle_homeo_rows(draw, L):
+    """A monotone bijection of [0, L] fixing the ends, then a rotation by c,
+    cut where it wraps; the rows are built by hand."""
+    inner = sorted(draw(st.sets(grid(L), max_size=4)) - {F(0), L})
+    inner_y = sorted(draw(st.sets(grid(L), min_size=len(inner), max_size=len(inner))) - {F(0), L})
+    if len(inner_y) != len(inner):
+        inner_y = inner
+    xs, ys = [F(0)] + inner + [L], [F(0)] + inner_y + [L]
+    c = draw(grid(L)) % L
+    rows = []
+    for (x0, x1), (y0, y1) in zip(zip(xs, xs[1:]), zip(ys, ys[1:])):
+        a = (y1 - y0) / (x1 - x0)
+        b = y0 - a * x0 + c
+        if y1 + c <= L:
+            rows.append((x0, x1, a, b))
+        elif y0 + c >= L:
+            rows.append((x0, x1, a, b - L))
+        else:
+            cut = (L - b) / a
+            rows += [(x0, cut, a, b), (cut, x1, a, b - L)]
+    return rows
+
+
+@st.composite
+def partial_rows(draw, L, circle):
+    """A valid partial map: affine on some cells of a grid of [0, L] between
+    values drawn at the cuts (so neighbours agree; the ends agree on a
+    circle), and single points inside some skipped cells."""
+    cuts = sorted(draw(st.sets(grid(L), min_size=2, max_size=6)))
+    ys = [draw(grid(L)) for _ in cuts]
+    if circle and cuts[0] == 0 and cuts[-1] == L:
+        ys[-1] = ys[0] if ys[0] else L
+    rows = []
+    for (x0, x1), (y0, y1) in zip(zip(cuts, cuts[1:]), zip(ys, ys[1:])):
+        kind = draw(st.sampled_from(["skip", "affine", "affine", "affine", "point"]))
+        if kind == "affine":
+            a = (y1 - y0) / (x1 - x0)
+            rows.append((x0, x1, a, y0 - a * x0))
+        elif kind == "point":
+            rows.append(((x0 + x1) / 2, (x0 + x1) / 2, F(0), draw(grid(L))))
+    return rows
+
+
+@st.composite
+def valid_rows(draw):
+    """(space, rows) of a valid map: a circle homeomorphism or a partial map."""
+    L = draw(LENGTHS)
+    circle = draw(st.booleans())
+    if circle and draw(st.booleans()):
+        return Space(L, True), draw(circle_homeo_rows(L))
+    return Space(L, circle), draw(partial_rows(L, circle))
+
+
+@st.composite
+def raw_row(draw, L):
+    """One piece on grid points of [0, L]; its image may leave [0, L]."""
+    lo = draw(grid(L, 4))
+    hi = draw(st.one_of(st.just(lo), grid(L, 4).filter(lambda t: t >= lo)))
+    a = draw(st.sampled_from([F(0), F(1), F(-1), F(1, 2), F(-2)]))
+    return lo, hi, a, draw(grid(L, 4)) - a * lo  # the value at lo is on the grid
+
+
+@st.composite
+def raw_rows(draw):
+    """Piece lists, mostly invalid: random pieces, or a valid map with a few
+    random pieces added, so pieces overlap, disagree at points or across the
+    wrap, leave [0, L] or are constant."""
+    space, rows = draw(valid_rows())
+    L = space.length
+    if draw(st.booleans()):
+        rows = []
+    rows = rows + draw(st.lists(raw_row(L), min_size=1, max_size=3))
+    if draw(st.integers(0, 7)) == 0:  # a domain reaching outside [0, L]
+        lo, hi, a, b = rows[-1]
+        rows[-1] = (lo - L, hi, a, b) if draw(st.booleans()) else (lo, hi + L, a, b)
+    return space, draw(st.permutations(rows))
+
+
+def _both_makes(space, rows):
+    got = outcome(PAMap.make, space, _pieces(rows))
+    assert got == outcome(reference.make, space, _pieces(rows))
+    return got
+
+
+@given(st.one_of(valid_rows(), raw_rows()))
+@settings(max_examples=250, deadline=None)
+def test_make_matches_reference(case):
+    _both_makes(*case)
+
+
+@given(st.one_of(valid_rows(), raw_rows()))
+@settings(max_examples=150, deadline=None)
+def test_invert_matches_reference(case):
+    space, rows = case
+    if outcome(reference.make, space, _pieces(rows))[0] == "ok":
+        f = reference.make(space, _pieces(rows))
+        assert outcome(invert, f) == outcome(reference.invert, f)
+
+
+@st.composite
+def map_pairs(draw):
+    L = draw(LENGTHS)
+    circle = draw(st.booleans())
+    maps = []
+    for _ in range(2):
+        homeo = circle and draw(st.booleans())
+        rows = draw(circle_homeo_rows(L) if homeo else partial_rows(L, circle))
+        maps.append(reference.make(Space(L, circle), _pieces(rows)))
+    return maps
+
+
+@given(map_pairs())
+@settings(max_examples=150, deadline=None)
+def test_compose_matches_reference(fg):
+    f, g = fg
+    assert outcome(compose, f, g) == outcome(reference.compose, f, g)
+    assert outcome(compose, g, f) == outcome(reference.compose, g, f)
+
+
+def test_compose_reads_every_piece_of_a_directly_built_map():
+    # PAMap(...) only range-checks, so its pieces may be out of order
+    f = PAMap(SEG1, (AffinePiece(Interval(F(1, 2), F(1)), F(1), F(0)),
+                     AffinePiece(Interval(F(0), F(1, 2)), F(1), F(0))))
+    g = piecemap(SEG1, [(0, 1, F(1, 4), 0)])
+    assert compose(f, g).pieces == reference.compose(f, g).pieces == g.pieces
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_preset_generators_match_reference(name):
+    pres = PRESETS[name]
+    for _, m in pres.generators:
+        assert _both_makes(pres.space, [(p.dom.lo, p.dom.hi, p.slope, p.offset) for p in m.pieces])[0] == "ok"
+        assert outcome(invert, m) == outcome(reference.invert, m)
+        for _, h in pres.generators:
+            assert outcome(compose, m, h) == outcome(reference.compose, m, h)
+            assert outcome(compose, invert(m), h) == outcome(reference.compose, reference.invert(m), h)
+
+
+CIRCLE2 = Space(F(2), circle=True)
+INVALID = {  # label: (space, rows, the error both kernels raise)
+    "domain outside": (SEG1, [(F(1, 2), F(3, 2), F(1), F(0))],
+                       ValueError("piece domain [1/2, 3/2] outside [0, 1]")),
+    "domain below 0": (CIRCLE2, [(F(-1, 2), F(1), F(1), F(1))],
+                       ValueError("piece domain [-1/2, 1] outside [0, 2]")),
+    "image outside": (SEG1, [(F(0), F(1), F(2), F(0))], ValueError("piece image [0, 2] outside [0, 1]")),
+    "decreasing image outside": (SEG1, [(F(0), F(1), F(-2), F(1))],
+                                 ValueError("piece image [-1, 1] outside [0, 1]")),
+    "point image outside": (CIRCLE2, [(F(1), F(1), F(0), F(3))], ValueError("piece image [3, 3] outside [0, 2]")),
+    "overlapping": (SEG1, [(F(0), F(1, 2), F(1), F(0)), (F(1, 4), F(1), F(1, 2), F(1, 4))],
+                    Conflict("overlapping pieces on [1/4, 1/2] with different functions")),
+    "conflicting point": (SEG1, [(F(0), F(1, 2), F(1), F(0)), (F(1, 4), F(1, 4), F(0), F(3, 4))],
+                          Conflict("values disagree at 1/4: 1/4 vs 3/4")),
+    "disagreeing endpoint": (SEG1, [(F(0), F(1, 2), F(1), F(0)), (F(1, 2), F(1), F(1, 2), F(0))],
+                             Conflict("values disagree at 1/2: 1/2 vs 1/4")),
+    "bad wrap": (CIRCLE2, [(F(0), F(1), F(1), F(1, 2)), (F(1), F(2), F(1, 2), F(1))],
+                 Conflict("wrap point ill-defined: 1/2 vs 2")),
+    "wrap through a point": (CIRCLE2, [(F(0), F(0), F(0), F(1)), (F(2), F(2), F(0), F(1, 2))],
+                             Conflict("wrap point ill-defined: 1 vs 1/2")),
+}
+
+
+@pytest.mark.parametrize("label", sorted(INVALID))
+def test_invalid_pieces_raise_as_reference(label):
+    space, rows, error = INVALID[label]
+    assert _both_makes(space, rows) == (type(error), str(error))
+
+
+INVERT_ERRORS = {
+    "zero slope": (SEG1, [(F(0), F(1), F(0), F(1, 2))], ZeroSlope("piece on [0, 1] has slope 0")),
+    "non-injective": (SEG1, [(F(0), F(1, 2), F(1), F(0)), (F(1, 2), F(1), F(-1), F(1))],
+                      NotInjective("overlapping pieces on [0, 1/2] with different functions")),
+    # injective on [0, 2], but f(1/2) = 2 and f(1) = 0 are one point of the circle
+    "non-injective mod the wrap": (CIRCLE2, [(F(0), F(1, 2), F(2), F(1)), (F(1), F(3, 2), F(1), F(-1))],
+                                   NotInjective("wrap point ill-defined: 1 vs 1/2")),
+}
+
+
+@pytest.mark.parametrize("label", sorted(INVERT_ERRORS))
+def test_invert_errors_match_reference(label):
+    space, rows, error = INVERT_ERRORS[label]
+    f = reference.make(space, _pieces(rows))
+    assert outcome(invert, f) == outcome(reference.invert, f) == (type(error), str(error))
+
+
+WORD_LETTERS = st.sampled_from(PRESET_NAMES).flatmap(
+    lambda name: st.tuples(st.just(name), st.lists(
+        st.tuples(st.sampled_from(PRESETS[name].names()), st.sampled_from([1, -1])), max_size=12)))
+
+
+@given(WORD_LETTERS)
+@settings(max_examples=120, deadline=None)
+def test_word_apply_matches_reference(case):
+    name, word = case
+    pres = PRESETS[name]
+    assert word_apply(pres, word).pieces == reference.word_apply(pres, word).pieces
+
+
+def test_word_apply_inverts_each_letter_once(psl2z, monkeypatch):
+    import kariforge.pamaps as kernel
+
+    calls = []
+    real = kernel.invert
+    monkeypatch.setattr(kernel, "invert", lambda m: calls.append(m) or real(m))
+    word = parse_word(psl2z, "DDEdDEEd")
+    assert word_apply(psl2z, word).pieces == reference.word_apply(psl2z, word).pieces
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_enumerate_and_common_domain_match_reference(name):
+    pres = PRESETS[name]
+    for depth in range(4):
+        got = enumerate_maps(pres, depth)
+        assert [m.pieces for m in got] == [m.pieces for m in reference.enumerate_maps(pres, depth)]
+        assert common_domain(pres, depth) == reference.common_domain(pres, depth)
+
+
+@st.composite
+def merged_sets(draw):
+    return merge_intervals(Interval(*sorted(draw(st.tuples(grid(F(1), 8), grid(F(1), 8)))))
+                           for _ in range(draw(st.integers(0, 4))))
+
+
+@given(merged_sets(), merged_sets())
+@settings(max_examples=200, deadline=None)
+def test_intersect_interval_sets_matches_reference(a, b):
+    assert intersect_interval_sets(a, b) == reference.intersect_interval_sets(a, b)
+
+
+@pytest.mark.parametrize("budget", [0, -1])
+def test_witness_rejects_budget_below_one(psl2z, budget):
+    with pytest.raises(ValueError, match="budget must be >= 1"):
+        nontriviality_witness(psl2z, parse_word(psl2z, "dd"), budget)
