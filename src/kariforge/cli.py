@@ -40,7 +40,7 @@ def _budget(default: int) -> int:
 
 def _load_tiles(path: str):
     obj = _read_json(path)
-    if "generators" in obj:
+    if isinstance(obj, dict) and "generators" in obj:
         return tiles.grouptileset_from_obj(obj)
     return tiles.tileset_from_obj(obj)
 

@@ -301,15 +301,14 @@ def _canonical(space: Space, pieces: Iterable[PieceTuple]) -> tuple[AffinePiece,
 
 @dataclass(frozen=True)
 class PAMap:
-    """A partial piecewise affine map in canonical form. Use PAMap.make()."""
+    """A partial piecewise affine map in canonical form.  PAMap(space, pieces)
+    stores the canonical form of its pieces, as PAMap.make does."""
 
     space: Space
     pieces: tuple[AffinePiece, ...]
 
     def __post_init__(self):
-        L = self.space.length
-        for p in self.pieces:
-            _check_piece(L, p.dom.lo, p.dom.hi, p.slope, p.offset)
+        object.__setattr__(self, "pieces", _canonical(self.space, _tuples(self)))
 
     @staticmethod
     def make(space: Space, pieces: Iterable[AffinePiece]) -> "PAMap":

@@ -27,22 +27,46 @@ def label_text(l: HLabel) -> str:
     return repr(l)
 
 
+def _node_text(l: HLabel, text) -> str:
+    """label_text(l) escaped for SVG, given text(child) for each of l's
+    children.  Escaping maps each character on its own, so the escaped
+    texts of the children join into the escaped text of the node."""
+    if l.kind == "atom":
+        return label_text(l)  # digits, "-" and "/": nothing to escape
+    if l.kind == "tag":
+        name, inner = l.value
+        return f"{_esc(name)}:{text(inner)}"
+    return "(" + ",".join([text(x) for x in l.value]) + ")"
+
+
 def _label_texts(tiles) -> dict[HLabel, str]:
-    """label_text of each distinct side label, computed once."""
+    """label_text of each side label, escaped for SVG and keyed by label;
+    the text of each distinct label node is built once, so shared subtrees
+    cost one step."""
     texts: dict[HLabel, str] = {}
+
+    def text(l: HLabel) -> str:
+        s = texts.get(l)
+        if s is None:
+            s = texts[l] = _node_text(l, text)
+        return s
+
     for t in tiles:
-        for l in (t.left, t.right):
-            if l not in texts:
-                texts[l] = label_text(l)
+        if t.left not in texts:
+            text(t.left)
+        if t.right not in texts:
+            text(t.right)
     return texts
 
 
 def _text(x, y, s, size=9, anchor="middle") -> str:
+    """A text element showing s, which is already escaped."""
     return (f'<text x="{x}" y="{y}" font-size="{size}" font-family="monospace" '
-            f'text-anchor="{anchor}">{_esc(s)}</text>')
+            f'text-anchor="{anchor}">{s}</text>')
 
 
 def _tile_cell(x0: int, y0: int, west: str, east: str, norths: list[str], souths: list[str]) -> list[str]:
+    """The elements of one tile; west and east are escaped already."""
     c = CELL
     parts = [
         f'<rect x="{x0}" y="{y0}" width="{c}" height="{c}" fill="white" stroke="black" stroke-width="1"/>',
@@ -53,10 +77,10 @@ def _tile_cell(x0: int, y0: int, west: str, east: str, norths: list[str], souths
     ]
     for i, s in enumerate(norths):
         cx = x0 + (i + 1) * c // (len(norths) + 1)
-        parts.append(_text(cx, y0 + 14, s))
+        parts.append(_text(cx, y0 + 14, _esc(s)))
     for i, s in enumerate(souths):
         cx = x0 + (i + 1) * c // (len(souths) + 1)
-        parts.append(_text(cx, y0 + c - 7, s))
+        parts.append(_text(cx, y0 + c - 7, _esc(s)))
     return parts
 
 
@@ -107,7 +131,7 @@ def render_grouptileset(g: GroupTileSet) -> str:
     ]
     for j, h in enumerate(g.generators):
         caption.append(_text(PAD, caption_y + 28 + 14 * j,
-                             f"{h}-field of x = input bit of the tile at (n,g{h}')",
+                             _esc(f"{h}-field of x = input bit of the tile at (n,g{h}')"),
                              size=10, anchor="start"))
     width = PAD + cols * (CELL + PAD)
     height = caption_y + 34 + 14 * len(g.generators)

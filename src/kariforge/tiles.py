@@ -131,19 +131,36 @@ def label_to_obj(l: HLabel):
     return [label_to_obj(x) for x in l.value]
 
 
+def _label_reader(atoms: dict[str, HLabel]):
+    """read(obj): the label that label_to_obj wrote as obj.  One walker
+    serves a whole load: each distinct carry string is parsed once into
+    `atoms`, and a tag or tuple node is looked up in the intern table by its
+    key and built only when new.  Anything label_to_obj does not write is a
+    ValueError."""
+    interned = HLabel._interned
+
+    def read(obj) -> HLabel:
+        kind = type(obj)
+        if kind is str:
+            label = atoms.get(obj)
+            if label is None:
+                label = atoms[obj] = atom(obj)
+            return label
+        if kind is list:
+            key = ("tup", tuple(map(read, obj)))
+        elif kind is dict and type(obj.get("tag")) is str and len(obj) == 2 and "label" in obj:
+            key = ("tag", (obj["tag"], read(obj["label"])))
+        else:
+            raise ValueError(f"not a label: {_shown(obj)}")
+        label = interned.get(key)
+        return HLabel(*key) if label is None else label
+    return read
+
+
 def label_from_obj(obj, atoms: Optional[dict[str, HLabel]] = None) -> HLabel:
     """Inverse of label_to_obj.  A load passes one `atoms` dict to all its
     labels, so each distinct carry string is parsed once."""
-    if isinstance(obj, str):
-        if atoms is None:
-            return atom(obj)
-        label = atoms.get(obj)
-        if label is None:
-            label = atoms[obj] = atom(obj)
-        return label
-    if isinstance(obj, dict):
-        return tag(obj["tag"], label_from_obj(obj["label"], atoms))
-    return tup(*(label_from_obj(x, atoms) for x in obj))
+    return _label_reader({} if atoms is None else atoms)(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -589,9 +606,110 @@ def tile_to_obj(t: ZTile) -> dict:
     }
 
 
+def _shown(v) -> str:
+    """v as JSON text, shortened, for an error message."""
+    text = json.dumps(v, default=repr)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
+def _int(v) -> int:
+    if type(v) is not int:
+        raise ValueError(f"not a JSON integer: {_shown(v)}")
+    return v
+
+
+def _bits(obj, memo: dict) -> tuple[tuple[str, int], ...]:
+    """_mk_bottoms of a JSON object of named integers.  A load passes one
+    `memo`, so each distinct object becomes one tuple."""
+    if type(obj) is not dict:
+        raise ValueError(f"not a JSON object: {_shown(obj)}")
+    for name, v in obj.items():
+        if type(v) is not int:
+            raise ValueError(f"{name}: not a JSON integer: {_shown(v)}")
+    key = tuple(obj.items())
+    bits = memo.get(key)
+    if bits is None:
+        bits = memo[key] = _mk_bottoms(obj)
+    return bits
+
+
+def _psi_top(obj, memo: dict, gens: list[str]) -> int:
+    """The input bit of a group tile: its psi colors, one for each of the
+    sorted generators `gens`, which must agree."""
+    bits = _bits(obj, memo)
+    if [n for n, _ in bits] != gens:
+        raise ValueError(f"names {[n for n, _ in bits]} are not the generators {gens}")
+    tops = {v for _, v in bits}
+    if len(tops) != 1:
+        raise ValueError("psi colors must agree across generators")
+    return tops.pop()
+
+
+def _read_tile(obj, read, bits: dict, gens: Optional[list[str]]) -> ZTile:
+    """One tile of a tile set's JSON form, or of a group tile set's with the
+    sorted generators `gens`, its labels decoded by `read`; a ValueError
+    names the field at fault."""
+    if type(obj) is not dict:
+        raise ValueError(f"not a JSON object: {_shown(obj)}")
+    group = gens is not None
+    field = "psi" if group else "top"
+    try:
+        top = _psi_top(obj[field], bits, gens) if group else _int(obj[field])
+        field = "phi" if group else "bottom"
+        bottoms = _bits(obj[field], bits)
+        field = "left"
+        left = read(obj[field])
+        field = "right"
+        right = read(obj[field])
+    except KeyError:
+        raise ValueError(f"missing field {field!r}") from None
+    except ValueError as exc:
+        raise ValueError(f"{field}: {exc}") from None
+    return ZTile(top, bottoms, left, right)
+
+
 def tile_from_obj(obj: dict, atoms: Optional[dict[str, HLabel]] = None) -> ZTile:
-    return ZTile(int(obj["top"]), _mk_bottoms({n: int(v) for n, v in obj["bottom"].items()}),
-                 label_from_obj(obj["left"], atoms), label_from_obj(obj["right"], atoms))
+    return _read_tile(obj, _label_reader({} if atoms is None else atoms), {}, None)
+
+
+def _read_set(obj, group: bool) -> tuple:
+    """The checked fields of a tile set's JSON form: in_max, the out maxes
+    and the tiles, led by the generators when `group`.  One label walker and
+    one bits memo serve the whole load."""
+    if type(obj) is not dict:
+        raise ValueError(f"a tile set is a JSON object, not {_shown(obj)}")
+    fields = []
+    gens = None
+    field = "generators"
+    try:
+        if group:
+            gens = obj[field]
+            if type(gens) is not list or any(type(h) is not str for h in gens):
+                raise ValueError(f"not a JSON list of strings: {_shown(gens)}")
+            fields.append(tuple(gens))
+            gens = sorted(gens)
+        field = "in_max"
+        fields.append(_int(obj[field]))
+        field = "outs"
+        fields.append(_bits(obj[field], {}))
+        field = "tiles"
+        items = obj[field]
+        if type(items) is not list:
+            raise ValueError(f"not a JSON list: {_shown(items)}")
+    except KeyError:
+        raise ValueError(f"tile set has no {field!r} field") from None
+    except ValueError as exc:
+        raise ValueError(f"{field}: {exc}") from None
+    read = _label_reader({})
+    bits: dict = {}
+    tiles = []
+    for i, t in enumerate(items):
+        try:
+            tiles.append(_read_tile(t, read, bits, gens))
+        except ValueError as exc:
+            raise ValueError(f"tile {i}: {exc}") from None
+    fields.append(tuple(tiles))
+    return tuple(fields)
 
 
 def tileset_to_obj(ts: ZTileSet) -> dict:
@@ -607,12 +725,43 @@ def _json_text(obj, depth: int) -> str:
     return json.dumps(obj, indent=1).replace("\n", "\n" + " " * depth)
 
 
-def _text_cache(encode, key=None):
-    """encode(x), computed once per distinct key(x) (default x)."""
+def _label_json(l: HLabel, depth: int, text) -> str:
+    """`_json_text(label_to_obj(l), depth)`, given text(child, depth + 1)
+    for each of l's children.  A tag's name is the one string that may need
+    escaping; `json.dumps` of a plain string escapes it as the dump would."""
+    if l.kind == "atom":
+        return '"' + rat_str(l.value) + '"'
+    if l.kind == "tup" and not l.value:
+        return "[]"
+    inner = "\n" + " " * (depth + 1)
+    close = "\n" + " " * depth
+    if l.kind == "tag":
+        name, label = l.value
+        return ("{" + inner + '"tag": ' + json.dumps(name) + "," + inner + '"label": '
+                + text(label, depth + 1) + close + "}")
+    return "[" + inner + ("," + inner).join([text(x, depth + 1) for x in l.value]) + close + "]"
+
+
+def _label_writer():
+    """text(l, depth): `_label_json(l, depth)`, built once per distinct
+    (label, depth), so a set's labels cost one step per distinct node."""
+    memo: dict = {}
+
+    def text(l: HLabel, depth: int) -> str:
+        key = (l, depth)
+        s = memo.get(key)
+        if s is None:
+            s = memo[key] = _label_json(l, depth, text)
+        return s
+    return text
+
+
+def _text_cache(encode, key):
+    """encode(x), computed once per distinct key(x)."""
     cache: dict = {}
 
     def text(x):
-        k = x if key is None else key(x)
+        k = key(x)
         s = cache.get(k)
         if s is None:
             s = cache[k] = encode(x)
@@ -631,19 +780,19 @@ def _json_document(head: dict, tiles: list[str]) -> str:
 
 def tileset_to_json(ts: ZTileSet) -> str:
     """`json.dumps(tileset_to_obj(ts), indent=1) + "\n"`, encoding each
-    distinct label and (top, bottoms) pair once."""
-    label = _text_cache(lambda l: _json_text(label_to_obj(l), 3))
+    distinct label node and (top, bottoms) pair once."""
+    label = _label_writer()
     head = _text_cache(lambda t: ('{\n   "top": ' + json.dumps(t.top) + ',\n   "bottom": '
                                   + _json_text({n: v for n, v in t.bottoms}, 3) + ',\n   "left": '),
                        key=lambda t: (t.top, t.bottoms))
-    tiles = [head(t) + label(t.left) + ',\n   "right": ' + label(t.right) + "\n  }" for t in ts.tiles]
+    tiles = [head(t) + label(t.left, 3) + ',\n   "right": ' + label(t.right, 3) + "\n  }" for t in ts.tiles]
     return _json_document({"in_max": ts.in_max, "outs": {n: v for n, v in ts.out_maxes}}, tiles)
 
 
 def tileset_from_obj(obj: dict) -> ZTileSet:
-    atoms: dict[str, HLabel] = {}
-    return ZTileSet(int(obj["in_max"]), _mk_bottoms({n: int(v) for n, v in obj["outs"].items()}),
-                    tuple(tile_from_obj(t, atoms) for t in obj["tiles"]))
+    """Inverse of tileset_to_obj; malformed input is a ValueError naming the
+    tile and the field."""
+    return ZTileSet(*_read_set(obj, group=False))
 
 
 def grouptileset_to_obj(g: GroupTileSet) -> dict:
@@ -665,26 +814,19 @@ def grouptileset_to_obj(g: GroupTileSet) -> dict:
 
 def grouptileset_to_json(g: GroupTileSet) -> str:
     """`json.dumps(grouptileset_to_obj(g), indent=1) + "\n"`, encoding each
-    distinct label and (top, bottoms) pair once."""
-    label = _text_cache(lambda l: _json_text(label_to_obj(l), 3))
+    distinct label node and (top, bottoms) pair once."""
+    label = _label_writer()
     tail = _text_cache(lambda t: (',\n   "psi": ' + _json_text({h: t.top for h in g.generators}, 3)
                                   + ',\n   "phi": ' + _json_text({h: t.bottom(h) for h in g.generators}, 3)
                                   + "\n  }"),
                        key=lambda t: (t.top, t.bottoms))
-    tiles = ['{\n   "left": ' + label(t.left) + ',\n   "right": ' + label(t.right) + tail(t) for t in g.tiles]
+    tiles = ['{\n   "left": ' + label(t.left, 3) + ',\n   "right": ' + label(t.right, 3) + tail(t)
+             for t in g.tiles]
     return _json_document({"generators": list(g.generators), "in_max": g.in_max,
                            "outs": {n: v for n, v in g.out_maxes}}, tiles)
 
 
 def grouptileset_from_obj(obj: dict) -> GroupTileSet:
-    gens = tuple(obj["generators"])
-    atoms: dict[str, HLabel] = {}
-    tiles = []
-    for t in obj["tiles"]:
-        tops = set(t["psi"].values())
-        if len(tops) != 1:
-            raise ValueError("psi colors must agree across generators")
-        tiles.append(ZTile(int(tops.pop()), _mk_bottoms({n: int(v) for n, v in t["phi"].items()}),
-                           label_from_obj(t["left"], atoms), label_from_obj(t["right"], atoms)))
-    return GroupTileSet(gens, int(obj["in_max"]), _mk_bottoms({n: int(v) for n, v in obj["outs"].items()}),
-                        tuple(tiles))
+    """Inverse of grouptileset_to_obj; malformed input is a ValueError
+    naming the tile and the field."""
+    return GroupTileSet(*_read_set(obj, group=True))

@@ -246,6 +246,49 @@ def test_verify_rejects_group_tiles(tmp_path, capsys):
     assert main(["verify", "--tiles", str(tiles_file)]) == 1
 
 
+def _kari_tiles_edited(tmp_path, edit) -> str:
+    path = tmp_path / "kari.json"
+    main(["gen", "--preset", "z-kari", "--out", str(path)])
+    obj = json.loads(path.read_text())
+    path.write_text(json.dumps(edit(obj)))
+    return str(path)
+
+
+def _set_tile_field(i, field, value):
+    def edit(obj):
+        obj["tiles"][i][field] = value
+        return obj
+    return edit
+
+
+# malformed tile files: (edit of the z-kari file, words of the error line)
+MALFORMED_TILES = {
+    "label 5": (_set_tile_field(2, "left", 5), "tile 2: left: not a label: 5"),
+    "label null": (_set_tile_field(3, "right", None), "tile 3: right: not a label: null"),
+    "label [1, 2]": (_set_tile_field(0, "left", [1, 2]), "tile 0: left: not a label: 1"),
+    "tag name 3": (_set_tile_field(1, "right", {"tag": 3, "label": "0"}), "tile 1: right: not a label"),
+    "top 0.5": (_set_tile_field(4, "top", 0.5), "tile 4: top: not a JSON integer: 0.5"),
+    "top true": (_set_tile_field(5, "top", True), "tile 5: top: not a JSON integer: true"),
+    "top '1'": (_set_tile_field(6, "top", "1"), 'tile 6: top: not a JSON integer: "1"'),
+    "document [1, 2]": (lambda obj: [1, 2], "a tile set is a JSON object, not [1, 2]"),
+    "document 5": (lambda obj: 5, "a tile set is a JSON object, not 5"),
+}
+
+
+@pytest.mark.parametrize("command", ["render", "verify"])
+@pytest.mark.parametrize("case", list(MALFORMED_TILES))
+def test_malformed_tile_file_is_an_error(tmp_path, kari_map_file, capsys, command, case):
+    edit, words = MALFORMED_TILES[case]
+    argv = [command, "--tiles", _kari_tiles_edited(tmp_path, edit), "--out", str(tmp_path / "out")]
+    if command == "verify":
+        argv += ["--map", kari_map_file]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {words}\n" or (err.startswith(f"error: {words}") and err.count("\n") == 1)
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("budget", ["0", "-1"])
 def test_group_witness_refuses_budget_below_one(budget, capsys):
     assert main(["group", "--preset", "psl2z", "--word", "dd", "--witness", "--budget", budget]) == 1

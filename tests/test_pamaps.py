@@ -623,11 +623,31 @@ def test_compose_matches_reference(fg):
 
 
 def test_compose_reads_every_piece_of_a_directly_built_map():
-    # PAMap(...) only range-checks, so its pieces may be out of order
+    # PAMap(...) canonicalizes like PAMap.make, so the swapped halves are
+    # merged into one piece before compose reads them
     f = PAMap(SEG1, (AffinePiece(Interval(F(1, 2), F(1)), F(1), F(0)),
                      AffinePiece(Interval(F(0), F(1, 2)), F(1), F(0))))
     g = piecemap(SEG1, [(0, 1, F(1, 4), 0)])
     assert compose(f, g).pieces == reference.compose(f, g).pieces == g.pieces
+
+
+def test_direct_construction_is_canonical():
+    halves = (AffinePiece(Interval(F(1, 2), F(1)), F(1), F(0)),
+              AffinePiece(Interval(F(0), F(1, 2)), F(1), F(0)))
+    f = PAMap(SEG1, halves)
+    assert equals(f, identity(SEG1))
+    assert f == identity(SEG1) and hash(f) == hash(identity(SEG1))
+    assert f.pieces == PAMap.make(SEG1, halves).pieces == identity(SEG1).pieces
+
+
+def test_direct_construction_rejects_conflicting_pieces():
+    pieces = (AffinePiece(Interval(F(0), F(1, 2)), F(1), F(0)),
+              AffinePiece(Interval(F(0), F(1, 2)), F(0), F(1, 4)))
+    with pytest.raises(Conflict) as direct:
+        PAMap(SEG1, pieces)
+    with pytest.raises(Conflict) as made:
+        PAMap.make(SEG1, pieces)
+    assert str(direct.value) == str(made.value)
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)

@@ -5,7 +5,7 @@ import pytest
 from kariforge import pamaps, render
 from kariforge.pamaps import Space
 from kariforge.render import TooLarge, render_grouptileset, render_tileset
-from kariforge.tiles import ZTile, ZTileSet, atom, family_tiles, pamap_tiles
+from kariforge.tiles import GroupTileSet, ZTile, ZTileSet, atom, family_tiles, pamap_tiles, tag, tup
 
 
 def test_identity_svg():
@@ -38,12 +38,41 @@ def test_too_large():
         render_tileset(ts)
 
 
+def label_nodes(labels) -> set:
+    """Every label node reachable from `labels`."""
+    seen, todo = set(), list(labels)
+    while todo:
+        l = todo.pop()
+        if l not in seen:
+            seen.add(l)
+            todo.extend([l.value[1]] if l.kind == "tag" else l.value if l.kind == "tup" else [])
+    return seen
+
+
 def test_label_text_once_per_distinct_label(monkeypatch, kari_tiles, psl2z_family):
+    # each distinct label node's text is built once per drawing, shared
+    # subtrees included, and each side label reads as label_text
     calls = []
-    text = render.label_text
-    monkeypatch.setattr(render, "label_text", lambda l: calls.append(l) or text(l))
+    build = render._node_text
+    monkeypatch.setattr(render, "_node_text", lambda l, text: calls.append(l) or build(l, text))
     for ts, draw in ((kari_tiles, render_tileset), (psl2z_family, render_grouptileset)):
+        sides = {t.left for t in ts.tiles} | {t.right for t in ts.tiles}
         calls.clear()
-        draw(ts)
-        distinct = {t.left for t in ts.tiles} | {t.right for t in ts.tiles}
-        assert sorted(calls, key=id) == sorted(distinct, key=id)
+        svg = draw(ts)
+        assert sorted(calls, key=id) == sorted(label_nodes(sides), key=id)
+        assert len(calls) > len(sides)
+        texts = render._label_texts(ts.tiles)
+        assert all(texts[l] == render._esc(render.label_text(l)) and texts[l] in svg for l in sides)
+
+
+def test_label_text_escapes_tag_names():
+    inner = tag("a<&>b", tup(atom(F(-1, 3)), tag("&lt;", atom(0))))
+    tiles = [ZTile(0, (("f", 0),), inner, tup(inner, inner, tup())), ZTile(1, (("f", 1),), tag("x>", inner), inner)]
+    ts = ZTileSet.make(1, {"f": 1}, tiles)
+    texts = render._label_texts(ts.tiles)
+    for t in ts.tiles:
+        for l in (t.left, t.right):
+            assert texts[l] == render._esc(render.label_text(l))
+    assert texts[inner] == "a&lt;&amp;&gt;b:(-1/3,&amp;lt;:0)"
+    for svg in (render_tileset(ts), render_grouptileset(GroupTileSet(("f",), 1, ts.out_maxes, ts.tiles))):
+        assert "&amp;lt;" in svg and "<&" not in svg

@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tiles_reference as reference
-from kariforge import pamaps, presets
+from kariforge import pamaps, presets, tiles
 from kariforge.pamaps import Space
 from kariforge.tiles import (
     AlphabetMismatch,
     EmptyTileSetError,
     GroupTileSet,
+    HLabel,
     NotHomeo,
     ZTile,
     ZTileSet,
@@ -432,6 +433,221 @@ def test_writers_match_reference_on_empty_sets():
     assert tileset_to_json(no_outputs) == reference.tileset_json(no_outputs)
     g = GroupTileSet((), 1, (), no_outputs.tiles)
     assert grouptileset_to_json(g) == reference.grouptileset_json(g)
+
+
+# -- the label codec against tests/tiles_reference.py ----------------------
+
+# tag names the JSON escaper must handle: quotes, backslashes, control and
+# non-ASCII characters, and the empty name
+TAG_NAMES = st.text(st.sampled_from(["L", "R", '"', "\\", "\n", "\t", "\u00e9", "\u2603", "\U0001d11e"]),
+                    max_size=3)
+MAX_DEPTH = 12
+
+
+def label_depth(l: HLabel) -> int:
+    if l.kind == "atom":
+        return 0
+    children = [l.value[1]] if l.kind == "tag" else l.value
+    return 1 + max((label_depth(c) for c in children), default=0)
+
+
+def label_nodes(labels) -> set:
+    """(node, depth) for every node reachable from the (label, depth) pairs."""
+    seen, todo = set(), list(labels)
+    while todo:
+        l, d = todo.pop()
+        if (l, d) not in seen:
+            seen.add((l, d))
+            children = [l.value[1]] if l.kind == "tag" else l.value if l.kind == "tup" else ()
+            todo.extend((c, d + 1) for c in children)
+    return seen
+
+
+@st.composite
+def shared_labels(draw):
+    """A pool of labels built bottom up: every new tag or tuple takes its
+    children from the pool, the most recent first, so subtrees are shared
+    and depths reach MAX_DEPTH; tuples may be empty."""
+    pool = draw(st.lists(atoms, min_size=1, max_size=4))
+    steps = st.tuples(st.booleans(), TAG_NAMES, st.lists(st.sampled_from([0, 0, 0, 1, 2, 5, 40]), max_size=3))
+    for is_tag, name, picks in draw(st.lists(steps, max_size=30)):
+        children = [pool[-1 - i % len(pool)] for i in picks]
+        if is_tag:
+            node = tag(name, children[0] if children else pool[-1])
+        else:
+            node = tup(*children)
+        if label_depth(node) <= MAX_DEPTH:
+            pool.append(node)
+    return pool
+
+
+@given(shared_labels(), st.integers(0, 4))
+@settings(max_examples=300, deadline=None)
+def test_label_writer_matches_reference(pool, depth):
+    text = tiles._label_writer()
+    for l in pool:
+        assert text(l, depth) == reference.label_json(l).replace("\n", "\n" + " " * depth)
+
+
+@given(shared_labels())
+@settings(max_examples=300, deadline=None)
+def test_label_reader_matches_reference(pool):
+    objs = json.loads(json.dumps([label_to_obj(l) for l in pool]))
+    mine, theirs = {}, {}
+    for l, obj in zip(pool, objs):
+        assert label_from_obj(obj, mine) is reference.label_from_obj(obj, theirs) is l
+        assert label_from_obj(obj) is l
+    assert mine == theirs
+
+
+@given(shared_labels(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_codec_matches_reference_on_shared_labels(pool, data):
+    side = st.sampled_from(pool)
+    tiles_ = data.draw(st.lists(st.builds(lambda top, b, l, r: ZTile(top, (("a", b), ("b", 1 - b)), l, r),
+                                          st.integers(0, 1), st.integers(0, 1), side, side), max_size=20))
+    ts = ZTileSet.make(1, {"a": 1, "b": 1}, tiles_)
+    text = tileset_to_json(ts)
+    assert text == reference.tileset_json(ts)
+    back = tileset_from_obj(json.loads(text))
+    assert back == ts and all(u.left is t.left and u.right is t.right for u, t in zip(back.tiles, ts.tiles))
+    g = GroupTileSet(("b", "a"), 1, ts.out_maxes, ts.tiles)
+    text = grouptileset_to_json(g)
+    assert text == reference.grouptileset_json(g)
+    assert grouptileset_from_obj(json.loads(text)).tiles == g.tiles
+
+
+def test_writer_builds_each_label_node_once_per_depth(monkeypatch, psl2z_family):
+    calls = []
+    build = tiles._label_json
+    monkeypatch.setattr(tiles, "_label_json", lambda l, depth, text: calls.append((l, depth)) or build(l, depth, text))
+    psl_d = pamap_tiles(presets.load_preset("psl2z").map_for("d"))
+    for ts, write, check in ((psl_d, tileset_to_json, reference.tileset_json),
+                             (psl2z_family, grouptileset_to_json, reference.grouptileset_json)):
+        calls.clear()
+        assert write(ts) == check(ts)
+        assert len(calls) == len(set(calls))
+        assert set(calls) == label_nodes((l, 3) for t in ts.tiles for l in (t.left, t.right))
+        assert len(calls) < sum(len(label_nodes([(t.left, 3)])) + len(label_nodes([(t.right, 3)]))
+                                for t in ts.tiles)
+
+
+def test_reader_finds_known_nodes_in_the_intern_table(monkeypatch, psl2z_family):
+    obj = json.loads(grouptileset_to_json(psl2z_family))
+    built = []
+    new = HLabel.__new__
+
+    def counting(cls, kind, value):
+        built.append(kind)
+        return new(cls, kind, value)
+
+    def refuse(*args):
+        raise AssertionError("the reader builds no node through tag() or tup()")
+
+    monkeypatch.setattr(HLabel, "__new__", counting)
+    monkeypatch.setattr(tiles, "tag", refuse)
+    monkeypatch.setattr(tiles, "tup", refuse)
+    back = grouptileset_from_obj(obj)
+    assert back == psl2z_family
+    assert set(built) <= {"atom"}  # one per distinct carry string; tags and tuples are found
+    assert len(built) == len({l for t in back.tiles for l, _ in label_nodes([(t.left, 0), (t.right, 0)])
+                              if l.kind == "atom"})
+
+
+def test_reader_builds_a_new_node_once(monkeypatch):
+    fresh = tag("never-seen-\u00e9", tup(atom(F(5, 7)), tup()))
+    obj = json.loads(json.dumps(label_to_obj(fresh)).replace("never-seen", "also-new"))
+    built = []
+    new = HLabel.__new__
+    monkeypatch.setattr(HLabel, "__new__", lambda cls, kind, value: built.append(kind) or new(cls, kind, value))
+    l = label_from_obj([obj, obj, [obj]], {})
+    # the inner tuples are interned with `fresh`; the new tag, the two new
+    # tuples and the carry string are built once each, whatever their count
+    assert sorted(built) == ["atom", "tag", "tup", "tup"]
+    assert l is tup(l.value[0], l.value[0], tup(l.value[0]))
+
+
+# -- malformed tile JSON ---------------------------------------------------
+
+
+def _malformed_tile_files():
+    """(case, JSON document, words the ValueError must contain)."""
+    z = tileset_to_obj(ZTileSet.make(1, {"f": 1}, [ZTile(0, (("f", 1),), atom(0), tag("L", atom(F(1, 3))))]))
+    g = grouptileset_to_obj(GroupTileSet(("a", "b"), 1, (("a", 1), ("b", 1)),
+                                         (ZTile(1, (("a", 0), ("b", 1)), atom(0), atom(0)),)))
+
+    def edit(doc, path, value):
+        doc = json.loads(json.dumps(doc))
+        *head, last = path
+        node = doc
+        for k in head:
+            node = node[k]
+        if value is KeyError:
+            del node[last]
+        else:
+            node[last] = value
+        return doc
+
+    yield "label 5", edit(z, ("tiles", 0, "left"), 5), ["tile 0", "left", "not a label: 5"]
+    yield "label null", edit(z, ("tiles", 0, "right"), None), ["tile 0", "right", "not a label: null"]
+    yield "label [1, 2]", edit(z, ("tiles", 0, "left"), [1, 2]), ["tile 0", "left", "not a label: 1"]
+    yield "tag name 3", edit(z, ("tiles", 0, "right"), {"tag": 3, "label": "0"}), ["tile 0", "right", "not a label"]
+    yield "tag without label", edit(z, ("tiles", 0, "right"), {"tag": "L"}), ["tile 0", "right", "not a label"]
+    yield "tag extra key", edit(z, ("tiles", 0, "right"), {"tag": "L", "label": "0", "x": 1}), ["tile 0", "right"]
+    yield "bad carry", edit(z, ("tiles", 0, "left"), "1/0"), ["tile 0", "left", "zero denominator"]
+    yield "top 0.5", edit(z, ("tiles", 0, "top"), 0.5), ["tile 0", "top", "not a JSON integer: 0.5"]
+    yield "top true", edit(z, ("tiles", 0, "top"), True), ["tile 0", "top", "not a JSON integer: true"]
+    yield "top '1'", edit(z, ("tiles", 0, "top"), "1"), ["tile 0", "top", 'not a JSON integer: "1"']
+    yield "bottom 1.0", edit(z, ("tiles", 0, "bottom", "f"), 1.0), ["tile 0", "bottom", "f: not a JSON integer: 1.0"]
+    yield "bottom list", edit(z, ("tiles", 0, "bottom"), [1]), ["tile 0", "bottom", "not a JSON object"]
+    yield "no left", edit(z, ("tiles", 0, "left"), KeyError), ["tile 0", "missing field 'left'"]
+    yield "tile 7", edit(z, ("tiles", 0), 7), ["tile 0", "not a JSON object: 7"]
+    yield "in_max '1'", edit(z, ("in_max",), "1"), ["in_max", 'not a JSON integer: "1"']
+    yield "outs true", edit(z, ("outs", "f"), True), ["outs", "f: not a JSON integer: true"]
+    yield "no tiles", edit(z, ("tiles",), KeyError), ["no 'tiles' field"]
+    yield "tiles object", edit(z, ("tiles",), {}), ["tiles", "not a JSON list"]
+    yield "document [1, 2]", [1, 2], ["a tile set is a JSON object, not [1, 2]"]
+    yield "document 5", 5, ["a tile set is a JSON object, not 5"]
+    yield "psi true", edit(g, ("tiles", 0, "psi", "b"), True), ["tile 0", "psi", "b: not a JSON integer: true"]
+    yield "psi disagree", edit(g, ("tiles", 0, "psi", "b"), 0), ["tile 0", "psi colors must agree"]
+    yield ("psi unknown name", edit(g, ("tiles", 0, "psi"), {"a": 1, "zzz": 1}),
+           ["tile 0", "psi: names ['a', 'zzz'] are not the generators ['a', 'b']"])
+    yield ("psi missing name", edit(g, ("tiles", 0, "psi"), {"b": 1}),
+           ["tile 0", "psi: names ['b'] are not the generators ['a', 'b']"])
+    yield "phi 0.0", edit(g, ("tiles", 0, "phi", "a"), 0.0), ["tile 0", "phi", "a: not a JSON integer: 0.0"]
+    yield "group label null", edit(g, ("tiles", 0, "left"), None), ["tile 0", "left", "not a label: null"]
+    yield "generators string", edit(g, ("generators",), "ab"), ["generators", "not a JSON list of strings"]
+    yield "generators 1", edit(g, ("generators",), [1, "b"]), ["generators", "not a JSON list of strings"]
+
+
+MALFORMED = list(_malformed_tile_files())
+
+
+@pytest.mark.parametrize("case, doc, words", MALFORMED, ids=[c for c, _, _ in MALFORMED])
+def test_loaders_refuse_malformed_json(case, doc, words):
+    load = grouptileset_from_obj if isinstance(doc, dict) and "generators" in doc else tileset_from_obj
+    with pytest.raises(ValueError) as info:
+        load(doc)
+    assert all(w in str(info.value) for w in words), str(info.value)
+
+
+def test_loaders_name_the_tile_at_fault(kari_tiles, psl2z_family):
+    obj = tileset_to_obj(kari_tiles)
+    obj["tiles"][13]["top"] = True
+    with pytest.raises(ValueError, match="^tile 13: top: not a JSON integer: true$"):
+        tileset_from_obj(obj)
+    # true == 1 and 1.0 == 1 as dict keys, so a bits object equal to one
+    # read before must still be checked
+    obj = tileset_to_obj(kari_tiles)
+    bits = obj["tiles"][0]["bottom"]
+    obj["tiles"][21]["bottom"] = {n: float(v) for n, v in bits.items()}
+    with pytest.raises(ValueError, match="^tile 21: bottom: f: not a JSON integer: [01].0$"):
+        tileset_from_obj(obj)
+    obj = grouptileset_to_obj(psl2z_family)
+    phi = obj["tiles"][0]["phi"]
+    obj["tiles"][-1]["phi"] = {h: bool(v) for h, v in phi.items()}
+    with pytest.raises(ValueError, match=f"^tile {len(obj['tiles']) - 1}: phi: d: not a JSON integer"):
+        grouptileset_from_obj(obj)
 
 
 @pytest.fixture

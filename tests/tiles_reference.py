@@ -1,11 +1,13 @@
-"""Reference forms of the affine tiles, the tile-set order and the JSON writers.
+"""Reference forms of the affine tiles, the tile-set order and the JSON codec.
 
 `affine_tiles` tries every (top, left carry, right carry) triple in Fraction
 arithmetic; `make` sorts the deduplicated tiles by nested label keys that
 compare carries as Fractions, tile by tile; the writers dump the `*_to_obj`
-forms with the generic encoder.  The library solves for the right carry in
-integers, ranks each distinct label once and encodes each distinct label
-once; the differential tests require equal outputs.
+forms with the generic encoder, and `label_from_obj` rebuilds every node of
+every label through `tag`/`tup`.  The library solves for the right carry in
+integers, ranks each distinct label once, writes each distinct (label node,
+depth) once and looks decoded nodes up in the intern table; the differential
+tests require equal outputs.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+
+from typing import Optional
 
 from kariforge.pamaps import rat
 from kariforge.tiles import (
@@ -24,7 +28,10 @@ from kariforge.tiles import (
     ZTileSet,
     atom,
     grouptileset_to_obj,
+    label_to_obj,
+    tag,
     tileset_to_obj,
+    tup,
 )
 
 
@@ -78,3 +85,20 @@ def tileset_json(ts: ZTileSet) -> str:
 
 def grouptileset_json(g: GroupTileSet) -> str:
     return json.dumps(grouptileset_to_obj(g), indent=1) + "\n"
+
+
+def label_json(l: HLabel) -> str:
+    return json.dumps(label_to_obj(l), indent=1)
+
+
+def label_from_obj(obj, atoms: Optional[dict[str, HLabel]] = None) -> HLabel:
+    if isinstance(obj, str):
+        if atoms is None:
+            return atom(obj)
+        label = atoms.get(obj)
+        if label is None:
+            label = atoms[obj] = atom(obj)
+        return label
+    if isinstance(obj, dict):
+        return tag(obj["tag"], label_from_obj(obj["label"], atoms))
+    return tup(*(label_from_obj(x, atoms) for x in obj))
