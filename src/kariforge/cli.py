@@ -65,6 +65,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    for flag, bound in (("--max-n", args.max_n), ("--max-k", args.max_k)):
+        if bound < 1:  # a bound below 1 searches nothing and would report clean
+            raise ValueError(f"{flag} must be >= 1, got {bound}")
     ts = _load_tiles(args.tiles)
     if isinstance(ts, tiles.GroupTileSet):
         print("verify expects a tile set over Z, not a group tile set", file=sys.stderr)

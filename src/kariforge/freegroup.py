@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from . import pamaps
-from .pamaps import PAGroupPresentation
+from .pamaps import _json_field, _json_value
 
 FGWord = tuple[int, ...]
 Oracle = Callable[[FGWord], bool]
@@ -185,37 +185,12 @@ def table_oracle(mult: Sequence[Sequence[int]], gens: Sequence[int], identity: i
     return WordProblem(nf)
 
 
-def pa_oracle(pres: PAGroupPresentation) -> WordProblem:
-    """Word problem through exact piecewise affine composition.
-
-    The normal form of w = s1 s2 ... sk is the canonical map f_s1 o ... o f_sk
-    when that composite is total.  A word whose composite is partial is its
-    own class: v^-1 w is the total identity only if both composites are total
-    and equal, so this is the relation the bool oracle decides.  Composites
-    are memoized by word and by (map, signed letter), so a prefix-closed set
-    of words such as a ball costs one composition per (element, letter) it
-    reaches.  `composite(w)` gives the map itself.
-    """
-    letters: dict[int, pamaps.PAMap] = {}
-    for i, (_, m) in enumerate(pres.generators, start=1):
-        letters[i] = m
-        letters[-i] = pamaps.invert(m)
-    # (composite, is it total) by word and by (composite, letter)
-    by_word: dict[FGWord, tuple[pamaps.PAMap, bool]] = {(): (pamaps.identity(pres.space), True)}
-    by_step: dict[tuple[pamaps.PAMap, int], tuple[pamaps.PAMap, bool]] = {}
-
-    def composite(w: FGWord) -> tuple[pamaps.PAMap, bool]:
-        k = len(w)
-        while w[:k] not in by_word:
-            k -= 1
-        m, total = by_word[w[:k]]
-        for j in range(k, len(w)):
-            key = (m, w[j])
-            if key not in by_step:
-                c = pamaps.compose(m, letters[w[j]])
-                by_step[key] = (c, c.is_total())
-            m, total = by_word[w[:j + 1]] = by_step[key]
-        return m, total
+def pa_oracle(pres: pamaps.PAGroupPresentation) -> WordProblem:
+    """Word problem through `pamaps.composites`: the normal form of w is its
+    composite map when that is total, else w itself, so v^-1 w is trivial iff
+    both composites are total and equal, as in `pamaps.is_identity_word`.
+    `composite(w)` gives the map itself."""
+    composite = pamaps.composites(pres)
 
     def nf(w: FGWord) -> pamaps.PAMap | FGWord:
         m, total = composite(w)
@@ -390,13 +365,31 @@ def pattern_to_obj(p: Pattern) -> dict:
     return {"cells": [{"word": word_to_str(w), "letter": l} for w, l in p.cells]}
 
 
-def pattern_from_obj(obj: dict) -> Pattern:
-    return Pattern.make({word_from_str(c["word"]): int(c["letter"]) for c in obj["cells"]})
+def pattern_from_obj(obj) -> Pattern:
+    """The pattern of a JSON form; malformed input raises a ValueError naming the field."""
+    cells = {}
+    for i, c in enumerate(_json_field(_json_value(obj, "pattern", dict), "cells", "", list)):
+        path = f"cells[{i}]"
+        word = _json_field(_json_value(c, path, dict), "word", path, str)
+        try:
+            w = word_from_str(word)
+        except ValueError as exc:
+            raise ValueError(f"{path}.word: {exc}") from None
+        cells[w] = _json_field(c, "letter", path, int)
+    return Pattern.make(cells)
 
 
 def problem_to_obj(p: PatternProblem) -> dict:
     return {"alphabet": p.alphabet_size, "patterns": [pattern_to_obj(x) for x in p.patterns]}
 
 
-def problem_from_obj(obj: dict) -> PatternProblem:
-    return PatternProblem(int(obj["alphabet"]), tuple(pattern_from_obj(x) for x in obj["patterns"]))
+def problem_from_obj(obj) -> PatternProblem:
+    """The problem of a JSON form; malformed input raises a ValueError naming the field."""
+    alphabet = _json_field(_json_value(obj, "problem", dict), "alphabet", "", int)
+    patterns = []
+    for i, p in enumerate(_json_field(obj, "patterns", "", list)):
+        try:
+            patterns.append(pattern_from_obj(p))
+        except ValueError as exc:
+            raise ValueError(f"patterns[{i}]: {exc}") from None
+    return PatternProblem(alphabet, tuple(patterns))

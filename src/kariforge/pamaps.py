@@ -14,9 +14,10 @@ the word problem of groups of such maps) a plain comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 Rat = Fraction
 RatLike = Union[Fraction, int, str]
@@ -476,31 +477,41 @@ def is_circle_homeo(f: PAMap) -> bool:
 
 @dataclass(frozen=True)
 class PAGroupPresentation:
-    """Named generators acting on a common space; each must be injective."""
+    """Named generators acting on a common space; each must be injective.
+    letters[i] is the i-th generator (from 1) and letters[-i] its inverse."""
 
     space: Space
     generators: tuple[tuple[str, PAMap], ...]
+    letters: dict[int, PAMap] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        letters = {}
+        for i, (name, m) in enumerate(self.generators, start=1):
+            if m.space != self.space:
+                raise SpaceMismatch(f"generator {name} lives on a different space")
+            letters[i] = m
+            letters[-i] = invert(m)  # raises NotInjective / ZeroSlope on bad input
+        object.__setattr__(self, "letters", letters)
 
     @staticmethod
     def make(generators: dict[str, PAMap] | Sequence[tuple[str, PAMap]]) -> "PAGroupPresentation":
         items = tuple(generators.items()) if isinstance(generators, dict) else tuple(generators)
         if not items:
             raise ValueError("presentation needs at least one generator")
-        space = items[0][1].space
-        for name, m in items:
-            if m.space != space:
-                raise SpaceMismatch(f"generator {name} lives on a different space")
-            invert(m)  # raises NotInjective / ZeroSlope on bad input
-        return PAGroupPresentation(space, items)
+        return PAGroupPresentation(items[0][1].space, items)
 
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.generators)
 
-    def map_for(self, name: str) -> PAMap:
-        for n, m in self.generators:
+    def letter(self, name: str, sign: int) -> int:
+        """Signed index of (name, sign): -i inverts the i-th generator when sign < 0."""
+        for i, (n, _) in enumerate(self.generators, start=1):
             if n == name:
-                return m
+                return -i if sign < 0 else i
         raise UnknownGenerator(name)
+
+    def map_for(self, name: str) -> PAMap:
+        return self.letters[self.letter(name, 1)]
 
 
 Word = Sequence[tuple[str, int]]  # (generator name, +1 or -1)
@@ -533,23 +544,38 @@ def parse_word(pres: PAGroupPresentation, text: str) -> tuple[tuple[str, int], .
     return tuple(out)
 
 
+def composites(pres: PAGroupPresentation) -> Callable[[tuple[int, ...]], tuple[PAMap, bool]]:
+    """(f_s1 o ... o f_sk, is it total) for each word (s1, ..., sk) of signed
+    indices into `pres.letters`, memoized by word and by (map, letter): a
+    prefix-closed set of words such as a ball costs one composition per
+    (element, letter) it reaches.  Every word this package decides goes here."""
+    by_word: dict[tuple[int, ...], tuple[PAMap, bool]] = {(): (identity(pres.space), True)}
+    by_step: dict[tuple[PAMap, int], tuple[PAMap, bool]] = {}
+
+    def composite(w: tuple[int, ...]) -> tuple[PAMap, bool]:
+        k = len(w)
+        while w[:k] not in by_word:
+            k -= 1
+        m, total = by_word[w[:k]]
+        for s in w[k:]:
+            key = (m, s)
+            if key not in by_step:
+                c = compose(m, pres.letters[s])
+                by_step[key] = (c, c.is_total())
+            m, total = by_step[key]
+        by_word[w] = m, total
+        return m, total
+
+    return composite
+
+
 def word_apply(pres: PAGroupPresentation, word: Word) -> PAMap:
     """Composite of the word: the rightmost symbol acts first."""
-    acc = identity(pres.space)
-    inverses: dict[str, PAMap] = {}
-    for name, sign in word:
-        if sign < 0:
-            m = inverses.get(name)
-            if m is None:
-                m = inverses[name] = invert(pres.map_for(name))
-        else:
-            m = pres.map_for(name)
-        acc = compose(acc, m)
-    return acc
+    return composites(pres)(tuple(pres.letter(n, s) for n, s in word))[0]
 
 
 def is_identity_word(pres: PAGroupPresentation, word: Word) -> bool:
-    return equals(word_apply(pres, word), identity(pres.space))
+    return composites(pres)(tuple(pres.letter(n, s) for n, s in word)) == (identity(pres.space), True)
 
 
 def fixed_points(f: PAMap) -> tuple[Interval, ...]:
@@ -584,31 +610,29 @@ def periodic_points(f: PAMap, k: int) -> tuple[Interval, ...]:
     return fixed_points(power)
 
 
-def _atom_maps(pres: PAGroupPresentation) -> list[PAMap]:
-    atoms = []
-    for _, m in pres.generators:
-        atoms.append(m)
-        atoms.append(invert(m))
-    return atoms
-
-
-def enumerate_maps(pres: PAGroupPresentation, depth: int) -> list[PAMap]:
-    """All distinct composites of generator/inverse words of length <= depth."""
-    atoms = _atom_maps(pres)
-    seen = {identity(pres.space)}
+def _levels(pres: PAGroupPresentation, depth: int) -> Iterator[list[PAMap]]:
+    """The new composites of each word length 0..depth; stops at a length that adds none."""
     frontier = [identity(pres.space)]
+    seen = set(frontier)
+    yield frontier
     for _ in range(depth):
         nxt = []
         for m in frontier:
-            for atom in atoms:
+            for atom in pres.letters.values():
                 c = compose(atom, m)
                 if c not in seen:
                     seen.add(c)
                     nxt.append(c)
+        if not nxt:
+            return
+        yield nxt
         frontier = nxt
-        if not frontier:
-            break
-    return sorted(seen, key=lambda m: (len(m.pieces), [(p.dom.lo, p.dom.hi, p.slope, p.offset) for p in m.pieces]))
+
+
+def enumerate_maps(pres: PAGroupPresentation, depth: int) -> list[PAMap]:
+    """All distinct composites of generator/inverse words of length <= depth."""
+    maps = [m for level in _levels(pres, depth) for m in level]
+    return sorted(maps, key=lambda m: (len(m.pieces), [(p.dom.lo, p.dom.hi, p.slope, p.offset) for p in m.pieces]))
 
 
 def common_domain(pres: PAGroupPresentation, depth: int) -> tuple[Interval, ...]:
@@ -617,10 +641,11 @@ def common_domain(pres: PAGroupPresentation, depth: int) -> tuple[Interval, ...]
     Monotone nonincreasing in depth; depth 0 is the whole space.
     """
     common: tuple[Interval, ...] = (pres.space.whole(),)
-    for m in enumerate_maps(pres, depth):
-        common = intersect_interval_sets(common, m.domain())
-        if not common:
-            break
+    for level in _levels(pres, depth):
+        for m in level:
+            common = intersect_interval_sets(common, m.domain())
+            if not common:
+                return common
     return common
 
 
@@ -647,10 +672,12 @@ def nontriviality_witness(pres: PAGroupPresentation, word: Word, budget: int) ->
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     g = word_apply(pres, word)
-    for depth in range(1, budget + 1):
-        maps = enumerate_maps(pres, depth)
-        common: tuple[Interval, ...] = (pres.space.whole(),)
-        for m in maps:
+    levels = _levels(pres, budget)
+    maps = list(next(levels))  # the identity, defined everywhere
+    common: tuple[Interval, ...] = (pres.space.whole(),)
+    for level in levels:  # lengths 1..budget, each composed once
+        maps += level
+        for m in level:
             common = intersect_interval_sets(common, m.domain())
         for t in _candidate_points(common):
             for f in maps:
@@ -677,18 +704,66 @@ def pamap_to_obj(f: PAMap) -> dict:
     }
 
 
-def pamap_from_obj(obj: dict) -> PAMap:
-    sp = Space(rat(obj["space"]["length"]), bool(obj["space"]["circle"]))
-    pieces = [
-        AffinePiece(Interval(rat(p["dom"][0]), rat(p["dom"][1])), rat(p["a"]), rat(p["b"]))
-        for p in obj["pieces"]
-    ]
-    return PAMap.make(sp, pieces)
+_JSON_NAMES = {dict: "object", list: "list", str: "string", int: "integer", bool: "boolean"}
+
+
+def _shown(v) -> str:
+    """v as JSON text, shortened, for an error message."""
+    text = json.dumps(v, default=repr)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
+def _json_value(v, path: str, kind: type):
+    """v as the JSON type `kind`: dict, list, str, int or bool (a bool is no
+    integer), or Fraction for a rational, which is a "p/q" string or a JSON
+    integer.  The ValueError names the field by its `path`."""
+    if kind is Fraction:
+        if type(v) is not str and type(v) is not int:
+            raise ValueError(f"{path}: not a rational string or JSON integer: {_shown(v)}")
+        try:
+            return rat(v)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    if type(v) is not kind:
+        raise ValueError(f"{path}: not a JSON {_JSON_NAMES[kind]}: {_shown(v)}")
+    return v
+
+
+def _json_field(obj: dict, key: str, prefix: str, kind: type):
+    """obj[key] as the JSON type `kind`; `prefix` is the path of obj."""
+    path = f"{prefix}.{key}" if prefix else key
+    if key not in obj:
+        raise ValueError(f"missing field {path!r}")
+    return _json_value(obj[key], path, kind)
+
+
+def pamap_from_obj(obj) -> PAMap:
+    """The map of a JSON form; malformed input raises a ValueError naming the field."""
+    sp = _json_field(_json_value(obj, "map", dict), "space", "", dict)
+    space = Space(_json_field(sp, "length", "space", Fraction), _json_field(sp, "circle", "space", bool))
+    pieces = []
+    for i, p in enumerate(_json_field(obj, "pieces", "", list)):
+        path = f"pieces[{i}]"
+        dom = _json_field(_json_value(p, path, dict), "dom", path, list)
+        if len(dom) != 2:
+            raise ValueError(f"{path}.dom: not a list of two rationals: {_shown(dom)}")
+        lo, hi = (_json_value(v, f"{path}.dom", Fraction) for v in dom)
+        a, b = (_json_field(p, key, path, Fraction) for key in "ab")
+        pieces.append(AffinePiece(Interval(lo, hi), a, b))
+    return PAMap.make(space, pieces)
 
 
 def presentation_to_obj(pres: PAGroupPresentation) -> dict:
     return {name: pamap_to_obj(m) for name, m in pres.generators}
 
 
-def presentation_from_obj(obj: dict) -> PAGroupPresentation:
-    return PAGroupPresentation.make([(name, pamap_from_obj(m)) for name, m in obj.items()])
+def presentation_from_obj(obj) -> PAGroupPresentation:
+    """The presentation of a JSON object mapping generator names to maps; a
+    ValueError names the generator and the field at fault."""
+    gens = []
+    for name, m in _json_value(obj, "presentation", dict).items():
+        try:
+            gens.append((name, pamap_from_obj(m)))
+        except ValueError as exc:
+            raise ValueError(f"generator {name}: {exc}") from None
+    return PAGroupPresentation.make(gens)

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from . import pamaps
-from .pamaps import Interval, PAGroupPresentation, PAMap, rat, rat_str
+from .pamaps import Interval, PAGroupPresentation, PAMap, _shown, rat, rat_str
 
 
 class TileSetError(Exception):
@@ -323,12 +323,6 @@ class GroupTileSet:
             raise ValueError("outputs must match the generators")
         self.as_ztileset()  # reuse the bit range and duplicate checks
 
-    def zphi(self, t: ZTile) -> HLabel:
-        return t.left
-
-    def zpsi(self, t: ZTile) -> HLabel:
-        return t.right
-
     def phi(self, t: ZTile, h: str) -> int:
         return t.bottom(h)
 
@@ -604,12 +598,6 @@ def tile_to_obj(t: ZTile) -> dict:
         "left": label_to_obj(t.left),
         "right": label_to_obj(t.right),
     }
-
-
-def _shown(v) -> str:
-    """v as JSON text, shortened, for an error message."""
-    text = json.dumps(v, default=repr)
-    return text if len(text) <= 60 else text[:57] + "..."
 
 
 def _int(v) -> int:

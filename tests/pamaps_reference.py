@@ -4,7 +4,9 @@ These are the `Interval`/`AffinePiece` forms of `compose`, `invert` and
 canonicalization: every intermediate piece is a checked object, each piece is
 range-checked against an `Interval` of the whole space, `word_apply` inverts
 a letter at each occurrence, `periodic_points` rebuilds f^k for every k and
-`intersect_interval_sets` intersects every pair of intervals.  The library runs
+`intersect_interval_sets` intersects every pair of intervals, and
+`nontriviality_witness` rebuilds the ball from the identity for every depth
+up to its budget.  The library runs
 the same algebra on plain (lo, hi, slope, offset) tuples; the differential
 tests require identical canonical pieces and identical exceptions.
 """
@@ -27,6 +29,7 @@ from kariforge.pamaps import (
     SpaceMismatch,
     Word,
     ZeroSlope,
+    apply,
     fixed_points,
 )
 
@@ -246,3 +249,33 @@ def common_domain(pres: PAGroupPresentation, depth: int) -> tuple[Interval, ...]
             break
     return common
 
+
+
+def _candidate_points(ivs: Sequence[Interval]) -> list[Fraction]:
+    pts: list[Fraction] = []
+    for iv in ivs:
+        span = iv.hi - iv.lo
+        pts.extend([iv.lo, iv.hi, iv.lo + span / 2, iv.lo + span / 3, iv.lo + 2 * span / 3])
+    return sorted(set(pts))
+
+
+def nontriviality_witness(pres: PAGroupPresentation, word: Word, budget: int) -> Optional[Fraction]:
+    """Search for t with g(f(t)) != f(t) for some composite f; None means unknown."""
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
+    g = word_apply(pres, word)
+    for depth in range(1, budget + 1):
+        maps = enumerate_maps(pres, depth)
+        common: tuple[Interval, ...] = (Interval(Fraction(0), pres.space.length),)
+        for m in maps:
+            common = intersect_interval_sets(common, merge_intervals(p.dom for p in m.pieces))
+        for t in _candidate_points(common):
+            for f in maps:
+                try:
+                    s = apply(f, t)
+                    gs = apply(g, s)
+                except OutOfDomain:
+                    continue
+                if not pres.space.equiv(gs, s):
+                    return t
+    return None

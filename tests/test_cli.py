@@ -347,7 +347,7 @@ def test_verify_oracle_matches_per_k_periodic_points_on_rotations(kari_tiles_fil
             assert [e["k"] for e in got] == [k for k in range(1, 9) if k % q == 0]
 
 
-@given(circle_homeos(), st.integers(0, 8))
+@given(circle_homeos(), st.integers(1, 8))
 @settings(max_examples=25, deadline=None)
 def test_verify_oracle_matches_per_k_periodic_points_on_homeos(kari_tiles_file, f, max_k):
     assert oracle_report(kari_tiles_file, f, max_k) == per_k_points(f, max_k)
@@ -360,3 +360,106 @@ def test_verify_builds_one_power_chain(kari_tiles_file, monkeypatch, max_k):
     monkeypatch.setattr(pamaps, "compose", lambda f, g: calls.append(1) or compose(f, g))
     oracle_report(kari_tiles_file, kari_map(), max_k)
     assert len(calls) == max_k - 1
+
+
+# -- verify's search bounds ------------------------------------------------
+
+
+@pytest.mark.parametrize("flag, value", [("--max-n", "0"), ("--max-n", "-1"), ("--max-k", "0"), ("--max-k", "-2")])
+def test_verify_refuses_bounds_below_one(tmp_path, identity_map_file, capsys, flag, value):
+    # with these bounds the identity's tile set would report clean having searched nothing
+    tiles_file = tmp_path / "id.json"
+    main(["gen", "--map", identity_map_file, "--out", str(tiles_file)])
+    argv = ["verify", "--tiles", str(tiles_file), "--map", identity_map_file,
+            "--max-n", "2", "--max-k", "2", "--out", str(tmp_path / "rep.json")]
+    argv[argv.index(flag) + 1] = value
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {flag} must be >= 1, got {value}\n"
+    assert not (tmp_path / "rep.json").exists()
+
+
+# -- malformed map and pattern-problem files --------------------------------
+
+
+def _map_file(tmp_path, edit) -> str:
+    obj = pamaps.pamap_to_obj(kari_map())
+    path = tmp_path / "bad-map.json"
+    path.write_text(json.dumps(edit(obj)))
+    return str(path)
+
+
+def _with(path, value):
+    def edit(obj):
+        target = obj
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return obj
+    return edit
+
+
+# (edit of the z-kari map file, the error line after "error: ")
+MALFORMED_MAPS = {
+    "a 1.5": (_with(("pieces", 0, "a"), 1.5), "pieces[0].a: not a rational string or JSON integer: 1.5"),
+    "document [1, 2]": (lambda obj: [1, 2], "map: not a JSON object: [1, 2]"),
+    "circle 'yes'": (_with(("space", "circle"), "yes"), 'space.circle: not a JSON boolean: "yes"'),
+}
+
+
+@pytest.mark.parametrize("command", ["gen", "simulate", "verify"])
+@pytest.mark.parametrize("case", list(MALFORMED_MAPS))
+def test_malformed_map_file_is_an_error(tmp_path, capsys, command, case):
+    edit, words = MALFORMED_MAPS[case]
+    map_file = _map_file(tmp_path, edit)
+    if command == "gen":
+        argv = ["gen", "--map", map_file, "--out", str(tmp_path / "out")]
+    elif command == "simulate":
+        argv = ["simulate", "--map", map_file, "--x", "1/3"]
+    else:
+        tiles_file = tmp_path / "kari.json"
+        main(["gen", "--preset", "z-kari", "--out", str(tiles_file)])
+        argv = ["verify", "--tiles", str(tiles_file), "--map", map_file, "--out", str(tmp_path / "out")]
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {words}\n"
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("edit, words", [
+    (_with(("patterns",), {}), "patterns: not a JSON list: {}"),
+    (_with(("alphabet",), 2.7), "alphabet: not a JSON integer: 2.7"),
+    (_with(("patterns", 0, "cells", 0, "letter"), "0"), 'patterns[0]: cells[0].letter: not a JSON integer: "0"'),
+], ids=["patterns {}", "alphabet 2.7", "letter '0'"])
+def test_malformed_problem_file_is_an_error(tmp_path, capsys, edit, words):
+    obj = {"alphabet": 2, "patterns": [{"cells": [{"word": "x1", "letter": 0}]}]}
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(edit(obj)))
+    assert main(["freegroup", "--problem", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {words}\n"
+    assert captured.out == ""
+
+
+# -- the README's command lines parse --------------------------------------
+
+import shlex  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+from kariforge.cli import build_parser  # noqa: E402
+
+
+def readme_commands() -> list[list[str]]:
+    """Each `kariforge ...` line of the README's "Command line" block, split into words."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    return [shlex.split(line, comments=True) for line in block.splitlines() if line.startswith("kariforge ")]
+
+
+def test_readme_command_lines_parse():
+    commands = readme_commands()
+    assert len(commands) >= 8
+    for argv in commands:
+        build_parser().parse_args(argv[1:])  # exits with status 2 on an unknown command or flag

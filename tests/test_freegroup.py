@@ -322,3 +322,42 @@ def test_problem_json_shape():
     assert obj["alphabet"] == 2
     assert obj["patterns"][0]["cells"][0]["word"] == ""
     assert problem_from_obj(json.loads(json.dumps(obj))) == EQUAL_PAIR
+
+
+def _problem_obj(edit):
+    obj = problem_to_obj(EQUAL_PAIR)
+    edit(obj)
+    return obj
+
+
+def _set_cell(field, value):
+    return lambda obj: obj["patterns"][0]["cells"][0].__setitem__(field, value)
+
+
+# (edit of EQUAL_PAIR's JSON form, the ValueError's text)
+MALFORMED_PROBLEMS = {
+    "patterns {}": (lambda obj: obj.__setitem__("patterns", {}), "patterns: not a JSON list: {}"),
+    "alphabet 2.7": (lambda obj: obj.__setitem__("alphabet", 2.7), "alphabet: not a JSON integer: 2.7"),
+    "alphabet true": (lambda obj: obj.__setitem__("alphabet", True), "alphabet: not a JSON integer: true"),
+    "alphabet missing": (lambda obj: obj.pop("alphabet"), "missing field 'alphabet'"),
+    "letter '0'": (_set_cell("letter", "0"), 'patterns[0]: cells[0].letter: not a JSON integer: "0"'),
+    "letter 1.0": (_set_cell("letter", 1.0), "patterns[0]: cells[0].letter: not a JSON integer: 1.0"),
+    "word 5": (_set_cell("word", 5), "patterns[0]: cells[0].word: not a JSON string: 5"),
+    "word y1": (_set_cell("word", "y1"), "patterns[0]: cells[0].word: bad word syntax at 'y1'"),
+    "cell []": (lambda obj: obj["patterns"][0]["cells"].__setitem__(0, []),
+                "patterns[0]: cells[0]: not a JSON object: []"),
+    "pattern 3": (lambda obj: obj["patterns"].__setitem__(0, 3), "patterns[0]: pattern: not a JSON object: 3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_PROBLEMS))
+def test_malformed_problem_raises_value_error_naming_the_field(case):
+    edit, text = MALFORMED_PROBLEMS[case]
+    with pytest.raises(ValueError) as info:
+        problem_from_obj(_problem_obj(edit))
+    assert str(info.value) == text
+
+
+def test_problem_document_must_be_an_object():
+    with pytest.raises(ValueError, match=r"^problem: not a JSON object: \[\]"):
+        problem_from_obj([])

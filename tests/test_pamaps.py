@@ -721,6 +721,8 @@ def test_word_apply_matches_reference(case):
 
 
 def test_word_apply_inverts_each_letter_once(psl2z, monkeypatch):
+    # the presentation keeps the inverses it checked when it was built, so a
+    # word inverts nothing
     import kariforge.pamaps as kernel
 
     calls = []
@@ -728,7 +730,7 @@ def test_word_apply_inverts_each_letter_once(psl2z, monkeypatch):
     monkeypatch.setattr(kernel, "invert", lambda m: calls.append(m) or real(m))
     word = parse_word(psl2z, "DDEdDEEd")
     assert word_apply(psl2z, word).pieces == reference.word_apply(psl2z, word).pieces
-    assert len(calls) == 2
+    assert len(calls) == 0
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -756,3 +758,207 @@ def test_intersect_interval_sets_matches_reference(a, b):
 def test_witness_rejects_budget_below_one(psl2z, budget):
     with pytest.raises(ValueError, match="budget must be >= 1"):
         nontriviality_witness(psl2z, parse_word(psl2z, "dd"), budget)
+
+
+# -- one word engine: letters, composites and the breadth-first walk -------
+
+from kariforge.freegroup import pa_oracle  # noqa: E402
+from kariforge.pamaps import PAGroupPresentation  # noqa: E402
+
+
+def test_presentation_keeps_its_inverses(psl2z):
+    d, e = psl2z.map_for("d"), psl2z.map_for("e")
+    assert psl2z.letters == {1: d, -1: invert(d), 2: e, -2: invert(e)}
+    assert "letters" not in repr(psl2z)
+    twin = PAGroupPresentation(psl2z.space, psl2z.generators)
+    assert twin == psl2z and hash(twin) == hash(psl2z)
+
+
+# generators a direct PAGroupPresentation(...) refuses, as make does
+BAD_GENERATORS = {
+    "zero slope": ((("z", piecemap(SEG1, [(0, 1, 0, F(1, 2))])),),
+                   ZeroSlope("piece on [0, 1] has slope 0")),
+    "not injective": ((("n", piecemap(SEG1, [(0, F(1, 2), 1, 0), (F(1, 2), 1, -1, 1)])),),
+                      NotInjective("overlapping pieces on [0, 1/2] with different functions")),
+    "other space": ((("x", identity(SEG1)), ("y", identity(CIRCLE1))),
+                    SpaceMismatch("generator y lives on a different space")),
+}
+
+
+@pytest.mark.parametrize("label", sorted(BAD_GENERATORS))
+def test_direct_presentation_validates(label):
+    gens, error = BAD_GENERATORS[label]
+    for build in (lambda: PAGroupPresentation(SEG1, gens), lambda: PAGroupPresentation.make(gens)):
+        with pytest.raises(type(error)) as info:
+            build()
+        assert str(info.value) == str(error)
+    with pytest.raises(ValueError, match="needs at least one generator"):
+        PAGroupPresentation.make({})
+
+
+def test_words_refuse_unknown_generators(psl2z):
+    for decide in (word_apply, is_identity_word):
+        with pytest.raises(UnknownGenerator, match="^z$"):
+            decide(psl2z, (("d", 1), ("z", -1)))
+
+
+def count_calls(monkeypatch, owner, attr):
+    calls = []
+    real = getattr(owner, attr)
+    monkeypatch.setattr(owner, attr, lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_words_and_walks_invert_nothing(name, monkeypatch):
+    import kariforge.pamaps as kernel
+
+    pres = PRESETS[name]
+    calls = count_calls(monkeypatch, kernel, "invert")
+    word = tuple((n, s) for n in pres.names() for s in (-1, 1))
+    word_apply(pres, word)
+    is_identity_word(pres, word)
+    nontriviality_witness(pres, word[:2], 1)
+    enumerate_maps(pres, 2)
+    common_domain(pres, 2)
+    oracle = pa_oracle(pres)
+    for w in [(1,), (-1,), (1, -1)]:
+        oracle(w)
+    assert calls == []
+
+
+def short_words(name, max_size):
+    letters = st.tuples(st.sampled_from(PRESETS[name].names()), st.sampled_from([1, -1]))
+    return st.lists(letters, max_size=max_size).map(tuple)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_witness_matches_reference(name, data):
+    pres = PRESETS[name]
+    word = data.draw(short_words(name, 3))
+    budget = data.draw(st.integers(1, 3))
+    assert nontriviality_witness(pres, word, budget) == reference.nontriviality_witness(pres, word, budget)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_is_identity_word_agrees_with_pa_oracle(name, data):
+    pres = PRESETS[name]
+    word = data.draw(short_words(name, 6))
+    names = pres.names()
+    signed = tuple(names.index(n) + 1 if s > 0 else -names.index(n) - 1 for n, s in word)
+    oracle = pa_oracle(pres)
+    assert is_identity_word(pres, word) == oracle(signed)
+    assert oracle.composite(signed).pieces == reference.word_apply(pres, word).pieces
+
+
+def test_witness_walks_the_ball_once(psl2z, monkeypatch):
+    import kariforge.pamaps as kernel
+
+    word = parse_word(psl2z, "ddd")
+    calls = count_calls(monkeypatch, kernel, "compose")
+    enumerate_maps(psl2z, 3)
+    walk = len(calls)
+    assert nontriviality_witness(psl2z, word, 3) is None
+    assert len(calls) - walk == walk + len(word)
+
+
+def test_witness_tries_the_identity():
+    # a b moves 1/3, while a, a^-1, b and b^-1 all carry 1/3 to points a b fixes
+    a = piecemap(SEG1, [(0, F(3, 4), F(1, 3), 0), (F(3, 4), F(7, 8), 2, F(-5, 4)), (F(7, 8), 1, 4, -3)])
+    b = piecemap(SEG1, [(0, F(1, 8), 3, 0), (F(1, 8), F(3, 8), F(3, 2), F(3, 16)),
+                        (F(3, 8), F(1, 2), 1, F(3, 8)), (F(1, 2), 1, F(1, 4), F(3, 4))])
+    pres = PAGroupPresentation.make({"a": a, "b": b})
+    word = parse_word(pres, "ab")
+    assert nontriviality_witness(pres, word, 1) == reference.nontriviality_witness(pres, word, 1) == F(1, 3)
+
+
+def test_common_domain_can_be_empty():
+    # q carries [0, 1/4] onto [1/2, 3/4], so q and its inverse share no point
+    pres = PAGroupPresentation.make({"q": piecemap(SEG1, [(0, F(1, 4), 1, F(1, 2))])})
+    for depth in (1, 2):
+        assert common_domain(pres, depth) == reference.common_domain(pres, depth) == ()
+    assert nontriviality_witness(pres, parse_word(pres, "q"), 2) is None
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+def test_enumerate_maps_composes_no_level_past_depth_and_no_domain(thompson_t, monkeypatch, depth):
+    import kariforge.pamaps as kernel
+
+    # every map of the ball of radius depth - 1 meets each of the 6 letters once
+    below = len(reference.enumerate_maps(thompson_t, depth - 1)) if depth else 0
+    composed = count_calls(monkeypatch, kernel, "compose")
+    domains = count_calls(monkeypatch, PAMap, "domain")
+    enumerate_maps(thompson_t, depth)
+    assert len(composed) == 2 * len(thompson_t.generators) * below
+    assert domains == []
+
+
+@pytest.mark.xfail(strict=True, reason="V's word problem needs a normal form on the Cantor set: "
+                                       "a composite partial off it never equals the total identity")
+@pytest.mark.parametrize("text", ["pi0pi0", "aA"])
+def test_thompson_v_identities(thompson_v, text):
+    assert is_identity_word(thompson_v, parse_word(thompson_v, text))
+
+
+# -- the map loader refuses malformed input ----------------------------------
+
+
+def _map_obj(edit):
+    obj = pamap_to_obj(identity(SEG1))
+    edit(obj)
+    return obj
+
+
+def _set_piece(field, value):
+    return lambda obj: obj["pieces"][0].__setitem__(field, value)
+
+
+# (edit of the identity map's JSON form, the ValueError's text)
+MALFORMED_MAPS = {
+    "a 1.5": (_set_piece("a", 1.5), "pieces[0].a: not a rational string or JSON integer: 1.5"),
+    "b true": (_set_piece("b", True), "pieces[0].b: not a rational string or JSON integer: true"),
+    "b 1/0": (_set_piece("b", "1/0"), "pieces[0].b: zero denominator in '1/0'"),
+    "a missing": (lambda obj: obj["pieces"][0].pop("a"), "missing field 'pieces[0].a'"),
+    "dom of one": (_set_piece("dom", ["0"]), 'pieces[0].dom: not a list of two rationals: ["0"]'),
+    "dom 0.5": (_set_piece("dom", [0, 0.5]), "pieces[0].dom: not a rational string or JSON integer: 0.5"),
+    "piece 5": (lambda obj: obj["pieces"].__setitem__(0, 5), "pieces[0]: not a JSON object: 5"),
+    "pieces {}": (lambda obj: obj.__setitem__("pieces", {}), "pieces: not a JSON list: {}"),
+    "space missing": (lambda obj: obj.pop("space"), "missing field 'space'"),
+    "length x": (lambda obj: obj["space"].__setitem__("length", "x"),
+                 "space.length: Invalid literal for Fraction: 'x'"),
+    "circle 1": (lambda obj: obj["space"].__setitem__("circle", 1), "space.circle: not a JSON boolean: 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MAPS))
+def test_malformed_map_raises_value_error_naming_the_field(case):
+    edit, text = MALFORMED_MAPS[case]
+    with pytest.raises(ValueError) as info:
+        pamap_from_obj(_map_obj(edit))
+    assert str(info.value) == text
+
+
+@pytest.mark.parametrize("doc", [[1, 2], 5, "map", None])
+def test_map_document_must_be_an_object(doc):
+    with pytest.raises(ValueError, match="^map: not a JSON object"):
+        pamap_from_obj(doc)
+
+
+def test_map_rationals_may_be_json_integers():
+    obj = {"space": {"length": 1, "circle": False}, "pieces": [{"dom": [0, 1], "a": 1, "b": 0}]}
+    assert pamap_from_obj(obj) == identity(SEG1)
+
+
+def test_malformed_presentation_names_the_generator(psl2z):
+    from kariforge.pamaps import presentation_from_obj, presentation_to_obj
+
+    obj = presentation_to_obj(psl2z)
+    obj["e"]["pieces"][1]["a"] = 0.5
+    with pytest.raises(ValueError, match=r"^generator e: pieces\[1\]\.a: not a rational"):
+        presentation_from_obj(obj)
+    with pytest.raises(ValueError, match="^presentation: not a JSON object"):
+        presentation_from_obj([obj])
