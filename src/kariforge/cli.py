@@ -9,6 +9,7 @@ search budgets.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -161,7 +162,9 @@ def cmd_render(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on the first call and shared after it."""
     ap = argparse.ArgumentParser(prog="kariforge",
                                  description="piecewise affine maps -> Wang tile sets, with verification")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -172,7 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--preset", help="preset name: " + ", ".join(sorted(presets.PRESETS)))
     g.add_argument("--out", help="output file (default stdout)")
     g.add_argument("--fast-path", choices=["on", "off"], default="on")
-    g.set_defaults(fn=cmd_gen)
 
     v = sub.add_parser("verify", help="verify a tile set; exit 2 on periodicity, 3 on violation")
     v.add_argument("--tiles", required=True)
@@ -180,13 +182,11 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--max-n", type=int, default=8)
     v.add_argument("--max-k", type=int, default=6)
     v.add_argument("--out", help="report file (default stdout)")
-    v.set_defaults(fn=cmd_verify)
 
     s = sub.add_parser("simulate", help="print the witness row encoding a rational")
     s.add_argument("--map", required=True)
     s.add_argument("--x", required=True, help='rational like "5/7"')
     s.add_argument("--window", type=int, default=16)
-    s.set_defaults(fn=cmd_simulate)
 
     gr = sub.add_parser("group", help="word problem / nontriviality on a preset")
     gr.add_argument("--preset", required=True)
@@ -195,24 +195,23 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--is-identity", action="store_true")
     mode.add_argument("--witness", action="store_true")
     gr.add_argument("--budget", type=int, default=4)
-    gr.set_defaults(fn=cmd_group)
 
     fg = sub.add_parser("freegroup", help="pattern-family emptiness over a free group")
     fg.add_argument("--problem", required=True, help="pattern problem JSON file")
     fg.add_argument("--budget", type=int, default=freegroup.DEFAULT_BUDGET)
-    fg.set_defaults(fn=cmd_freegroup)
 
     r = sub.add_parser("render", help="draw a tile set as SVG")
     r.add_argument("--tiles", required=True)
     r.add_argument("--out", help="SVG file (default stdout)")
-    r.set_defaults(fn=cmd_render)
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # looked up by name: the shared parser may predate a wrapper that
+        # replaced a cmd_* function on this module (bench/tracing.py does)
+        return globals()[f"cmd_{args.command}"](args)
     except (pamaps.PAMapError, tiles.TileSetError, verify.VerifyError,
             ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

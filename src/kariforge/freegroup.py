@@ -375,6 +375,8 @@ def pattern_from_obj(obj) -> Pattern:
             w = word_from_str(word)
         except ValueError as exc:
             raise ValueError(f"{path}.word: {exc}") from None
+        if w in cells:
+            raise ValueError(f"{path}.word: a second cell at {word_to_str(w)!r}")
         cells[w] = _json_field(c, "letter", path, int)
     return Pattern.make(cells)
 
@@ -390,6 +392,10 @@ def problem_from_obj(obj) -> PatternProblem:
     for i, p in enumerate(_json_field(obj, "patterns", "", list)):
         try:
             patterns.append(pattern_from_obj(p))
+            for j, c in enumerate(p["cells"]):
+                if not 0 <= c["letter"] < alphabet:
+                    raise ValueError(f"cells[{j}].letter: {c['letter']} is not a letter"
+                                     f" of the {alphabet}-letter alphabet")
         except ValueError as exc:
             raise ValueError(f"patterns[{i}]: {exc}") from None
     return PatternProblem(alphabet, tuple(patterns))

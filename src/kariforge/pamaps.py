@@ -321,9 +321,6 @@ class PAMap:
     def is_total(self) -> bool:
         return self.domain() == (self.space.whole(),)
 
-    def is_empty(self) -> bool:
-        return not self.pieces
-
     def __call__(self, x: RatLike) -> Fraction:
         return apply(self, rat(x))
 

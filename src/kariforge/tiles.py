@@ -321,7 +321,7 @@ class GroupTileSet:
     def __post_init__(self):
         if sorted(n for n, _ in self.out_maxes) != sorted(self.generators):
             raise ValueError("outputs must match the generators")
-        self.as_ztileset()  # reuse the bit range and duplicate checks
+        ZTileSet(self.in_max, self.out_maxes, self.tiles, self.source)  # the bit range and duplicate checks
 
     def phi(self, t: ZTile, h: str) -> int:
         return t.bottom(h)
@@ -330,9 +330,6 @@ class GroupTileSet:
         if h not in self.generators:
             raise KeyError(h)
         return t.top
-
-    def as_ztileset(self) -> ZTileSet:
-        return ZTileSet(self.in_max, self.out_maxes, self.tiles, self.source)
 
 
 # ---------------------------------------------------------------------------
@@ -654,10 +651,6 @@ def _read_tile(obj, read, bits: dict, gens: Optional[list[str]]) -> ZTile:
     except ValueError as exc:
         raise ValueError(f"{field}: {exc}") from None
     return ZTile(top, bottoms, left, right)
-
-
-def tile_from_obj(obj: dict, atoms: Optional[dict[str, HLabel]] = None) -> ZTile:
-    return _read_tile(obj, _label_reader({} if atoms is None else atoms), {}, None)
 
 
 def _read_set(obj, group: bool) -> tuple:

@@ -361,9 +361,16 @@ def periodic_soundness(ts: ZTileSet, f: PAMap, n_max: int,
 # Stacked periodic configurations
 
 
-def _rot(word: tuple[int, ...], s: int) -> tuple[int, ...]:
-    n = len(word)
-    return tuple(word[(m - s) % n] for m in range(n))
+def _loop_lengths(succ: dict[int, set[int]], T0: int, k_max: int) -> list[int]:
+    """The lengths k <= k_max of the closed walks through T0 of the graph succ."""
+    frontier, ks = {T0}, []
+    for k in range(1, k_max + 1):
+        frontier = {B for T in frontier for B in succ.get(T, ())}
+        if T0 in frontier:
+            ks.append(k)
+        if not frontier:
+            break
+    return ks
 
 
 def stacked_periodic_scan(ts: ZTileSet, n_max: int, k_max: int) -> list[dict]:
@@ -380,61 +387,50 @@ def stacked_periodic_scan(ts: ZTileSet, n_max: int, k_max: int) -> list[dict]:
     bots = [t.bottom(name) for t in ts.tiles]
     found: dict[tuple[int, int, int], dict] = {}
     for n, sums in _closed_walk_sums(succ, tops, bots, n_max).items():
-        avg_succ: dict[Fraction, set[Fraction]] = {}
+        sum_succ: dict[int, set[int]] = {}  # top sum -> bottom sums, as averages over n
         for T, B in sums:
-            avg_succ.setdefault(Fraction(T, n), set()).add(Fraction(B, n))
-
-        def avg_loop_lengths(a0: Fraction) -> set[int]:
-            lengths = set()
-            frontier = {a0}
-            for k in range(1, k_max + 1):
-                frontier = {b for a in frontier for b in avg_succ.get(a, ())}
-                if a0 in frontier:
-                    lengths.add(k)
-                if not frontier:
-                    break
-            return lengths
-
-        loops = {a: ks for a in avg_succ if (ks := avg_loop_lengths(a))}
+            sum_succ.setdefault(T, set()).add(B)
+        loops = {T: ks for T in sum_succ if (ks := _loop_lengths(sum_succ, T, k_max))}
         if not loops:
             continue
-        looping_tops = {T for T, _ in sums if Fraction(T, n) in loops}
         # Every row of a stacked configuration, and every row on a BFS path
-        # from one row to a row that closes the stack, has its top average on
-        # an averages cycle of length <= k_max.  Leaving the other walks out
-        # changes neither those rows' BFS levels nor their parents.
+        # from one row to a row that closes the stack, has its top sum on a
+        # cycle of length <= k_max.  Leaving the other walks out changes
+        # neither those rows' BFS levels nor their parents.
         pairs: dict[tuple, dict[tuple, tuple]] = {}
         for walk in closed_walks(succ, n):
             row_tops = tuple(tops[i] for i in walk)
-            if sum(row_tops) in looping_tops:
+            if sum(row_tops) in loops:
                 pairs.setdefault(row_tops, {}).setdefault(tuple(bots[i] for i in walk), walk)
         for t0 in sorted(pairs):
-            ks = loops[Fraction(sum(t0), n)]
+            # a found (n, k, s) is never replaced, so only lengths with a
+            # shear still open can add to the report
+            ks = [k for k in loops[sum(t0)] if any((n, k, s) not in found for s in range(n))]
+            if not ks:
+                continue
+            shears: dict[tuple, list[int]] = {}  # t0 rotated right by s -> s
+            for s in range(n):
+                shears.setdefault(t0[n - s:] + t0[:n - s], []).append(s)
             # BFS over top words, remembering one parent per word per level
             levels: list[dict[tuple, Optional[tuple]]] = [{t0: None}]
-            for _ in range(1, max(ks)):
+            for _ in range(1, ks[-1]):
                 cur: dict[tuple, Optional[tuple]] = {}
                 for w in levels[-1]:
                     for b in pairs.get(w, ()):
                         if b in pairs and b not in cur:
                             cur[b] = w
                 levels.append(cur)
-            for k in sorted(ks):
+            for k in ks:
                 for w in levels[k - 1]:
                     for b in pairs[w]:
-                        for s in range(n):
+                        for s in shears.get(b, ()):
                             if (n, k, s) in found:
-                                continue
-                            if b != _rot(t0, s):
                                 continue
                             chain = [w]
                             for lvl in range(k - 1, 0, -1):
                                 chain.append(levels[lvl][chain[-1]])
                             chain.reverse()  # tops of rows 0..k-1
-                            rows = []
-                            for i, wt in enumerate(chain):
-                                nxt = chain[i + 1] if i + 1 < k else b
-                                rows.append(list(pairs[wt][nxt]))
+                            rows = [list(pairs[wt][nxt]) for wt, nxt in zip(chain, chain[1:] + [b])]
                             found[(n, k, s)] = {"n": n, "k": k, "shear": s, "rows": rows}
     return [found[key] for key in sorted(found)]
 

@@ -432,7 +432,10 @@ def test_malformed_map_file_is_an_error(tmp_path, capsys, command, case):
     (_with(("patterns",), {}), "patterns: not a JSON list: {}"),
     (_with(("alphabet",), 2.7), "alphabet: not a JSON integer: 2.7"),
     (_with(("patterns", 0, "cells", 0, "letter"), "0"), 'patterns[0]: cells[0].letter: not a JSON integer: "0"'),
-], ids=["patterns {}", "alphabet 2.7", "letter '0'"])
+    (_with(("patterns", 0, "cells"), [{"word": "x1", "letter": 0}, {"word": "x1", "letter": 1}]),
+     "patterns[0]: cells[1].word: a second cell at 'x1'"),
+    (_with(("patterns", 0, "cells", 0, "letter"), 7), "patterns[0]: cells[0].letter: 7 is not a letter of the 2-letter alphabet"),
+], ids=["patterns {}", "alphabet 2.7", "letter '0'", "cell repeated", "letter 7"])
 def test_malformed_problem_file_is_an_error(tmp_path, capsys, edit, words):
     obj = {"alphabet": 2, "patterns": [{"cells": [{"word": "x1", "letter": 0}]}]}
     path = tmp_path / "problem.json"

@@ -342,6 +342,10 @@ MALFORMED_PROBLEMS = {
     "alphabet missing": (lambda obj: obj.pop("alphabet"), "missing field 'alphabet'"),
     "letter '0'": (_set_cell("letter", "0"), 'patterns[0]: cells[0].letter: not a JSON integer: "0"'),
     "letter 1.0": (_set_cell("letter", 1.0), "patterns[0]: cells[0].letter: not a JSON integer: 1.0"),
+    "letter 2": (_set_cell("letter", 2), "patterns[0]: cells[0].letter: 2 is not a letter of the 2-letter alphabet"),
+    "letter -1": (_set_cell("letter", -1), "patterns[0]: cells[0].letter: -1 is not a letter of the 2-letter alphabet"),
+    "word repeated": (lambda obj: obj["patterns"][1]["cells"].append({"word": "x2X2x1", "letter": 0}),
+                      "patterns[1]: cells[2].word: a second cell at 'x1'"),
     "word 5": (_set_cell("word", 5), "patterns[0]: cells[0].word: not a JSON string: 5"),
     "word y1": (_set_cell("word", "y1"), "patterns[0]: cells[0].word: bad word syntax at 'y1'"),
     "cell []": (lambda obj: obj["patterns"][0]["cells"].__setitem__(0, []),

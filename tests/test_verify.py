@@ -456,6 +456,40 @@ def test_periodic_checks_match_walk_enumeration(case, n_max, k_max, stop_early):
     assert stacked_periodic_scan(ts, n_max, k_max) == reference.stacked_periodic_scan(ts, n_max, k_max)
 
 
+@pytest.mark.parametrize("q", range(1, 8))
+def test_stacked_scan_matches_walk_enumeration_on_rotations(q):
+    # every shear of every (n, k) up to the box, where rows repeat under
+    # rotation and most lattices are found before the last top word
+    for p in range(q):
+        ts = compiled(rotation_map(p, q))
+        for n_max, k_max in [(q, q), (8, 6)]:
+            assert stacked_periodic_scan(ts, n_max, k_max) == reference.stacked_periodic_scan(ts, n_max, k_max)
+
+
+def cycle_tiles(start, tops, bots):
+    """Tiles of one closed row, labels start, start + 1, ... around it."""
+    n = len(tops)
+    return [ZTile(t, (("f", b),), atom(start + i), atom(start + (i + 1) % n))
+            for i, (t, b) in enumerate(zip(tops, bots))]
+
+
+@pytest.mark.parametrize("rows, found", [
+    # row 001 closes on itself with shear 0, row 011 only with shear 1
+    ([((0, 0, 1), (0, 0, 1)), ((0, 1, 1), (1, 0, 1))], [(3, 1, 0), (3, 1, 1), (3, 2, 0), (3, 2, 2)]),
+    # rows 01 and 02 close every (2, 1, s) but only (2, 2, 0); (2, 2, 1)
+    # needs rows of sum 3, whose top words come later
+    ([((0, 1), (0, 1)), ((0, 2), (2, 0)), ((1, 2), (0, 3)), ((0, 3), (2, 1))],
+     [(2, 1, 0), (2, 1, 1), (2, 2, 0), (2, 2, 1)]),
+], ids=["shear", "length"])
+def test_stacked_scan_finds_lattices_only_later_top_words_close(rows, found):
+    ts = ZTileSet.make(3, {"f": 3}, [t for i, (tops, bots) in enumerate(rows)
+                                     for t in cycle_tiles(10 * i, tops, bots)])
+    n = len(rows[0][0])
+    report = stacked_periodic_scan(ts, n, 2)
+    assert report == reference.stacked_periodic_scan(ts, n, 2)
+    assert [(r["n"], r["k"], r["shear"]) for r in report] == found
+
+
 def test_kari_checks_list_no_walks(kari, kari_tiles, monkeypatch):
     listed = []
     real = verify.closed_walks
