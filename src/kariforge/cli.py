@@ -40,7 +40,10 @@ def _budget(default: int) -> int:
 
 
 def _load_tiles(path: str):
-    obj = _read_json(path)
+    return _tiles_from_obj(_read_json(path))
+
+
+def _tiles_from_obj(obj):
     if isinstance(obj, dict) and "generators" in obj:
         return tiles.grouptileset_from_obj(obj)
     return tiles.tileset_from_obj(obj)
@@ -149,8 +152,13 @@ def cmd_freegroup(args) -> int:
 
 
 def cmd_render(args) -> int:
-    ts = _load_tiles(args.tiles)
+    obj = _read_json(args.tiles)
     try:
+        # a set has one tile per entry of the document's list, so an
+        # oversized file is refused before a tile is decoded
+        if isinstance(obj, dict) and isinstance(obj.get("tiles"), list):
+            render.check_size(len(obj["tiles"]))
+        ts = _tiles_from_obj(obj)
         if isinstance(ts, tiles.GroupTileSet):
             svg = render.render_grouptileset(ts)
         else:

@@ -672,12 +672,16 @@ def nontriviality_witness(pres: PAGroupPresentation, word: Word, budget: int) ->
     levels = _levels(pres, budget)
     maps = list(next(levels))  # the identity, defined everywhere
     common: tuple[Interval, ...] = (pres.space.whole(),)
+    checked = None  # common at the last level searched: no map so far finds a t among its candidates
     for level in levels:  # lengths 1..budget, each composed once
         maps += level
         for m in level:
             common = intersect_interval_sets(common, m.domain())
+        # with the candidates unchanged, only the new maps can find a t
+        tried = level if common == checked else maps
+        checked = common
         for t in _candidate_points(common):
-            for f in maps:
+            for f in tried:
                 try:
                     s = apply(f, t)
                     gs = apply(g, s)

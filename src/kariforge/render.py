@@ -19,6 +19,12 @@ class TooLarge(Exception):
     pass
 
 
+def check_size(n: int) -> None:
+    """Refuse a picture of n tiles when n exceeds MAX_TILES."""
+    if n > MAX_TILES:
+        raise TooLarge(f"{n} tiles exceed the {MAX_TILES} tile limit")
+
+
 def _esc(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
@@ -97,8 +103,7 @@ def _document(body: list[str], width: int, height: int) -> str:
 
 
 def render_tileset(ts: ZTileSet) -> str:
-    if len(ts.tiles) > MAX_TILES:
-        raise TooLarge(f"{len(ts.tiles)} tiles exceed the {MAX_TILES} tile limit")
+    check_size(len(ts.tiles))
     cols, rows = _grid(len(ts.tiles))
     texts = _label_texts(ts.tiles)
     body: list[str] = []
@@ -113,8 +118,7 @@ def render_tileset(ts: ZTileSet) -> str:
 
 
 def render_grouptileset(g: GroupTileSet) -> str:
-    if len(g.tiles) > MAX_TILES:
-        raise TooLarge(f"{len(g.tiles)} tiles exceed the {MAX_TILES} tile limit")
+    check_size(len(g.tiles))
     cols, rows = _grid(len(g.tiles))
     texts = _label_texts(g.tiles)
     body: list[str] = []

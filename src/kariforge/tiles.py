@@ -52,11 +52,12 @@ class NotHomeo(TileSetError):
 class HLabel:
     """Structured side label: a carry, a tagged label, or a tuple of labels.
 
-    Instances are interned, so equality is identity and hashes are cached;
-    label-heavy operations (compose, product, trimming) rely on this.
+    Instances are interned by (kind, value), so equal labels are one object:
+    equality and hashing are the object's identity, which label-heavy
+    operations (compose, product, trimming) get without a Python call.
     """
 
-    __slots__ = ("kind", "value", "_hash", "_key")
+    __slots__ = ("kind", "value", "_key")
     _interned: dict = {}
 
     def __new__(cls, kind: str, value):
@@ -66,16 +67,9 @@ class HLabel:
         self = object.__new__(cls)
         self.kind = kind
         self.value = value
-        self._hash = hash((kind, value))
         self._key = None
         cls._interned[(kind, value)] = self
         return self
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return self is other
 
     def sort_key(self):
         # an atom's float comes first: it is correctly rounded, so it never
@@ -392,23 +386,22 @@ def union_tiles(A: ZTileSet, B: ZTileSet) -> ZTileSet:
 
 
 def compose_tiles(A: ZTileSet, B: ZTileSet) -> ZTileSet:
-    """Tiles of x -> f_B(f_A(x)): pairs whose middle bits agree."""
+    """Tiles of x -> f_B(f_A(x)): pairs whose middle bits agree, trimmed."""
     mid = A.out_max()
     if mid != B.in_max:
         raise AlphabetMismatch(f"A out alphabet {mid} != B in alphabet {B.in_max}")
-    tiles = []
     by_top: dict[int, list[ZTile]] = {}
     for tb in B.tiles:
         by_top.setdefault(tb.top, []).append(tb)
-    for ta in A.tiles:
-        for tb in by_top.get(ta.bottom(), []):
-            tiles.append(ZTile(ta.top, tb.bottoms, tup(ta.left, tb.left), tup(ta.right, tb.right)))
+    candidates = [(ta.top, tb.bottoms, (ta.left, tb.left), (ta.right, tb.right))
+                  for ta in A.tiles for tb in by_top.get(ta.bottom(), ())]
     src = PlanComp(A.source, B.source) if A.source is not None and B.source is not None else None
-    return ZTileSet.make(A.in_max, dict(B.out_maxes), tiles, source=src)
+    return _trimmed(A.in_max, dict(B.out_maxes), candidates, src)
 
 
 def product_tiles(components: Sequence[tuple[str, ZTileSet]]) -> ZTileSet:
-    """Synchronized product: one tile per choice of component tiles sharing a top bit.
+    """Synchronized product: one tile per choice of component tiles sharing a
+    top bit, trimmed.
 
     Each component must have a single output; in the product it is renamed to
     the component's name.
@@ -423,31 +416,78 @@ def product_tiles(components: Sequence[tuple[str, ZTileSet]]) -> ZTileSet:
     out_maxes = {name: c.out_max() for name, c in components}
     names = [name for name, _ in components]
     bottoms_of: dict[tuple[int, ...], tuple[tuple[str, int], ...]] = {}
-    tiles = []
+    candidates = []
     for t in range(in_max + 1):
         rows = [[(tile.bottom(), tile.left, tile.right) for tile in c.tiles if tile.top == t]
                 for _, c in components]
         for chosen in itertools.product(*rows):
-            bits = tuple(b for b, _, _ in chosen)
+            bits, lefts, rights = zip(*chosen)
             bottoms = bottoms_of.get(bits)
             if bottoms is None:
                 bottoms = bottoms_of[bits] = _mk_bottoms(dict(zip(names, bits)))
-            tiles.append(ZTile(t, bottoms, tup(*(l for _, l, _ in chosen)), tup(*(r for _, _, r in chosen))))
+            candidates.append((t, bottoms, lefts, rights))
     srcs = [(name, c.source) for name, c in components]
     src = PlanProd(tuple(srcs)) if all(s is not None for _, s in srcs) else None
-    return ZTileSet.make(in_max, out_maxes, tiles, source=src)
+    return _trimmed(in_max, out_maxes, candidates, src)
 
 
 # ---------------------------------------------------------------------------
 # Compiling a piecewise map
 
 
-def _successors(tiles: Sequence[ZTile]) -> list[list[int]]:
-    """Row adjacency: succ[i] lists the tiles whose left label is tile i's right."""
-    by_left: dict[HLabel, list[int]] = {}
-    for j, t in enumerate(tiles):
-        by_left.setdefault(t.left, []).append(j)
-    return [by_left.get(t.right, []) for t in tiles]
+def _successors(lefts: Sequence, rights: Sequence) -> list[list[int]]:
+    """Row adjacency of tiles given by their side labels: succ[i] lists the
+    j with lefts[j] == rights[i].  With the arguments swapped it lists the
+    tiles before i."""
+    by_left: dict = {}
+    for j, l in enumerate(lefts):
+        by_left.setdefault(l, []).append(j)
+    return [by_left.get(r, []) for r in rights]
+
+
+def _extendable(adj: list[list[int]], radj: list[list[int]]) -> list[bool]:
+    """ok[i]: an infinite walk along adj starts at i.  Peels off the nodes
+    whose every successor is already peeled, starting from the dead ends."""
+    out = [len(a) for a in adj]
+    ok = [True] * len(adj)
+    queue = [i for i, o in enumerate(out) if o == 0]
+    for i in queue:
+        ok[i] = False
+    while queue:
+        for u in radj[queue.pop()]:
+            out[u] -= 1
+            if out[u] == 0:  # adjacency lists hold no repeats, so once per u
+                ok[u] = False
+                queue.append(u)
+    return ok
+
+
+def _alive(lefts: Sequence, rights: Sequence) -> list[int]:
+    """The indices of the tiles, given by their side labels, that occur in a
+    bi-infinite row: those with an infinite forward and an infinite backward
+    extension (right label feeding the next left label)."""
+    succ = _successors(lefts, rights)
+    pred = _successors(rights, lefts)
+    return [i for i, (f, b) in enumerate(zip(_extendable(succ, pred), _extendable(pred, succ))) if f and b]
+
+
+def _trimmed(in_max: int, out_maxes: dict[str, int], candidates: list[tuple], source) -> ZTileSet:
+    """ZTileSet.make of the candidate tiles (top, bottoms, left parts, right
+    parts) that occur in a bi-infinite row, with side labels tup(*parts).
+    Trimming runs on the parts, so only the survivors become labels and
+    tiles: the set is trim_tiles of making every candidate."""
+    labels: dict[tuple[HLabel, ...], HLabel] = {}
+
+    def label(parts: tuple[HLabel, ...]) -> HLabel:
+        l = labels.get(parts)
+        if l is None:
+            l = labels[parts] = tup(*parts)
+        return l
+
+    alive = _alive([c[2] for c in candidates], [c[3] for c in candidates])
+    tiles = [ZTile(top, bottoms, label(l), label(r))
+             for top, bottoms, l, r in (candidates[i] for i in alive)]
+    return ZTileSet.make(in_max, out_maxes, tiles, source=source)
 
 
 def trim_tiles(ts: ZTileSet) -> ZTileSet:
@@ -458,27 +498,7 @@ def trim_tiles(ts: ZTileSet) -> ZTileSet:
     label), so the set of bi-infinite valid rows is preserved exactly.
     """
     tiles = ts.tiles
-    succ = _successors(tiles)
-    pred: list[list[int]] = [[] for _ in tiles]
-    for u, vs in enumerate(succ):
-        for v in vs:
-            pred[v].append(u)
-
-    def extendable(adj: list[list[int]], radj: list[list[int]]) -> set[int]:
-        out = [len(a) for a in adj]
-        queue = [i for i, o in enumerate(out) if o == 0]
-        dead = set(queue)
-        while queue:
-            d = queue.pop()
-            for u in radj[d]:
-                out[u] -= 1
-                if out[u] == 0 and u not in dead:
-                    dead.add(u)
-                    queue.append(u)
-        return {i for i in range(len(adj)) if i not in dead}
-
-    alive = extendable(succ, pred) & extendable(pred, succ)
-    kept = tuple(t for i, t in enumerate(tiles) if i in alive)
+    kept = tuple(tiles[i] for i in _alive([t.left for t in tiles], [t.right for t in tiles]))
     return ZTileSet._unchecked(ts.in_max, ts.out_maxes, kept, ts.source)
 
 
@@ -545,15 +565,17 @@ def pamap_plan(f: PAMap, fast_path: bool = True) -> Plan:
 
 
 def build_plan(plan: Plan, in_max: int, out_max: int, _cache=None) -> ZTileSet:
-    """Evaluate a plan, trimming non-recurrent tiles after every node so
-    intermediate compositions stay small."""
+    """Evaluate a plan into a trimmed tile set.  Only affine leaves are
+    trimmed here: compose and product nodes come back trimmed, and a union
+    of trimmed sets is trimmed, since its tags keep every row inside one
+    operand."""
     if _cache is None:
         _cache = {}
     key = (plan, in_max, out_max)
     if key in _cache:
         return _cache[key]
     if isinstance(plan, PlanAff):
-        ts = affine_tiles(plan.a, plan.b, in_max, out_max)
+        ts = trim_tiles(affine_tiles(plan.a, plan.b, in_max, out_max))
     elif isinstance(plan, PlanUnion):
         ts = union_tiles(build_plan(plan.first, in_max, out_max, _cache),
                          build_plan(plan.second, in_max, out_max, _cache))
@@ -564,7 +586,6 @@ def build_plan(plan: Plan, in_max: int, out_max: int, _cache=None) -> ZTileSet:
         ts = product_tiles([(name, build_plan(p, in_max, out_max, _cache)) for name, p in plan.parts])
     else:
         raise TypeError(f"not a plan: {plan!r}")
-    ts = trim_tiles(ts)
     _cache[key] = ts
     return ts
 

@@ -237,7 +237,8 @@ class TransitionGraph:
 
     @staticmethod
     def of(ts: ZTileSet | GroupTileSet) -> "TransitionGraph":
-        return TransitionGraph(tuple(map(tuple, tiles._successors(ts.tiles))))
+        lefts, rights = [t.left for t in ts.tiles], [t.right for t in ts.tiles]
+        return TransitionGraph(tuple(map(tuple, tiles._successors(lefts, rights))))
 
 
 def nonempty_rows(ts: ZTileSet | GroupTileSet) -> bool:

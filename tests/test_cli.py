@@ -466,3 +466,58 @@ def test_readme_command_lines_parse():
     assert len(commands) >= 8
     for argv in commands:
         build_parser().parse_args(argv[1:])  # exits with status 2 on an unknown command or flag
+
+
+# -- render refuses an oversized file before decoding it -------------------
+
+
+def _oversized(tmp_path, obj, copies):
+    """obj with its tiles list repeated `copies` times, written to a file."""
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(dict(obj, tiles=obj["tiles"] * copies)))
+    return str(path)
+
+
+@pytest.mark.parametrize("preset, copies", [("z-kari", 23), ("psl2z", 3)])
+def test_render_refuses_an_oversized_file_before_decoding(tmp_path, capsys, monkeypatch, preset, copies):
+    from kariforge import tiles
+
+    small = tmp_path / "small.json"
+    main(["gen", "--preset", preset, "--out", str(small)])
+    obj = json.loads(small.read_text())
+    n = len(obj["tiles"]) * copies
+    assert n > 500
+    decoded = []
+    read = tiles._read_tile
+    monkeypatch.setattr(tiles, "_read_tile", lambda *args: decoded.append(1) or read(*args))
+    capsys.readouterr()
+    # the repeated tiles would be refused as duplicates; size is checked first
+    assert main(["render", "--tiles", _oversized(tmp_path, obj, copies), "--out", str(tmp_path / "o.svg")]) == 1
+    assert capsys.readouterr().err == f"too large: {n} tiles exceed the 500 tile limit\n"
+    assert decoded == []
+    assert not (tmp_path / "o.svg").exists()
+    # a set of at most 500 tiles is still decoded and drawn
+    assert main(["render", "--tiles", str(small), "--out", str(tmp_path / "o.svg")]) == 0
+    assert len(decoded) == len(obj["tiles"])
+
+
+# -- output does not depend on the hash seed --------------------------------
+
+
+def test_gen_and_render_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    import kariforge
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kariforge.__file__)))
+    for seed in ("0", "4242"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        out, svg = tmp_path / f"psl2z-{seed}.json", tmp_path / f"psl2z-{seed}.svg"
+        for argv in (["gen", "--preset", "psl2z", "--out", str(out)],
+                     ["render", "--tiles", str(out), "--out", str(svg)]):
+            subprocess.run([sys.executable, "-m", "kariforge.cli", *argv], env=env, check=True,
+                           stdout=subprocess.DEVNULL)
+        assert _sha256(out) == "55a2d8946c429461ab6d8336acc8c7eb9d0abfcb3e23c1d035c1607fb3468ea9"
+        assert _sha256(svg) == "a51a957e25a7f5a78033c335f9ca0f64bca946793ce1a7300a70cb88e0e0708f"

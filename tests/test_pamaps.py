@@ -962,3 +962,60 @@ def test_malformed_presentation_names_the_generator(psl2z):
         presentation_from_obj(obj)
     with pytest.raises(ValueError, match="^presentation: not a JSON object"):
         presentation_from_obj([obj])
+
+
+# -- the witness search tries each (map, candidate) pair once --------------
+
+
+@st.composite
+def shrinking_presentations(draw):
+    """One or two injective circle maps, homeomorphisms with some pieces
+    dropped, so the common domain may shrink at some word lengths and stay
+    at others."""
+    L = draw(LENGTHS)
+    gens = {}
+    for name in draw(st.sampled_from([("p",), ("p", "q")])):
+        rows = draw(circle_homeo_rows(L))
+        keep = draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+        gens[name] = reference.make(Space(L, True), _pieces([r for r, k in zip(rows, keep) if k] or rows[:1]))
+    return PAGroupPresentation.make(gens)
+
+
+@given(shrinking_presentations(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_witness_matches_reference_on_shrinking_domains(pres, data):
+    letters = st.tuples(st.sampled_from(pres.names()), st.sampled_from([1, -1]))
+    word = data.draw(st.lists(letters, max_size=3).map(tuple))
+    budget = data.draw(st.integers(1, 4))
+    assert nontriviality_witness(pres, word, budget) == reference.nontriviality_witness(pres, word, budget)
+
+
+def test_witness_tries_each_map_once_while_the_candidates_stay(thompson_t, monkeypatch):
+    import kariforge.pamaps as kernel
+
+    # thompson-t's maps are total, so every level keeps the whole circle's
+    # candidates, and a pair already tried cannot find a t on a later level
+    word = parse_word(thompson_t, "aA")
+    calls = []
+    real = kernel.apply
+    monkeypatch.setattr(kernel, "apply", lambda f, x: calls.append((f, x)) or real(f, x))
+    assert nontriviality_witness(thompson_t, word, 4) is None
+    tried = calls[::2]  # each apply(f, t) is followed by g's apply at f(t)
+    points = {x for _, x in tried}
+    assert len(tried) == len(set(tried)) == len(enumerate_maps(thompson_t, 4)) * len(points)
+    assert len(calls) == 2 * len(tried) == 4790  # 6,470 when every level retried the ball
+
+
+def test_witness_tries_every_map_on_new_candidates(thompson_v, monkeypatch):
+    import kariforge.pamaps as kernel
+
+    # thompson-v's common domain shrinks at every level, so the new
+    # candidates must meet every map of the ball, the identity included
+    word = parse_word(thompson_v, "aA")
+    calls = []
+    real = kernel.apply
+    monkeypatch.setattr(kernel, "apply", lambda f, x: calls.append((f, x)) or real(f, x))
+    assert nontriviality_witness(thompson_v, word, 2) is None
+    assert common_domain(thompson_v, 2) != common_domain(thompson_v, 1)
+    points = kernel._candidate_points(common_domain(thompson_v, 2))
+    assert {(f, t) for f in enumerate_maps(thompson_v, 2) for t in points} <= set(calls)

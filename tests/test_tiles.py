@@ -217,8 +217,12 @@ def test_product_kari_component_count():
     b = affine_tiles(F(4, 3), F(1, 3), 1, 1)
     per_top = lambda ts, t: sum(1 for x in ts.tiles if x.top == t)
     expected = sum(per_top(a, t) * per_top(b, t) for t in (0, 1))
+    candidates = reference.product_tiles([("a", a), ("b", b)])
+    assert len(candidates.tiles) == expected == 52
+    # the product keeps only the candidates that occur in a bi-infinite row
     p = product_tiles([("a", a), ("b", b)])
-    assert len(p.tiles) == expected == 52
+    assert p.tiles == trim_tiles(candidates).tiles
+    assert len(p.tiles) == 42
 
 
 def test_product_projects_to_components():
@@ -699,7 +703,8 @@ def test_chain_matches_reference(checked_make):
 
 def test_trim_tiles_does_not_revalidate(monkeypatch):
     a = affine_tiles(F(2, 3), F(-1, 3), 1, 1)
-    ts = compose_tiles(union_tiles(a, affine_tiles(F(4, 3), F(1, 3), 1, 1)), a)
+    # compose_tiles trims its result, so the untrimmed composite comes from the reference
+    ts = reference.compose_tiles(union_tiles(a, affine_tiles(F(4, 3), F(1, 3), 1, 1)), a)
     calls = []
     check = ZTileSet.__post_init__
 
@@ -769,3 +774,108 @@ def test_affine_completeness_any_slope_sign(a, b, x, m):
     row = witness_row(ts, x, 48)
     assert tuple(t.top for t in row) == tuple(
         math.floor((n + 1) * x) - math.floor(n * x) for n in range(-48, 49))
+
+
+# -- trimmed compose/product nodes, one trim per affine leaf ---------------
+
+from kariforge.tiles import (PlanAff, PlanComp, PlanProd, PlanUnion, TileSetError, build_plan,  # noqa: E402
+                             pamap_plan)
+from test_verify import circle_homeos, interval_maps  # noqa: E402
+
+
+def test_labels_hash_and_compare_by_identity():
+    assert "__hash__" not in vars(HLabel) and "__eq__" not in vars(HLabel)
+    l = tup(atom(F(1, 3)), tag("L", atom(0)))
+    assert l is tup(atom(F(1, 3)), tag("L", atom(0)))
+    assert hash(l) == object.__hash__(l)
+
+
+def built(build, *args):
+    """("ok", the set's fields and source) or ("error", the exception's type and text)."""
+    try:
+        ts = build(*args)
+    except (TileSetError, ValueError) as exc:
+        return "error", type(exc), str(exc)
+    return "ok", ts.in_max, ts.out_maxes, ts.tiles, ts.source
+
+
+@given(st.one_of(circle_homeos(max_denominator=4), interval_maps()), st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_build_plan_matches_reference_on_maps(f, fast_path):
+    plan, m = pamap_plan(f, fast_path), tiles.bit_max(f.space)
+    assert built(build_plan, plan, m, m) == built(reference.build_plan, plan, m, m)
+
+
+AFFINE_MENU = [PlanAff(a, b) for a, b in ((F(1), F(0)), (F(2, 3), F(-1, 3)), (F(4, 3), F(1, 3)),
+                                           (F(-1), F(1)), (F(1, 2), F(1, 4)), (F(3, 2), F(-1, 2)))]
+
+
+def small_plans(max_leaves=3):
+    """Plans over a few affine leaves, with unions and compositions."""
+    leaves = st.sampled_from(AFFINE_MENU)
+    return st.recursive(leaves, lambda sub: st.one_of(st.builds(PlanUnion, sub, sub), st.builds(PlanComp, sub, sub)),
+                        max_leaves=max_leaves)
+
+
+def product_parts():
+    """1-3 plans over bits 0..1: small plans, or a circle homeomorphism's plan
+    with at most one small plan beside it, so no product has more than about
+    15,000 candidate tiles."""
+    homeo_plans = st.builds(pamap_plan, circle_homeos(max_denominator=3), st.booleans())
+    return st.one_of(st.lists(small_plans(2), min_size=1, max_size=3),
+                     st.lists(small_plans(), min_size=0, max_size=1).flatmap(
+                         lambda rest: homeo_plans.map(lambda p: [p] + rest)).flatmap(st.permutations))
+
+
+@given(product_parts())
+@settings(max_examples=40, deadline=None)
+def test_build_plan_matches_reference_on_products(parts):
+    plan = PlanProd(tuple((f"g{i}", p) for i, p in enumerate(parts)))
+    assert built(build_plan, plan, 1, 1) == built(reference.build_plan, plan, 1, 1)
+
+
+def untrimmed_sets(m):
+    """Untrimmed single-output sets over bits 0..m: affine sets, their unions
+    and reference compositions (every candidate, dead or not)."""
+    affine = st.sampled_from(AFFINE_MENU).map(lambda p: affine_or_empty(p, m))
+    return st.recursive(affine, lambda sub: st.one_of(st.builds(union_tiles, sub, sub),
+                                                      st.builds(reference.compose_tiles, sub, sub)),
+                        max_leaves=3)
+
+
+def affine_or_empty(p, m):
+    try:
+        return affine_tiles(p.a, p.b, m, m)
+    except EmptyTileSetError:
+        return ZTileSet.make(m, {"f": m}, [], source=p)
+
+
+@given(st.sampled_from([1, 2]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_compose_and_product_are_trimmed_reference(m, data):
+    A, B = data.draw(untrimmed_sets(m)), data.draw(untrimmed_sets(m))
+    assert built(compose_tiles, A, B) == built(lambda: trim_tiles(reference.compose_tiles(A, B)))
+    parts = [(f"g{i}", c) for i, c in enumerate(data.draw(st.lists(untrimmed_sets(m), min_size=1, max_size=3)))]
+    assert built(product_tiles, parts) == built(lambda: trim_tiles(reference.product_tiles(parts)))
+    for ts in (A, B):
+        assert trim_tiles(ts).tiles == reference.trim_tiles(ts).tiles
+
+
+def affine_leaves(plan) -> set:
+    if isinstance(plan, PlanAff):
+        return {plan}
+    if isinstance(plan, PlanProd):
+        return set().union(*(affine_leaves(p) for _, p in plan.parts))
+    return affine_leaves(plan.first) | affine_leaves(plan.second)
+
+
+@pytest.mark.parametrize("preset, fast_path", [("z-kari", False), ("psl2z", True), ("psl2z", False)])
+def test_trim_runs_once_per_distinct_affine_leaf(monkeypatch, preset, fast_path):
+    pres = presets.load_preset(preset)
+    calls = []
+    trim = tiles.trim_tiles
+    monkeypatch.setattr(tiles, "trim_tiles", lambda ts: calls.append(ts.source) or trim(ts))
+    plan = PlanProd(tuple((name, pamap_plan(f, fast_path)) for name, f in pres.generators))
+    gts = family_tiles(pres, fast_path=fast_path)
+    assert sorted(map(repr, calls)) == sorted(map(repr, affine_leaves(plan)))
+    assert gts.tiles == reference.build_plan(plan, gts.in_max, gts.in_max).tiles

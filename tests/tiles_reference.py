@@ -8,24 +8,36 @@ every label through `tag`/`tup`.  The library solves for the right carry in
 integers, ranks each distinct label once, writes each distinct (label node,
 depth) once and looks decoded nodes up in the intern table; the differential
 tests require equal outputs.
+
+`compose_tiles` and `product_tiles` make every candidate tile, dead or not,
+`trim_tiles` builds explicit predecessor lists, and `build_plan` trims after
+every plan node.  The library trims the candidates before it makes labels
+and tiles, and trims only affine leaves: its compose and product must equal
+`trim_tiles` of these, and its `build_plan` this one.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from fractions import Fraction
+from typing import Optional, Sequence
 
-from typing import Optional
-
+from kariforge import tiles as library
 from kariforge.pamaps import rat
 from kariforge.tiles import (
+    AlphabetMismatch,
     EmptyTileSetError,
     GroupTileSet,
     HLabel,
     PlanAff,
+    PlanComp,
+    PlanProd,
+    PlanUnion,
     ZTile,
     ZTileSet,
+    _mk_bottoms,
     atom,
     grouptileset_to_obj,
     label_to_obj,
@@ -102,3 +114,94 @@ def label_from_obj(obj, atoms: Optional[dict[str, HLabel]] = None) -> HLabel:
     if isinstance(obj, dict):
         return tag(obj["tag"], label_from_obj(obj["label"], atoms))
     return tup(*(label_from_obj(x, atoms) for x in obj))
+
+
+def compose_tiles(A: ZTileSet, B: ZTileSet) -> ZTileSet:
+    mid = A.out_max()
+    if mid != B.in_max:
+        raise AlphabetMismatch(f"A out alphabet {mid} != B in alphabet {B.in_max}")
+    tiles = []
+    by_top: dict[int, list[ZTile]] = {}
+    for tb in B.tiles:
+        by_top.setdefault(tb.top, []).append(tb)
+    for ta in A.tiles:
+        for tb in by_top.get(ta.bottom(), []):
+            tiles.append(ZTile(ta.top, tb.bottoms, tup(ta.left, tb.left), tup(ta.right, tb.right)))
+    src = PlanComp(A.source, B.source) if A.source is not None and B.source is not None else None
+    return ZTileSet.make(A.in_max, dict(B.out_maxes), tiles, source=src)
+
+
+def product_tiles(components: Sequence[tuple[str, ZTileSet]]) -> ZTileSet:
+    if not components:
+        raise ValueError("empty product")
+    in_max = components[0][1].in_max
+    for name, c in components:
+        if c.in_max != in_max:
+            raise AlphabetMismatch("product components must share the input alphabet")
+        c.single_out()
+    out_maxes = {name: c.out_max() for name, c in components}
+    names = [name for name, _ in components]
+    tiles = []
+    for t in range(in_max + 1):
+        rows = [[(tile.bottom(), tile.left, tile.right) for tile in c.tiles if tile.top == t]
+                for _, c in components]
+        for chosen in itertools.product(*rows):
+            bits = tuple(b for b, _, _ in chosen)
+            tiles.append(ZTile(t, _mk_bottoms(dict(zip(names, bits))),
+                               tup(*(l for _, l, _ in chosen)), tup(*(r for _, _, r in chosen))))
+    srcs = [(name, c.source) for name, c in components]
+    src = PlanProd(tuple(srcs)) if all(s is not None for _, s in srcs) else None
+    return ZTileSet.make(in_max, out_maxes, tiles, source=src)
+
+
+def trim_tiles(ts: ZTileSet) -> ZTileSet:
+    tiles = ts.tiles
+    by_left: dict[HLabel, list[int]] = {}
+    for j, t in enumerate(tiles):
+        by_left.setdefault(t.left, []).append(j)
+    succ = [by_left.get(t.right, []) for t in tiles]
+    pred: list[list[int]] = [[] for _ in tiles]
+    for u, vs in enumerate(succ):
+        for v in vs:
+            pred[v].append(u)
+
+    def extendable(adj: list[list[int]], radj: list[list[int]]) -> set[int]:
+        out = [len(a) for a in adj]
+        queue = [i for i, o in enumerate(out) if o == 0]
+        dead = set(queue)
+        while queue:
+            d = queue.pop()
+            for u in radj[d]:
+                out[u] -= 1
+                if out[u] == 0 and u not in dead:
+                    dead.add(u)
+                    queue.append(u)
+        return {i for i in range(len(adj)) if i not in dead}
+
+    alive = extendable(succ, pred) & extendable(pred, succ)
+    kept = tuple(t for i, t in enumerate(tiles) if i in alive)
+    return ZTileSet(ts.in_max, ts.out_maxes, kept, ts.source)
+
+
+def build_plan(plan, in_max: int, out_max: int, _cache=None) -> ZTileSet:
+    """Every node built in full, then trimmed."""
+    if _cache is None:
+        _cache = {}
+    key = (plan, in_max, out_max)
+    if key in _cache:
+        return _cache[key]
+    if isinstance(plan, PlanAff):
+        ts = library.affine_tiles(plan.a, plan.b, in_max, out_max)
+    elif isinstance(plan, PlanUnion):
+        ts = library.union_tiles(build_plan(plan.first, in_max, out_max, _cache),
+                         build_plan(plan.second, in_max, out_max, _cache))
+    elif isinstance(plan, PlanComp):
+        ts = compose_tiles(build_plan(plan.first, in_max, out_max, _cache),
+                           build_plan(plan.second, in_max, out_max, _cache))
+    elif isinstance(plan, PlanProd):
+        ts = product_tiles([(name, build_plan(p, in_max, out_max, _cache)) for name, p in plan.parts])
+    else:
+        raise TypeError(f"not a plan: {plan!r}")
+    ts = trim_tiles(ts)
+    _cache[key] = ts
+    return ts
