@@ -776,7 +776,7 @@ def test_affine_completeness_any_slope_sign(a, b, x, m):
         math.floor((n + 1) * x) - math.floor(n * x) for n in range(-48, 49))
 
 
-# -- trimmed compose/product nodes, one trim per affine leaf ---------------
+# -- trimmed compose/product nodes, one trim per plan node ----------------
 
 from kariforge.tiles import (PlanAff, PlanComp, PlanProd, PlanUnion, TileSetError, build_plan,  # noqa: E402
                              pamap_plan)
@@ -861,21 +861,29 @@ def test_compose_and_product_are_trimmed_reference(m, data):
         assert trim_tiles(ts).tiles == reference.trim_tiles(ts).tiles
 
 
-def affine_leaves(plan) -> set:
+def plan_nodes(plan) -> set:
     if isinstance(plan, PlanAff):
         return {plan}
-    if isinstance(plan, PlanProd):
-        return set().union(*(affine_leaves(p) for _, p in plan.parts))
-    return affine_leaves(plan.first) | affine_leaves(plan.second)
+    parts = [p for _, p in plan.parts] if isinstance(plan, PlanProd) else [plan.first, plan.second]
+    return {plan}.union(*map(plan_nodes, parts))
 
 
 @pytest.mark.parametrize("preset, fast_path", [("z-kari", False), ("psl2z", True), ("psl2z", False)])
-def test_trim_runs_once_per_distinct_affine_leaf(monkeypatch, preset, fast_path):
+def test_trim_runs_once_per_distinct_plan_node_on_the_reference_sizes(monkeypatch, preset, fast_path):
+    """Each node is trimmed once, and a compose or product node hands the
+    trim as many candidates as the reference's untrimmed node has tiles, so
+    the trims see the sets, by size, that they saw when every candidate was
+    a tile."""
     pres = presets.load_preset(preset)
-    calls = []
-    trim = tiles.trim_tiles
-    monkeypatch.setattr(tiles, "trim_tiles", lambda ts: calls.append(ts.source) or trim(ts))
     plan = PlanProd(tuple((name, pamap_plan(f, fast_path)) for name, f in pres.generators))
+    seen = {}
+    for mod in (tiles, reference):
+        calls = seen[mod] = []
+        trim = mod.trim_tiles
+        monkeypatch.setattr(mod, "trim_tiles", lambda ts, calls=calls, trim=trim:
+                            calls.append((repr(ts.source), len(ts.tiles))) or trim(ts))
     gts = family_tiles(pres, fast_path=fast_path)
-    assert sorted(map(repr, calls)) == sorted(map(repr, affine_leaves(plan)))
-    assert gts.tiles == reference.build_plan(plan, gts.in_max, gts.in_max).tiles
+    ref = reference.build_plan(plan, gts.in_max, gts.in_max)
+    assert sorted(seen[tiles]) == sorted(seen[reference])
+    assert sorted(source for source, _ in seen[tiles]) == sorted(map(repr, plan_nodes(plan)))
+    assert gts.tiles == ref.tiles

@@ -12,8 +12,8 @@ tests require equal outputs.
 `compose_tiles` and `product_tiles` make every candidate tile, dead or not,
 `trim_tiles` builds explicit predecessor lists, and `build_plan` trims after
 every plan node.  The library trims the candidates before it makes labels
-and tiles, and trims only affine leaves: its compose and product must equal
-`trim_tiles` of these, and its `build_plan` this one.
+and tiles: its compose and product must equal `trim_tiles` of these, and
+its `build_plan` this one.
 """
 
 from __future__ import annotations
