@@ -64,7 +64,8 @@ def cmd_gen(args) -> int:
         ts = tiles.pamap_tiles(f, fast_path=fast)
         text = tiles.tileset_to_json(ts)
     _write_text(args.out, text)
-    print(f"{len(ts.tiles)} tiles")
+    # the count goes to stderr when stdout carries the document
+    print(f"{len(ts.tiles)} tiles", file=sys.stdout if args.out else sys.stderr)
     return 0
 
 
@@ -77,13 +78,14 @@ def cmd_verify(args) -> int:
         print("verify expects a tile set over Z, not a group tile set", file=sys.stderr)
         return 1
     report: dict = {"nonempty": verify.nonempty_rows(ts)}
-    periodic = verify.stacked_periodic_scan(ts, args.max_n, args.max_k)
+    sums = verify.RowSums.of(ts, args.max_n)  # one walk search for both checks
+    periodic = verify.stacked_periodic_scan(ts, args.max_n, args.max_k, sums)
     report["periodic"] = periodic
     violations = []
     oracle_points = []
     if args.map:
         f = pamaps.pamap_from_obj(_read_json(args.map))
-        violations = verify.periodic_soundness(ts, f, args.max_n)
+        violations = verify.periodic_soundness(ts, f, args.max_n, sums=sums)
         if not f.is_total():
             oracle_points = None  # the exact solver needs a total map
         else:

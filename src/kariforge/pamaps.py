@@ -2,8 +2,15 @@
 
 A map lives on a space [0, L], optionally with 0 and L identified (a circle).
 It is a finite list of affine pieces with closed rational interval domains.
-Everything is `fractions.Fraction`; floats are rejected at construction so no
+The API speaks `fractions.Fraction`; floats are rejected at construction so no
 operation can silently lose exactness.
+
+Inside, every rational is a reduced (numerator, denominator) int pair with
+denominator > 0, and a map is a tuple of rows: its pieces' (lo, hi, slope,
+offset) as four such pairs, flattened to eight ints.  Equal rationals have
+equal pairs, so equal pieces have equal rows.  `compose`, `invert`, `apply`
+and the canonical form run on the rows; `PAMap.pieces` builds `AffinePiece`
+objects from them on first use.
 
 Canonical form: pieces sorted by domain, adjacent pieces with the same
 (slope, offset) merged, degenerate single-point pieces stored with slope 0 and
@@ -17,13 +24,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 Rat = Fraction
 RatLike = Union[Fraction, int, str]
-PieceTuple = tuple[Fraction, Fraction, Fraction, Fraction]  # (lo, hi, slope, offset)
+Pair = tuple[int, int]  # a rational as (numerator, denominator), reduced, denominator > 0
+Row = tuple[int, int, int, int, int, int, int, int]  # lo, hi, slope, offset as flattened pairs
 
-_ZERO = Fraction(0)
 _new = object.__new__
 
 
@@ -73,6 +81,110 @@ def rat_str(q: Fraction) -> str:
     return str(q)
 
 
+# ---------------------------------------------------------------------------
+# Rationals as reduced int pairs.  Comparisons cross-multiply, which is exact
+# because denominators are positive.
+
+
+def _str(n: int, d: int) -> str:
+    """n/d printed as str(Fraction(n, d)) prints it."""
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
+def _mul(an: int, ad: int, bn: int, bd: int) -> Pair:
+    """a * b."""
+    n = an * bn
+    d = ad * bd
+    g = gcd(n, d)
+    return n // g, d // g
+
+
+def _at(an: int, ad: int, xn: int, xd: int, bn: int, bd: int) -> Pair:
+    """a * x + b."""
+    d = ad * xd
+    n = an * xn * bd + bn * d
+    d *= bd
+    g = gcd(n, d)
+    return n // g, d // g
+
+
+def _solve(an: int, ad: int, bn: int, bd: int, yn: int, yd: int) -> Pair:
+    """The x with a * x + b = y, for a != 0."""
+    n = (yn * bd - bn * yd) * ad
+    d = yd * bd * an
+    if d < 0:
+        n, d = -n, -d
+    g = gcd(n, d)
+    return n // g, d // g
+
+
+def _mod(xn: int, xd: int, Ln: int, Ld: int) -> Pair:
+    """x mod L, in [0, L)."""
+    if xn >= 0 and xn * Ld < Ln * xd:
+        return xn, xd
+    n = xn * Ld - (xn * Ld) // (xd * Ln) * Ln * xd
+    d = xd * Ld
+    g = gcd(n, d)
+    return n // g, d // g
+
+
+def _equiv(u: Pair, w: Pair, Ln: int, Ld: int) -> bool:
+    """u - w is a multiple of L."""
+    (un, ud), (wn, wd) = u, w
+    return (un * wd - wn * ud) * Ld % (ud * wd * Ln) == 0
+
+
+def _exact_key(rows: Sequence[tuple[int, ...]], width: int) -> Callable:
+    """Sort key for rows that start with `width` (1 or 4) rationals as (num,
+    den) pairs: each is scaled to the rows' common denominator, so the
+    integer keys sort in the exact rational order of those rationals."""
+    D = lcm(*[r[k] for r in rows for k in range(1, 2 * width, 2)])
+    if width == 1:
+        return lambda r: r[0] * (D // r[1])
+    return lambda r: (r[0] * (D // r[1]), r[2] * (D // r[3]), r[4] * (D // r[5]), r[6] * (D // r[7]))
+
+
+# Closed intervals as (lo num, lo den, hi num, hi den).
+
+def _union(ivs: Iterable[tuple[int, int, int, int]]) -> list[tuple[int, int, int, int]]:
+    """Touching-merge of closed intervals given in order of lo."""
+    out: list[tuple[int, int, int, int]] = []
+    for lon, lod, hin, hid in ivs:
+        if out:
+            cln, cld, chn, chd = out[-1]
+            if lon * chd <= chn * lod:
+                if hin * chd > chn * hid:
+                    out[-1] = (cln, cld, hin, hid)
+                continue
+        out.append((lon, lod, hin, hid))
+    return out
+
+
+def _intersect(a: Sequence[tuple[int, int, int, int]], b: Sequence[tuple[int, int, int, int]]) -> list[tuple[int, int, int, int]]:
+    """Intersection of two outputs of `_union` (sorted, never touching), in
+    one sweep over both."""
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        xln, xld, xhn, xhd = a[i]
+        yln, yld, yhn, yhd = b[j]
+        lon, lod = (xln, xld) if xln * yld >= yln * xld else (yln, yld)
+        if xhn * yhd <= yhn * xhd:
+            hin, hid = xhn, xhd
+            i += 1
+        else:
+            hin, hid = yhn, yhd
+            j += 1
+        if lon * hid <= hin * lod:
+            out.append((lon, lod, hin, hid))
+    return out
+
+
+def _domain(core: Sequence[Row]) -> list[tuple[int, int, int, int]]:
+    """The merged domain of canonical rows, which are sorted by lo."""
+    return _union([r[:4] for r in core])
+
+
 @dataclass(frozen=True)
 class Interval:
     lo: Fraction
@@ -99,36 +211,34 @@ class Interval:
         return f"[{self.lo}, {self.hi}]"
 
 
+def _interval(lo: Fraction, hi: Fraction) -> Interval:
+    """Trusted Interval: lo <= hi are Fractions already."""
+    iv = _new(Interval)
+    d = iv.__dict__
+    d["lo"] = lo
+    d["hi"] = hi
+    return iv
+
+
+def _pairs(ivs: Iterable[Interval]) -> list[tuple[int, int, int, int]]:
+    return [(iv.lo.numerator, iv.lo.denominator, iv.hi.numerator, iv.hi.denominator) for iv in ivs]
+
+
+def _intervals(ivs: Iterable[tuple[int, int, int, int]]) -> tuple[Interval, ...]:
+    return tuple([_interval(Fraction(lon, lod), Fraction(hin, hid)) for lon, lod, hin, hid in ivs])
+
+
 def merge_intervals(ivs: Iterable[Interval]) -> tuple[Interval, ...]:
     """Disjoint sorted closure of a family of closed intervals (touching merge)."""
-    ivs = sorted(ivs, key=lambda i: (i.lo, i.hi))
-    out: list[Interval] = []
-    for iv in ivs:
-        if out and iv.lo <= out[-1].hi:
-            if iv.hi > out[-1].hi:
-                out[-1] = _interval(out[-1].lo, iv.hi)
-        else:
-            out.append(iv)
-    return tuple(out)
+    ivs = _pairs(ivs)
+    ivs.sort(key=_exact_key(ivs, 1))
+    return _intervals(_union(ivs))
 
 
 def intersect_interval_sets(a: Sequence[Interval], b: Sequence[Interval]) -> tuple[Interval, ...]:
     """Intersection of two outputs of `merge_intervals` (sorted, never
     touching), in one sweep over both."""
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        x, y = a[i], b[j]
-        lo = x.lo if x.lo >= y.lo else y.lo
-        if x.hi <= y.hi:
-            hi = x.hi
-            i += 1
-        else:
-            hi = y.hi
-            j += 1
-        if lo <= hi:
-            out.append(_interval(lo, hi))
-    return tuple(out)
+    return _intervals(_intersect(_pairs(a), _pairs(b)))
 
 
 def interval_set_contains(ivs: Sequence[Interval], x: Fraction) -> bool:
@@ -157,7 +267,7 @@ class Space:
         return u == v
 
     def whole(self) -> Interval:
-        return _interval(_ZERO, self.length)
+        return _interval(Fraction(0), self.length)
 
 
 @dataclass(frozen=True)
@@ -178,176 +288,214 @@ class AffinePiece:
         return Interval(min(a, b), max(a, b))
 
 
-def _interval(lo: Fraction, hi: Fraction) -> Interval:
-    """Trusted Interval: lo <= hi are Fractions already."""
-    iv = _new(Interval)
-    d = iv.__dict__
-    d["lo"] = lo
-    d["hi"] = hi
-    return iv
+def _row(p: AffinePiece) -> Row:
+    lo, hi, a, b = p.dom.lo, p.dom.hi, p.slope, p.offset
+    return (lo.numerator, lo.denominator, hi.numerator, hi.denominator,
+            a.numerator, a.denominator, b.numerator, b.denominator)
 
 
-def _piece(lo: Fraction, hi: Fraction, a: Fraction, b: Fraction) -> AffinePiece:
-    """Trusted AffinePiece from a (lo, hi, slope, offset) tuple of Fractions."""
+def _piece(r: Row) -> AffinePiece:
+    """Trusted AffinePiece of a canonical row."""
+    lon, lod, hin, hid, an, ad, bn, bd = r
     p = _new(AffinePiece)
     d = p.__dict__
-    d["dom"] = _interval(lo, hi)
-    d["slope"] = a
-    d["offset"] = b
+    d["dom"] = _interval(Fraction(lon, lod), Fraction(hin, hid))
+    d["slope"] = Fraction(an, ad)
+    d["offset"] = Fraction(bn, bd)
     return p
 
 
-def _check_piece(L: Fraction, lo: Fraction, hi: Fraction, a: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:
-    """Range check of one piece; returns its values at lo and hi, one object
-    for both when the piece is a point or constant.  Signs are read off
-    numerators, which is exact and cheaper than comparing with 0."""
-    if lo.numerator < 0 or hi > L:
-        raise ValueError(f"piece domain [{lo}, {hi}] outside [0, {L}]")
-    if not a:
-        va = vb = ilo = ihi = b
-    elif lo == hi:
-        va = vb = ilo = ihi = a * lo + b
-    else:
-        va = a * lo + b
-        vb = a * hi + b
-        ilo, ihi = (va, vb) if a.numerator > 0 else (vb, va)
-    if ilo.numerator < 0 or ihi > L:
-        raise ValueError(f"piece image [{ilo}, {ihi}] outside [0, {L}]")
-    return va, vb
+def _canonical(space: Space, rows: Iterable[Row]) -> tuple[Row, ...]:
+    """Canonical rows of a list of rows.
 
-
-def _canonical(space: Space, pieces: Iterable[PieceTuple]) -> tuple[AffinePiece, ...]:
-    """Canonical pieces of a list of (lo, hi, slope, offset) Fraction tuples.
-
-    Every piece is range-checked first, in input order.  Each piece then
-    carries its values at lo and hi, so the merge, the covered-point drop and
-    the overlap and wrap checks rarely evaluate a piece again.
+    Every row is range-checked first, in input order.  Each row then carries
+    its values at lo and hi, so the merge, the covered-point drop and the
+    overlap and wrap checks rarely evaluate a piece again.
     """
     L = space.length
+    Ln, Ld = L.numerator, L.denominator
     circle = space.circle
-    by_fn: dict[tuple[Fraction, Fraction], list[PieceTuple]] = {}
-    for lo, hi, a, b in pieces:
-        va, vb = _check_piece(L, lo, hi, a, b)
-        if va is vb:  # a point or a constant: slope 0 and a normalized value
-            if circle and va == L:
-                va = vb = _ZERO
-            a, b = _ZERO, va
-        by_fn.setdefault((a, b), []).append((lo, hi, va, vb))
+    by_fn: dict[Row, list] = {}
+    for lon, lod, hin, hid, an, ad, bn, bd in rows:
+        if lon < 0 or hin * Ld > Ln * hid:
+            raise ValueError(f"piece domain [{_str(lon, lod)}, {_str(hin, hid)}] outside [0, {L}]")
+        point = not an or (lon == hin and lod == hid)
+        if not an:
+            va = vb = ilo = ihi = (bn, bd)
+        elif point:
+            va = vb = ilo = ihi = _at(an, ad, lon, lod, bn, bd)
+        else:
+            va = _at(an, ad, lon, lod, bn, bd)
+            vb = _at(an, ad, hin, hid, bn, bd)
+            ilo, ihi = (va, vb) if an > 0 else (vb, va)
+        if ilo[0] < 0 or ihi[0] * Ld > Ln * ihi[1]:
+            raise ValueError(f"piece image [{_str(*ilo)}, {_str(*ihi)}] outside [0, {L}]")
+        if point:  # a point or a constant: slope 0 and a normalized value
+            if circle and va[0] == Ln and va[1] == Ld:
+                va = vb = (0, 1)
+            fn = (0, 1, *va)
+        else:
+            fn = (an, ad, bn, bd)
+        by_fn.setdefault(fn, []).append((lon, lod, hin, hid, va, vb))
 
-    # merge touching/overlapping pieces carrying the same affine function
-    merged: list[tuple[Fraction, ...]] = []  # (lo, hi, slope, offset, value at lo, value at hi)
-    for (a, b), doms in by_fn.items():
+    # merge touching/overlapping pieces carrying the same affine function;
+    # a row of `merged` is (*row, value at lo, value at hi)
+    merged: list[tuple] = []
+    for (an, ad, bn, bd), doms in by_fn.items():
         if len(doms) > 1:
-            doms.sort()
-        lo, hi, va, vb = doms[0]
-        for lo2, hi2, va2, vb2 in doms[1:]:
-            if lo2 <= hi:
-                if hi2 > hi:
-                    hi, vb = hi2, vb2
+            doms.sort(key=_exact_key(doms, 1))
+        lon, lod, hin, hid, va, vb = doms[0]
+        for lo2n, lo2d, hi2n, hi2d, va2, vb2 in doms[1:]:
+            if lo2n * hid <= hin * lo2d:
+                if hi2n * hid > hin * hi2d:
+                    hin, hid, vb = hi2n, hi2d, vb2
             else:
-                merged.append((lo, hi, a, b, va, vb))
-                lo, hi, va, vb = lo2, hi2, va2, vb2
-        merged.append((lo, hi, a, b, va, vb))
-    merged.sort()
+                merged.append((lon, lod, hin, hid, an, ad, bn, bd, va, vb))
+                lon, lod, hin, hid, va, vb = lo2n, lo2d, hi2n, hi2d, va2, vb2
+        merged.append((lon, lod, hin, hid, an, ad, bn, bd, va, vb))
+    if len(merged) > 1:
+        merged.sort(key=_exact_key(merged, 4))
 
     # drop degenerate pieces already covered by another piece (values must agree)
     kept = merged
-    if any(p[0] == p[1] for p in merged):
+    if any(r[0] == r[2] and r[1] == r[3] for r in merged):
         kept = []
         for i, p in enumerate(merged):
-            x, x_hi, _, v, _, _ = p
-            if x == x_hi:
+            xn, xd, x_hin, x_hid, _, _, vn, vd, _, _ = p
+            if xn == x_hin and xd == x_hid:
+                v = (vn, vd)
                 covered = False
-                for j, (lo, hi, a, b, va, vb) in enumerate(merged):
-                    if j > i and lo != x:
+                for j, (lon, lod, hin, hid, an, ad, bn, bd, va, vb) in enumerate(merged):
+                    at_lo = lon == xn and lod == xd
+                    if j > i and not at_lo:
                         break  # sorted by lo: no later piece contains x
-                    if j == i or hi < x:
+                    if j == i or hin * xd < xn * hid:
                         continue
-                    w = va if lo == x else vb if hi == x else a * x + b
-                    if w != v and (not circle or (w - v) % L):
-                        raise Conflict(f"values disagree at {x}: {w} vs {v}")
-                    if lo != hi:
+                    w = va if at_lo else vb if hin == xn and hid == xd else _at(an, ad, xn, xd, bn, bd)
+                    if w != v and (not circle or not _equiv(w, v, Ln, Ld)):
+                        raise Conflict(f"values disagree at {_str(xn, xd)}: {_str(*w)} vs {_str(*v)}")
+                    if lon != hin or lod != hid:
                         covered = True
                 if covered:
                     continue
             kept.append(p)
 
     # remaining overlaps must be single shared endpoints with agreeing values
-    for i, (plo, phi, pa, pb, _, pv) in enumerate(kept):
-        for qlo, qhi, qa, qb, qv, _ in kept[i + 1:]:
-            if qlo > phi:
+    for i, (_, _, phin, phid, pan, pad, pbn, pbd, _, pv) in enumerate(kept):
+        for qlon, qlod, qhin, qhid, _, _, _, _, qv, _ in kept[i + 1:]:
+            if qlon * phid > phin * qlod:
                 break
-            if phi <= qhi:
-                if qlo != phi:
-                    raise Conflict(f"overlapping pieces on [{qlo}, {phi}] with different functions")
-                u, w = pv, qv
+            if phin * qhid <= qhin * phid:
+                if qlon != phin or qlod != phid:
+                    raise Conflict(f"overlapping pieces on [{_str(qlon, qlod)}, {_str(phin, phid)}]"
+                                   " with different functions")
+                u = pv
             else:
-                if qlo != qhi:
-                    raise Conflict(f"overlapping pieces on [{qlo}, {qhi}] with different functions")
-                u, w = pa * qlo + pb, qv
-            if u != w and (not circle or (u - w) % L):
-                raise Conflict(f"values disagree at {qlo}: {u} vs {w}")
+                if qlon != qhin or qlod != qhid:
+                    raise Conflict(f"overlapping pieces on [{_str(qlon, qlod)}, {_str(qhin, qhid)}]"
+                                   " with different functions")
+                u = _at(pan, pad, qlon, qlod, pbn, pbd)
+            if u != qv and (not circle or not _equiv(u, qv, Ln, Ld)):
+                raise Conflict(f"values disagree at {_str(qlon, qlod)}: {_str(*u)} vs {_str(*qv)}")
 
     # on a circle, 0 and length are one point: all pieces defined there must agree
     if circle and kept:
-        at_zero = [va for lo, _, _, _, va, _ in kept if not lo]
+        at_zero = [r[8] for r in kept if not r[0]]
         if at_zero:
-            at_len = [vb for _, hi, _, _, _, vb in kept if hi == L]
+            at_len = [r[9] for r in kept if r[2] == Ln and r[3] == Ld]
             for u in at_zero:
                 for w in at_len:
-                    if u != w and (u - w) % L:
-                        raise Conflict(f"wrap point ill-defined: {u} vs {w}")
-    return tuple([_piece(lo, hi, a, b) for lo, hi, a, b, _, _ in kept])
+                    if u != w and not _equiv(u, w, Ln, Ld):
+                        raise Conflict(f"wrap point ill-defined: {_str(*u)} vs {_str(*w)}")
+    return tuple([r[:8] for r in kept])
 
 
 @dataclass(frozen=True)
 class PAMap:
     """A partial piecewise affine map in canonical form.  PAMap(space, pieces)
-    stores the canonical form of its pieces, as PAMap.make does."""
+    stores the canonical form of its pieces, as PAMap.make does.  Equality
+    and hashing compare the canonical rows; `pieces` is built from them on
+    first use."""
 
     space: Space
     pieces: tuple[AffinePiece, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "pieces", _canonical(self.space, _tuples(self)))
+        d = self.__dict__
+        d["_core"] = _canonical(self.space, [_row(p) for p in d.pop("pieces")])
+
+    def __getattr__(self, name: str):
+        # only reached when `name` is not set: build `pieces` from the rows
+        core = self.__dict__.get("_core")
+        if name != "pieces" or core is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        pieces = self.__dict__["pieces"] = tuple([_piece(r) for r in core])
+        return pieces
 
     @staticmethod
     def make(space: Space, pieces: Iterable[AffinePiece]) -> "PAMap":
-        return _make(space, [(p.dom.lo, p.dom.hi, p.slope, p.offset) for p in pieces])
+        return _make(space, [_row(p) for p in pieces])
 
     def domain(self) -> tuple[Interval, ...]:
-        return merge_intervals(p.dom for p in self.pieces)
+        return _intervals(_domain(self._core))
 
     def is_total(self) -> bool:
-        return self.domain() == (self.space.whole(),)
+        L = self.space.length
+        return _domain(self._core) == [(0, 1, L.numerator, L.denominator)]
 
     def __call__(self, x: RatLike) -> Fraction:
         return apply(self, rat(x))
 
+    def __eq__(self, other):
+        if other.__class__ is not PAMap:
+            return NotImplemented
+        return self._core == other._core and (self.space is other.space or self.space == other.space)
+
     def __hash__(self):
-        # maps key dicts in the word problems; hash the Fractions once
+        # maps key dicts in the word problems; hash the rows once
         h = self.__dict__.get("_hash")
         if h is None:
-            h = hash((self.space, self.pieces))
-            object.__setattr__(self, "_hash", h)
+            h = hash((self.space, self._core))
+            self.__dict__["_hash"] = h
         return h
 
 
-def _make(space: Space, pieces: Iterable[PieceTuple]) -> PAMap:
-    # _canonical validates every input piece, so skip __post_init__
+def _wrap(space: Space, core: tuple[Row, ...]) -> PAMap:
+    """Trusted PAMap of canonical rows."""
     f = _new(PAMap)
     d = f.__dict__
     d["space"] = space
-    d["pieces"] = _canonical(space, pieces)
+    d["_core"] = core
     return f
 
 
-def _tuples(f: PAMap) -> list[PieceTuple]:
-    return [(p.dom.lo, p.dom.hi, p.slope, p.offset) for p in f.pieces]
+def _make(space: Space, rows: Iterable[Row]) -> PAMap:
+    return _wrap(space, _canonical(space, rows))
 
 
 def identity(space: Space) -> PAMap:
-    return _make(space, [(_ZERO, space.length, Fraction(1), _ZERO)])
+    L = space.length
+    return _make(space, [(0, 1, L.numerator, L.denominator, 1, 1, 0, 1)])
+
+
+def _value(f: PAMap, xn: int, xd: int) -> Optional[Pair]:
+    """f at x, a canonical point of the space; None off f's domain."""
+    sp = f.space
+    L = sp.length
+    Ln, Ld = L.numerator, L.denominator
+    circle = sp.circle
+    if circle:
+        xn, xd = _mod(xn, xd, Ln, Ld)
+    for lon, lod, hin, hid, an, ad, bn, bd in f._core:
+        if lon * xd > xn * lod:
+            break  # sorted by lo: no later piece contains x
+        if xn * hid <= hin * xd:
+            return _mod(*_at(an, ad, xn, xd, bn, bd), Ln, Ld) if circle else _at(an, ad, xn, xd, bn, bd)
+    if circle and not xn:
+        for _, _, hin, hid, an, ad, bn, bd in f._core:
+            if hin == Ln and hid == Ld:
+                return _mod(*_at(an, ad, Ln, Ld, bn, bd), Ln, Ld)
+    return None
 
 
 def apply(f: PAMap, x: RatLike) -> Fraction:
@@ -358,89 +506,83 @@ def apply(f: PAMap, x: RatLike) -> Fraction:
         x = sp.normalize(x)
     elif not 0 <= x <= sp.length:
         raise OutOfDomain(f"{x} outside [0, {sp.length}]")
-    for p in f.pieces:
-        if p.dom.contains(x):
-            return sp.normalize(p.value_at(x))
-    if sp.circle and x == 0:
-        for p in f.pieces:
-            if p.dom.contains(sp.length):
-                return sp.normalize(p.value_at(sp.length))
-    raise OutOfDomain(f"{x} not in domain")
-
-
-def _preimage(q: AffinePiece, lo: Fraction, hi: Fraction) -> Optional[Interval]:
-    """Solutions x in dom(q) of q(x) in [lo, hi]."""
-    if q.slope == 0:
-        return q.dom if lo <= q.offset <= hi else None
-    x1 = (lo - q.offset) / q.slope
-    x2 = (hi - q.offset) / q.slope
-    box = Interval(min(x1, x2), max(x1, x2))
-    return q.dom.intersect(box)
+    v = _value(f, x.numerator, x.denominator)
+    if v is None:
+        raise OutOfDomain(f"{x} not in domain")
+    return Fraction(*v)
 
 
 def compose(f: PAMap, g: PAMap) -> PAMap:
     """f after g: x maps to f(g(x)), on the exact pullback domain."""
-    if f.space != g.space:
-        raise SpaceMismatch(f"{f.space} vs {g.space}")
     sp = f.space
+    if g.space is not sp and g.space != sp:
+        raise SpaceMismatch(f"{f.space} vs {g.space}")
     L = sp.length
+    Ln, Ld = L.numerator, L.denominator
     circle = sp.circle
-    fs = _tuples(f)
+    fs = f._core
     if circle:
         # f's values at 0 and at L; hitting one representative of the wrap
         # point counts for the other
-        at_zero = [pb if pb != L else _ZERO for plo, _, _, pb in fs if not plo]
-        at_len = [v if v != L else _ZERO for v in (pa * L + pb for _, phi, pa, pb in fs if phi == L)]
-    out: list[PieceTuple] = []
-    for ql, qh, qa, qb in _tuples(g):
+        at_zero = [(0, 1) if pbn == Ln and pbd == Ld else (pbn, pbd)
+                   for plon, _, _, _, _, _, pbn, pbd in fs if not plon]
+        at_len = [(0, 1) if v == (Ln, Ld) else v
+                  for v in (_at(pan, pad, Ln, Ld, pbn, pbd)
+                            for _, _, phin, phid, pan, pad, pbn, pbd in fs if phin == Ln and phid == Ld)]
+    out: list[Row] = []
+    for qln, qld, qhn, qhd, qan, qad, qbn, qbd in g._core:
         # q's image [ylo, yhi], and where q reaches L and 0
-        if not qa:
-            ylo = yhi = qb
+        if not qan:
+            ylon, ylod = yhin, yhid = qbn, qbd
             if circle:
-                pin_len = (ql, qh) if qb == L else None
-                pin_zero = (ql, qh) if not qb else None
+                pin_len = (qln, qld, qhn, qhd) if qbn == Ln and qbd == Ld else None
+                pin_zero = (qln, qld, qhn, qhd) if not qbn else None
         else:
-            y0 = qa * ql + qb
-            y1 = qa * qh + qb
-            ylo, yhi = (y0, y1) if qa.numerator > 0 else (y1, y0)
+            y0 = _at(qan, qad, qln, qld, qbn, qbd)
+            y1 = _at(qan, qad, qhn, qhd, qbn, qbd)
+            (ylon, ylod), (yhin, yhid) = (y0, y1) if qan > 0 else (y1, y0)
             if circle:
-                pin_len = ((ql, ql) if y0 == L else (qh, qh)) if yhi == L else None
-                pin_zero = ((ql, ql) if not y0 else (qh, qh)) if not ylo else None
-        for plo, phi, pa, pb in fs:
-            if phi < ylo or plo > yhi:
-                continue  # f's piece misses q's image; a PAMap built directly may be unsorted
+                pin_len = ((qln, qld, qln, qld) if y0[0] == Ln and y0[1] == Ld else (qhn, qhd, qhn, qhd)) \
+                    if yhin == Ln and yhid == Ld else None
+                pin_zero = ((qln, qld, qln, qld) if not y0[0] else (qhn, qhd, qhn, qhd)) if not ylon else None
+        for plon, plod, phin, phid, pan, pad, pbn, pbd in fs:
+            if plon * yhid > yhin * plod:
+                break  # f's rows are sorted by lo: none later meets q's image
+            if phin * ylod < ylon * phid:
+                continue
             # the preimage of [plo, phi] under q, cut to q's domain
-            if not qa:
-                lo, hi = ql, qh
-            elif qa.numerator > 0:
-                lo = ql if plo <= ylo else (plo - qb) / qa
-                hi = qh if phi >= yhi else (phi - qb) / qa
+            if not qan:
+                lo, hi = (qln, qld), (qhn, qhd)
+            elif qan > 0:
+                lo = (qln, qld) if plon * ylod <= ylon * plod else _solve(qan, qad, qbn, qbd, plon, plod)
+                hi = (qhn, qhd) if phin * yhid >= yhin * phid else _solve(qan, qad, qbn, qbd, phin, phid)
             else:
-                lo = ql if phi >= yhi else (phi - qb) / qa
-                hi = qh if plo <= ylo else (plo - qb) / qa
-            out.append((lo, hi, pa * qa, pa * qb + pb))
+                lo = (qln, qld) if phin * yhid >= yhin * phid else _solve(qan, qad, qbn, qbd, phin, phid)
+                hi = (qhn, qhd) if plon * ylod <= ylon * plod else _solve(qan, qad, qbn, qbd, plon, plod)
+            out.append((*lo, *hi, *_mul(pan, pad, qan, qad), *_at(pan, pad, qbn, qbd, pbn, pbd)))
         if circle:
             if pin_len is not None:
-                out.extend((*pin_len, _ZERO, v) for v in at_zero)
+                out.extend((*pin_len, 0, 1, *v) for v in at_zero)
             if pin_zero is not None:
-                out.extend((*pin_zero, _ZERO, v) for v in at_len)
+                out.extend((*pin_zero, 0, 1, *v) for v in at_len)
     return _make(sp, out)
 
 
 def invert(f: PAMap) -> PAMap:
     """Exact inverse; domain is range(f). Fails if f is not injective mod the wrap."""
-    inv: list[PieceTuple] = []
-    for p in f.pieces:
-        lo, hi, a, b = p.dom.lo, p.dom.hi, p.slope, p.offset
-        if lo == hi:
-            v = a * lo + b
-            inv.append((v, v, _ZERO, lo))
+    inv: list[Row] = []
+    for lon, lod, hin, hid, an, ad, bn, bd in f._core:
+        if lon == hin and lod == hid:
+            v = _at(an, ad, lon, lod, bn, bd)
+            inv.append((*v, *v, 0, 1, lon, lod))
             continue
-        if not a:
-            raise ZeroSlope(f"piece on {p.dom} has slope 0")
-        va = a * lo + b
-        vb = a * hi + b
-        inv.append((va, vb, 1 / a, -b / a) if a > 0 else (vb, va, 1 / a, -b / a))
+        if not an:
+            raise ZeroSlope(f"piece on [{_str(lon, lod)}, {_str(hin, hid)}] has slope 0")
+        va = _at(an, ad, lon, lod, bn, bd)
+        vb = _at(an, ad, hin, hid, bn, bd)
+        ia = (ad, an) if an > 0 else (-ad, -an)
+        ib = _mul(-bn, bd, *ia)
+        inv.append((*va, *vb, *ia, *ib) if an > 0 else (*vb, *va, *ia, *ib))
     try:
         return _make(f.space, inv)
     except Conflict as exc:
@@ -450,20 +592,20 @@ def invert(f: PAMap) -> PAMap:
 def union(f: PAMap, g: PAMap) -> PAMap:
     if f.space != g.space:
         raise SpaceMismatch(f"{f.space} vs {g.space}")
-    return PAMap.make(f.space, f.pieces + g.pieces)
+    return _make(f.space, f._core + g._core)
 
 
 def equals(f: PAMap, g: PAMap) -> bool:
     if f.space != g.space:
         raise SpaceMismatch(f"{f.space} vs {g.space}")
-    return f.pieces == g.pieces
+    return f._core == g._core
 
 
 def is_circle_homeo(f: PAMap) -> bool:
     """Total bijection of the space (mod the wrap identification on circles)."""
     if not f.is_total():
         return False
-    if any(p.slope == 0 for p in f.pieces):
+    if any(not r[4] for r in f._core):
         return False
     try:
         g = invert(f)
@@ -575,24 +717,28 @@ def is_identity_word(pres: PAGroupPresentation, word: Word) -> bool:
     return composites(pres)(tuple(pres.letter(n, s) for n, s in word)) == (identity(pres.space), True)
 
 
+
 def fixed_points(f: PAMap) -> tuple[Interval, ...]:
     """Exact solution set of f(x) = x (mod the wrap on circles)."""
     sp = f.space
     L = sp.length
-    ks = (-1, 0, 1) if sp.circle else (0,)
-    found: list[Interval] = []
-    for p in f.pieces:
-        for k in ks:
-            shift = k * L
-            if p.slope == 1:
-                if p.offset == shift:
-                    found.append(p.dom)
+    Ln, Ld = L.numerator, L.denominator
+    circle = sp.circle
+    shifts = ((-Ln, Ld), (0, 1), (Ln, Ld)) if circle else ((0, 1),)
+    found = []
+    for lon, lod, hin, hid, an, ad, bn, bd in f._core:
+        for sn, sd in shifts:
+            if an == ad:  # slope 1
+                if bn == sn and bd == sd:
+                    found.append((lon, lod, hin, hid))
             else:
-                x = (shift - p.offset) / (p.slope - 1)
-                if p.dom.contains(x):
-                    x = sp.normalize(x)
-                    found.append(Interval(x, x))
-    return merge_intervals(found)
+                xn, xd = _solve(an - ad, ad, bn, bd, sn, sd)
+                if lon * xd <= xn * lod and xn * hid <= hin * xd:
+                    if circle:
+                        xn, xd = _mod(xn, xd, Ln, Ld)
+                    found.append((xn, xd, xn, xd))
+    found.sort(key=_exact_key(found, 1))
+    return _intervals(_union(found))
 
 
 def periodic_points(f: PAMap, k: int) -> tuple[Interval, ...]:
@@ -629,7 +775,9 @@ def _levels(pres: PAGroupPresentation, depth: int) -> Iterator[list[PAMap]]:
 def enumerate_maps(pres: PAGroupPresentation, depth: int) -> list[PAMap]:
     """All distinct composites of generator/inverse words of length <= depth."""
     maps = [m for level in _levels(pres, depth) for m in level]
-    return sorted(maps, key=lambda m: (len(m.pieces), [(p.dom.lo, p.dom.hi, p.slope, p.offset) for p in m.pieces]))
+    # by piece count, then by the pieces' (lo, hi, slope, offset) in exact order
+    row_key = _exact_key([r for m in maps for r in m._core], 4)
+    return sorted(maps, key=lambda m: (len(m._core), [row_key(r) for r in m._core]))
 
 
 def common_domain(pres: PAGroupPresentation, depth: int) -> tuple[Interval, ...]:
@@ -637,13 +785,14 @@ def common_domain(pres: PAGroupPresentation, depth: int) -> tuple[Interval, ...]
 
     Monotone nonincreasing in depth; depth 0 is the whole space.
     """
-    common: tuple[Interval, ...] = (pres.space.whole(),)
+    L = pres.space.length
+    common = [(0, 1, L.numerator, L.denominator)]
     for level in _levels(pres, depth):
         for m in level:
-            common = intersect_interval_sets(common, m.domain())
+            common = _intersect(common, _domain(m._core))
             if not common:
-                return common
-    return common
+                return ()
+    return _intervals(common)
 
 
 def _candidate_points(ivs: Sequence[Interval]) -> list[Fraction]:
@@ -671,16 +820,17 @@ def nontriviality_witness(pres: PAGroupPresentation, word: Word, budget: int) ->
     g = word_apply(pres, word)
     levels = _levels(pres, budget)
     maps = list(next(levels))  # the identity, defined everywhere
-    common: tuple[Interval, ...] = (pres.space.whole(),)
+    L = pres.space.length
+    common = [(0, 1, L.numerator, L.denominator)]
     checked = None  # common at the last level searched: no map so far finds a t among its candidates
     for level in levels:  # lengths 1..budget, each composed once
         maps += level
         for m in level:
-            common = intersect_interval_sets(common, m.domain())
+            common = _intersect(common, _domain(m._core))
         # with the candidates unchanged, only the new maps can find a t
         tried = level if common == checked else maps
         checked = common
-        for t in _candidate_points(common):
+        for t in _candidate_points(_intervals(common)):
             for f in tried:
                 try:
                     s = apply(f, t)
@@ -699,8 +849,8 @@ def pamap_to_obj(f: PAMap) -> dict:
     return {
         "space": {"length": rat_str(f.space.length), "circle": f.space.circle},
         "pieces": [
-            {"dom": [rat_str(p.dom.lo), rat_str(p.dom.hi)], "a": rat_str(p.slope), "b": rat_str(p.offset)}
-            for p in f.pieces
+            {"dom": [_str(lon, lod), _str(hin, hid)], "a": _str(an, ad), "b": _str(bn, bd)}
+            for lon, lod, hin, hid, an, ad, bn, bd in f._core
         ],
     }
 

@@ -507,11 +507,21 @@ def bit_max(space: pamaps.Space) -> int:
     return math.ceil(space.length)
 
 
+def _preimage(q: pamaps.AffinePiece, lo: Fraction, hi: Fraction) -> Optional[Interval]:
+    """Solutions x in dom(q) of q(x) in [lo, hi]."""
+    if q.slope == 0:
+        return q.dom if lo <= q.offset <= hi else None
+    x1 = (lo - q.offset) / q.slope
+    x2 = (hi - q.offset) / q.slope
+    box = Interval(min(x1, x2), max(x1, x2))
+    return q.dom.intersect(box)
+
+
 def _fast_path_ok(space: pamaps.Space, piece: pamaps.AffinePiece, m: int) -> bool:
     """True when the output range alone already forces inputs into the piece's
     domain, so the bare affine tiles are sound without domain scaffolding."""
     box = Interval(Fraction(0), Fraction(m))
-    pre = pamaps._preimage(pamaps.AffinePiece(box, piece.slope, piece.offset), Fraction(0), Fraction(m))
+    pre = _preimage(pamaps.AffinePiece(box, piece.slope, piece.offset), Fraction(0), Fraction(m))
     return pre == piece.dom
 
 

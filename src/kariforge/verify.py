@@ -314,25 +314,55 @@ def _closed_walk_sums(succ: Sequence[Sequence[int]], tops: Sequence[int], bots: 
     return out
 
 
+@dataclass(frozen=True)
+class RowSums:
+    """The periodic rows of a tile set up to length n_max, read by their sums:
+    the transition graph, each tile's top and bottom, and the (top sum,
+    bottom sum) classes of the closed walks of each length n <= n_max.
+    `periodic_soundness` and `stacked_periodic_scan` both start from it, so
+    a caller running both builds it once."""
+
+    n_max: int
+    succ: tuple[tuple[int, ...], ...]
+    tops: list[int]
+    bots: list[int]
+    sums: dict[int, set[tuple[int, int]]]
+
+    @staticmethod
+    def of(ts: ZTileSet, n_max: int) -> "RowSums":
+        name = ts.single_out()
+        succ = TransitionGraph.of(ts).succ
+        tops = [t.top for t in ts.tiles]
+        bots = [t.bottom(name) for t in ts.tiles]
+        return RowSums(n_max, succ, tops, bots, _closed_walk_sums(succ, tops, bots, n_max))
+
+
+def _row_sums(ts: ZTileSet, n_max: int, sums: Optional[RowSums]) -> RowSums:
+    if sums is None:
+        return RowSums.of(ts, n_max)
+    if sums.n_max != n_max:
+        raise ValueError(f"row sums were found up to n = {sums.n_max}, not {n_max}")
+    return sums
+
+
 def periodic_soundness(ts: ZTileSet, f: PAMap, n_max: int,
-                       stop_early: bool = False) -> list[dict]:
+                       stop_early: bool = False, sums: Optional[RowSums] = None) -> list[dict]:
     """Check every n-periodic row, n <= n_max: its bit averages must follow f.
 
     Returns violation records; an empty list certifies soundness up to n_max.
     A row whose top average lies outside f's domain is a violation with
     "expected" None.  Each (n, top sum, bottom sum) class is checked once;
     only the lengths with a violating class list their walks, to report them.
+    `sums`, if given, is `RowSums.of(ts, n_max)`.
     """
-    name = ts.single_out()
     sp = f.space
-    succ = TransitionGraph.of(ts).succ
-    tops = [t.top for t in ts.tiles]
-    bots = [t.bottom(name) for t in ts.tiles]
+    rs = _row_sums(ts, n_max, sums)
+    succ, tops, bots = rs.succ, rs.tops, rs.bots
     violations = []
-    for n, sums in _closed_walk_sums(succ, tops, bots, n_max).items():
+    for n, classes in rs.sums.items():
         expected: dict[int, Optional[Fraction]] = {}
         bad = set()
-        for T, B in sums:
+        for T, B in classes:
             if T not in expected:
                 try:
                     expected[T] = pamaps.apply(f, sp.normalize(Fraction(T, n)))
@@ -374,22 +404,21 @@ def _loop_lengths(succ: dict[int, set[int]], T0: int, k_max: int) -> list[int]:
     return ks
 
 
-def stacked_periodic_scan(ts: ZTileSet, n_max: int, k_max: int) -> list[dict]:
+def stacked_periodic_scan(ts: ZTileSet, n_max: int, k_max: int,
+                          sums: Optional[RowSums] = None) -> list[dict]:
     """Search for configurations with period lattice (n,0),(s,k), n <= n_max,
     k <= k_max, 0 <= s < n: k stacked n-periodic rows, each feeding the next,
     the last feeding the first rotated by the shear s.
 
     Reports one witness per (n, k, s) found; an empty report is bounded
-    evidence of aperiodicity.
+    evidence of aperiodicity.  `sums`, if given, is `RowSums.of(ts, n_max)`.
     """
-    name = ts.single_out()
-    succ = TransitionGraph.of(ts).succ
-    tops = [t.top for t in ts.tiles]
-    bots = [t.bottom(name) for t in ts.tiles]
+    rs = _row_sums(ts, n_max, sums)
+    succ, tops, bots = rs.succ, rs.tops, rs.bots
     found: dict[tuple[int, int, int], dict] = {}
-    for n, sums in _closed_walk_sums(succ, tops, bots, n_max).items():
+    for n, classes in rs.sums.items():
         sum_succ: dict[int, set[int]] = {}  # top sum -> bottom sums, as averages over n
-        for T, B in sums:
+        for T, B in classes:
             sum_succ.setdefault(T, set()).add(B)
         loops = {T: ks for T in sum_succ if (ks := _loop_lengths(sum_succ, T, k_max))}
         if not loops:

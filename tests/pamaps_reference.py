@@ -8,7 +8,10 @@ a letter at each occurrence, `periodic_points` rebuilds f^k for every k and
 `nontriviality_witness` rebuilds the ball from the identity for every depth
 up to its budget.  The library runs
 the same algebra on plain (lo, hi, slope, offset) tuples; the differential
-tests require identical canonical pieces and identical exceptions.
+tests require identical canonical pieces and identical exceptions.  The
+library holds each rational as a (numerator, denominator) int pair; here every
+value is a `Fraction`, so `apply` and `fixed_points` are also given in that
+form.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+from kariforge import pamaps
 from kariforge.pamaps import (
     AffinePiece,
     Conflict,
@@ -29,8 +33,6 @@ from kariforge.pamaps import (
     SpaceMismatch,
     Word,
     ZeroSlope,
-    apply,
-    fixed_points,
 )
 
 
@@ -133,14 +135,51 @@ def _canonical_pieces(space: Space, pieces: Iterable[AffinePiece]) -> tuple[Affi
 
 
 def make(space: Space, pieces: Iterable[AffinePiece]) -> PAMap:
-    f = object.__new__(PAMap)
-    object.__setattr__(f, "space", space)
-    object.__setattr__(f, "pieces", _canonical_pieces(space, pieces))
-    return f
+    """The map holding exactly the reference's canonical pieces, passed to the
+    library as rows of (numerator, denominator) pairs without re-canonicalizing."""
+    rows = tuple((p.dom.lo.numerator, p.dom.lo.denominator, p.dom.hi.numerator, p.dom.hi.denominator,
+                  p.slope.numerator, p.slope.denominator, p.offset.numerator, p.offset.denominator)
+                 for p in _canonical_pieces(space, pieces))
+    return pamaps._wrap(space, rows)
 
 
 def identity(space: Space) -> PAMap:
     return make(space, [AffinePiece(Interval(Fraction(0), space.length), Fraction(1), Fraction(0))])
+
+
+def apply(f: PAMap, x: Fraction) -> Fraction:
+    """Evaluate f at x; the result is a canonical point of the space."""
+    sp = f.space
+    if sp.circle:
+        x = sp.normalize(x)
+    elif not 0 <= x <= sp.length:
+        raise OutOfDomain(f"{x} outside [0, {sp.length}]")
+    for p in f.pieces:
+        if p.dom.contains(x):
+            return sp.normalize(p.value_at(x))
+    if sp.circle and x == 0:
+        for p in f.pieces:
+            if p.dom.contains(sp.length):
+                return sp.normalize(p.value_at(sp.length))
+    raise OutOfDomain(f"{x} not in domain")
+
+
+def fixed_points(f: PAMap) -> tuple[Interval, ...]:
+    """Exact solution set of f(x) = x (mod the wrap on circles)."""
+    sp = f.space
+    found: list[Interval] = []
+    for p in f.pieces:
+        for k in ((-1, 0, 1) if sp.circle else (0,)):
+            shift = k * sp.length
+            if p.slope == 1:
+                if p.offset == shift:
+                    found.append(p.dom)
+            else:
+                x = (shift - p.offset) / (p.slope - 1)
+                if p.dom.contains(x):
+                    x = sp.normalize(x)
+                    found.append(Interval(x, x))
+    return merge_intervals(found)
 
 
 def _preimage(q: AffinePiece, lo: Fraction, hi: Fraction) -> Optional[Interval]:

@@ -86,6 +86,31 @@ def test_gen_map_golden_bytes(tmp_path, capsys):
     assert _sha256(out) == "6beb64546e1a0bf86edf2fac130146773db4ce0a0ce86231628eb929e56989ae"
 
 
+def test_gen_to_stdout_writes_only_the_document(tmp_path, capsys):
+    # without --out the tile count goes to stderr, so stdout is a tile file verify reads
+    assert main(["gen", "--preset", "z-kari"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "22 tiles\n"
+    tiles_file = tmp_path / "piped.json"
+    tiles_file.write_text(captured.out)
+    rep = tmp_path / "rep.json"
+    assert main(["verify", "--tiles", str(tiles_file), "--max-n", "4", "--max-k", "2", "--out", str(rep)]) == 0
+    assert json.loads(rep.read_text())["nonempty"] is True
+
+
+def test_python_m_kariforge_runs_the_cli():
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "kariforge", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "verify" in done.stdout
+
+
 def test_gen_fast_path_off_still_verifies(tmp_path, kari_map_file, capsys):
     tiles_file = tmp_path / "general.json"
     assert main(["gen", "--preset", "z-kari", "--fast-path", "off", "--out", str(tiles_file)]) == 0
@@ -145,6 +170,43 @@ def test_verify_partial_map_reports_rows_outside_domain(tmp_path):
     violations = report["soundness_violations"]
     assert violations and all(v["expected"] is None for v in violations)
     assert report["oracle_periodic_points"] is None  # the exact solver needs a total map
+
+
+def _half_kari():
+    kari = kari_map()
+    return pamaps.PAMap.make(kari.space, [p for p in kari.pieces if p.dom.hi <= F(1, 2)])
+
+
+# (map, map the tiles are compiled from, --max-n, --max-k, exit code, sha256 of
+# the report written before soundness and the scan shared one walk search);
+# `rotation` is defined with the oracle tests below
+REPORTS = {
+    "z-kari": (kari_map, kari_map, 8, 6, 0, "7ab83bd559a1292aa15427cac26a5d8c4181f000959491086bd6a5c4b1e7a711"),
+    "rot-1-7": (lambda: rotation(1, 7), lambda: rotation(1, 7), 7, 7, 2,
+                "2294841e811b02923fe1d83979725de484e41e1c18e086ded6f9e3b0abbeb874"),
+    "identity": (lambda: pamaps.identity(Space(F(1), circle=True)), lambda: pamaps.identity(Space(F(1), circle=True)),
+                 4, 3, 2, "75eafebba121903fb1afde7b6b54d02516849ad41c00b791dda700f1df7e2832"),
+    "half-kari": (_half_kari, kari_map, 5, 2, 3, "d0ef878486d29b532a9c3d32db97f7090529d2ab4be5a5425e6c9b264220ba21"),
+}
+
+
+@pytest.mark.parametrize("case", list(REPORTS))
+def test_verify_report_bytes_with_one_walk_search(tmp_path, monkeypatch, case):
+    from kariforge import verify
+
+    f, compiled, max_n, max_k, code, sha = REPORTS[case]
+    map_file, src_file = tmp_path / "map.json", tmp_path / "src.json"
+    map_file.write_text(json.dumps(pamaps.pamap_to_obj(f())))
+    src_file.write_text(json.dumps(pamaps.pamap_to_obj(compiled())))
+    tiles_file, rep = tmp_path / "tiles.json", tmp_path / "rep.json"
+    assert main(["gen", "--map", str(src_file), "--out", str(tiles_file)]) == 0
+    searches = []
+    real = verify._closed_walk_sums
+    monkeypatch.setattr(verify, "_closed_walk_sums", lambda *args: searches.append(1) or real(*args))
+    assert main(["verify", "--tiles", str(tiles_file), "--map", str(map_file), "--max-n", str(max_n),
+                 "--max-k", str(max_k), "--out", str(rep)]) == code
+    assert _sha256(rep) == sha
+    assert len(searches) == 1
 
 
 def test_verify_corrupted_exit3(tmp_path, kari_map_file):

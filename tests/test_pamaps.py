@@ -1019,3 +1019,131 @@ def test_witness_tries_every_map_on_new_candidates(thompson_v, monkeypatch):
     assert common_domain(thompson_v, 2) != common_domain(thompson_v, 1)
     points = kernel._candidate_points(common_domain(thompson_v, 2))
     assert {(f, t) for f in enumerate_maps(thompson_v, 2) for t in points} <= set(calls)
+
+
+# -- the int-pair kernel against the Fraction reference, answer by answer ---
+
+
+def answer(fn, *args):
+    """The result, or the exception's type and text."""
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the type is part of the answer
+        return type(exc), str(exc)
+
+
+@st.composite
+def map_rows(draw, circle, L=None):
+    """(space, rows) on a segment or a circle: a circle homeomorphism or a
+    partial map, and now and then with random pieces added, so that building
+    it must raise."""
+    L = draw(LENGTHS) if L is None else L
+    homeo = circle and draw(st.booleans())
+    rows = draw(circle_homeo_rows(L) if homeo else partial_rows(L, circle))
+    if draw(st.integers(0, 3)) == 0:
+        rows = draw(st.permutations(rows + draw(st.lists(raw_row(L), min_size=1, max_size=2))))
+    return Space(L, circle), rows
+
+
+def probe_points(L):
+    """Points of [0, L] on a grid of twelfths, and a few outside it."""
+    return [L * F(k, 12) for k in range(-3, 16)]
+
+
+def assert_same_map(f, r):
+    """f, from the library, and r, built by the reference, answer alike."""
+    assert f.pieces == r.pieces
+    assert f == r and hash(f) == hash(r)
+    assert f == PAMap(r.space, r.pieces) and hash(f) == hash(PAMap(r.space, r.pieces))
+    domain = reference.merge_intervals(p.dom for p in r.pieces)
+    assert f.domain() == domain
+    assert f.is_total() == (domain == (Interval(F(0), r.space.length),))
+    assert fixed_points(f) == reference.fixed_points(r)
+    for x in probe_points(r.space.length):
+        assert answer(apply, f, x) == answer(reference.apply, r, x)
+
+
+def assert_same_balls(maps, depth):
+    """enumerate_maps lists the same maps in the same exact order, for the
+    presentation of the injective maps among `maps`."""
+    gens = {}
+    for i, m in enumerate(maps):
+        if answer(invert, m)[0] == "ok":
+            gens[f"g{i}"] = m
+    if gens:
+        pres = PAGroupPresentation.make(gens)
+        got = enumerate_maps(pres, depth)
+        assert [m.pieces for m in got] == [m.pieces for m in reference.enumerate_maps(pres, depth)]
+
+
+@pytest.mark.parametrize("circle", [False, True], ids=["segment", "circle"])
+@given(data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_pair_kernel_answers_as_reference(circle, data):
+    space, rows = data.draw(map_rows(circle))
+    got = outcome(PAMap.make, space, _pieces(rows))
+    assert got == outcome(reference.make, space, _pieces(rows))
+    assert outcome(PAMap, space, tuple(_pieces(rows))) == got
+    if got[0] != "ok":
+        return
+    f, r = PAMap.make(space, _pieces(rows)), reference.make(space, _pieces(rows))
+    assert_same_map(f, r)
+    assert answer(is_circle_homeo, f) == answer(reference_is_circle_homeo, r)
+    inverse = outcome(invert, f)
+    assert inverse == outcome(reference.invert, r)
+    if inverse[0] == "ok":
+        assert_same_map(invert(f), reference.invert(r))
+    assert_same_balls([f], 3)
+
+
+@pytest.mark.parametrize("circle", [False, True], ids=["segment", "circle"])
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_pair_kernel_composites_answer_as_reference(circle, data):
+    L = data.draw(LENGTHS)
+    valid = map_rows(circle, L).filter(lambda case: outcome(reference.make, *case[:1], _pieces(case[1]))[0] == "ok")
+    f, g = (reference.make(space, _pieces(rows)) for space, rows in (data.draw(valid), data.draw(valid)))
+    composed = outcome(compose, f, g)
+    assert composed == outcome(reference.compose, f, g)
+    if composed[0] == "ok":
+        assert_same_map(compose(f, g), reference.compose(f, g))
+    assert_same_balls([f, g], 2)
+
+
+def reference_is_circle_homeo(f):
+    """is_circle_homeo from the reference's objects."""
+    whole = (Interval(F(0), f.space.length),)
+    if reference.merge_intervals(p.dom for p in f.pieces) != whole or any(p.slope == 0 for p in f.pieces):
+        return False
+    try:
+        g = reference.invert(f)
+    except (NotInjective, ZeroSlope):
+        return False
+    return reference.merge_intervals(p.dom for p in g.pieces) == whole
+
+
+def test_canonical_rows_sort_in_exact_rational_order():
+    # as int pairs (1, 2) < (1, 3), but 1/3 < 1/2: the pieces and the ball
+    # must follow the rationals
+    f = piecemap(SEG1, [(F(1, 2), 1, F(4, 3), F(-1, 3)), (F(1, 3), F(1, 2), 0, F(1, 3)), (0, F(1, 3), 1, 0)])
+    assert [p.dom.lo for p in f.pieces] == [0, F(1, 3), F(1, 2)]
+    assert f.pieces == reference.make(SEG1, f.pieces).pieces
+    g = piecemap(SEG1, [(0, 1, F(1, 2), F(1, 3))])
+    h = piecemap(SEG1, [(0, 1, F(1, 3), F(1, 2))])
+    pres = PAGroupPresentation.make({"g": g, "h": h})
+    assert [m.pieces for m in enumerate_maps(pres, 2)] == [m.pieces for m in reference.enumerate_maps(pres, 2)]
+
+
+def test_messages_print_rationals_as_fractions_do():
+    with pytest.raises(ValueError) as info:
+        piecemap(SEG1, [(F(-1, 3), F(1, 2), 1, F(1, 3))])
+    assert str(info.value) == "piece domain [-1/3, 1/2] outside [0, 1]"
+    with pytest.raises(ValueError) as info:
+        piecemap(SEG1, [(0, F(1, 2), 3, F(1, 4))])
+    assert str(info.value) == "piece image [1/4, 7/4] outside [0, 1]"
+    with pytest.raises(Conflict) as info:
+        piecemap(CIRCLE1, [(0, F(1, 2), 1, F(1, 6)), (F(1, 2), 1, 1, F(-1, 4))])
+    assert str(info.value) == "values disagree at 1/2: 2/3 vs 1/4"
+    with pytest.raises(ZeroSlope) as info:
+        invert(piecemap(SEG1, [(F(1, 3), F(2, 3), 0, F(1, 2))]))
+    assert str(info.value) == "piece on [1/3, 2/3] has slope 0"

@@ -354,6 +354,18 @@ def test_stacked_kari_empty(kari_tiles):
     assert stacked_periodic_scan(kari_tiles, 8, 6) == []
 
 
+def test_shared_row_sums_give_the_same_reports(kari_tiles):
+    from kariforge.verify import RowSums
+
+    ident = pamap_tiles(IDENTITY_CIRCLE)
+    for ts, f in ((kari_tiles, presets.kari_map()), (ident, IDENTITY_CIRCLE)):
+        sums = RowSums.of(ts, 4)
+        assert stacked_periodic_scan(ts, 4, 3, sums) == stacked_periodic_scan(ts, 4, 3)
+        assert periodic_soundness(ts, f, 4, sums=sums) == periodic_soundness(ts, f, 4)
+    with pytest.raises(ValueError, match="^row sums were found up to n = 4, not 5$"):
+        stacked_periodic_scan(ident, 5, 3, RowSums.of(ident, 4))
+
+
 def test_stacked_fixed_point_map_found():
     half = PAMap.make(Space(F(1), circle=False),
                       [AffinePiece(Interval(F(0), F(1)), F(1, 2), F(0))])
