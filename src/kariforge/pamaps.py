@@ -31,6 +31,7 @@ Rat = Fraction
 RatLike = Union[Fraction, int, str]
 Pair = tuple[int, int]  # a rational as (numerator, denominator), reduced, denominator > 0
 Row = tuple[int, int, int, int, int, int, int, int]  # lo, hi, slope, offset as flattened pairs
+Span = tuple[int, int, int, int]  # a closed interval [lo, hi] as flattened pairs
 
 _new = object.__new__
 
@@ -144,11 +145,9 @@ def _exact_key(rows: Sequence[tuple[int, ...]], width: int) -> Callable:
     return lambda r: (r[0] * (D // r[1]), r[2] * (D // r[3]), r[4] * (D // r[5]), r[6] * (D // r[7]))
 
 
-# Closed intervals as (lo num, lo den, hi num, hi den).
-
-def _union(ivs: Iterable[tuple[int, int, int, int]]) -> list[tuple[int, int, int, int]]:
+def _union(ivs: Iterable[Span]) -> list[Span]:
     """Touching-merge of closed intervals given in order of lo."""
-    out: list[tuple[int, int, int, int]] = []
+    out: list[Span] = []
     for lon, lod, hin, hid in ivs:
         if out:
             cln, cld, chn, chd = out[-1]
@@ -160,7 +159,7 @@ def _union(ivs: Iterable[tuple[int, int, int, int]]) -> list[tuple[int, int, int
     return out
 
 
-def _intersect(a: Sequence[tuple[int, int, int, int]], b: Sequence[tuple[int, int, int, int]]) -> list[tuple[int, int, int, int]]:
+def _intersect(a: Sequence[Span], b: Sequence[Span]) -> list[Span]:
     """Intersection of two outputs of `_union` (sorted, never touching), in
     one sweep over both."""
     out = []
@@ -180,7 +179,7 @@ def _intersect(a: Sequence[tuple[int, int, int, int]], b: Sequence[tuple[int, in
     return out
 
 
-def _domain(core: Sequence[Row]) -> list[tuple[int, int, int, int]]:
+def _domain(core: Sequence[Row]) -> list[Span]:
     """The merged domain of canonical rows, which are sorted by lo."""
     return _union([r[:4] for r in core])
 
@@ -220,11 +219,11 @@ def _interval(lo: Fraction, hi: Fraction) -> Interval:
     return iv
 
 
-def _pairs(ivs: Iterable[Interval]) -> list[tuple[int, int, int, int]]:
+def _pairs(ivs: Iterable[Interval]) -> list[Span]:
     return [(iv.lo.numerator, iv.lo.denominator, iv.hi.numerator, iv.hi.denominator) for iv in ivs]
 
 
-def _intervals(ivs: Iterable[tuple[int, int, int, int]]) -> tuple[Interval, ...]:
+def _intervals(ivs: Iterable[Span]) -> tuple[Interval, ...]:
     return tuple([_interval(Fraction(lon, lod), Fraction(hin, hid)) for lon, lod, hin, hid in ivs])
 
 

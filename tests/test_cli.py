@@ -103,8 +103,10 @@ def test_python_m_kariforge_runs_the_cli():
     import subprocess
     import sys
 
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    import kariforge
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kariforge.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-m", "kariforge", "--help"], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
@@ -172,6 +174,10 @@ def test_verify_partial_map_reports_rows_outside_domain(tmp_path):
     assert report["oracle_periodic_points"] is None  # the exact solver needs a total map
 
 
+def _circle_identity():
+    return pamaps.identity(Space(F(1), circle=True))
+
+
 def _half_kari():
     kari = kari_map()
     return pamaps.PAMap.make(kari.space, [p for p in kari.pieces if p.dom.hi <= F(1, 2)])
@@ -184,8 +190,8 @@ REPORTS = {
     "z-kari": (kari_map, kari_map, 8, 6, 0, "7ab83bd559a1292aa15427cac26a5d8c4181f000959491086bd6a5c4b1e7a711"),
     "rot-1-7": (lambda: rotation(1, 7), lambda: rotation(1, 7), 7, 7, 2,
                 "2294841e811b02923fe1d83979725de484e41e1c18e086ded6f9e3b0abbeb874"),
-    "identity": (lambda: pamaps.identity(Space(F(1), circle=True)), lambda: pamaps.identity(Space(F(1), circle=True)),
-                 4, 3, 2, "75eafebba121903fb1afde7b6b54d02516849ad41c00b791dda700f1df7e2832"),
+    "identity": (_circle_identity, _circle_identity, 4, 3, 2,
+                 "75eafebba121903fb1afde7b6b54d02516849ad41c00b791dda700f1df7e2832"),
     "half-kari": (_half_kari, kari_map, 5, 2, 3, "d0ef878486d29b532a9c3d32db97f7090529d2ab4be5a5425e6c9b264220ba21"),
 }
 
