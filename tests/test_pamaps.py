@@ -1076,6 +1076,18 @@ def assert_same_balls(maps, depth):
         assert [m.pieces for m in got] == [m.pieces for m in reference.enumerate_maps(pres, depth)]
 
 
+def reference_is_circle_homeo(f):
+    """is_circle_homeo from the reference's objects."""
+    whole = (Interval(F(0), f.space.length),)
+    if reference.merge_intervals(p.dom for p in f.pieces) != whole or any(p.slope == 0 for p in f.pieces):
+        return False
+    try:
+        g = reference.invert(f)
+    except (NotInjective, ZeroSlope):
+        return False
+    return reference.merge_intervals(p.dom for p in g.pieces) == whole
+
+
 @pytest.mark.parametrize("circle", [False, True], ids=["segment", "circle"])
 @given(data=st.data())
 @settings(max_examples=120, deadline=None)
@@ -1101,25 +1113,13 @@ def test_pair_kernel_answers_as_reference(circle, data):
 @settings(max_examples=80, deadline=None)
 def test_pair_kernel_composites_answer_as_reference(circle, data):
     L = data.draw(LENGTHS)
-    valid = map_rows(circle, L).filter(lambda case: outcome(reference.make, *case[:1], _pieces(case[1]))[0] == "ok")
+    valid = map_rows(circle, L).filter(lambda case: outcome(reference.make, case[0], _pieces(case[1]))[0] == "ok")
     f, g = (reference.make(space, _pieces(rows)) for space, rows in (data.draw(valid), data.draw(valid)))
     composed = outcome(compose, f, g)
     assert composed == outcome(reference.compose, f, g)
     if composed[0] == "ok":
         assert_same_map(compose(f, g), reference.compose(f, g))
     assert_same_balls([f, g], 2)
-
-
-def reference_is_circle_homeo(f):
-    """is_circle_homeo from the reference's objects."""
-    whole = (Interval(F(0), f.space.length),)
-    if reference.merge_intervals(p.dom for p in f.pieces) != whole or any(p.slope == 0 for p in f.pieces):
-        return False
-    try:
-        g = reference.invert(f)
-    except (NotInjective, ZeroSlope):
-        return False
-    return reference.merge_intervals(p.dom for p in g.pieces) == whole
 
 
 def test_canonical_rows_sort_in_exact_rational_order():
