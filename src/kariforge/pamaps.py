@@ -822,6 +822,7 @@ def nontriviality_witness(pres: PAGroupPresentation, word: Word, budget: int) ->
     L = pres.space.length
     common = [(0, 1, L.numerator, L.denominator)]
     checked = None  # common at the last level searched: no map so far finds a t among its candidates
+    moved: dict[Fraction, bool] = {}  # g moves s; False where g is undefined
     for level in levels:  # lengths 1..budget, each composed once
         maps += level
         for m in level:
@@ -833,10 +834,16 @@ def nontriviality_witness(pres: PAGroupPresentation, word: Word, budget: int) ->
             for f in tried:
                 try:
                     s = apply(f, t)
-                    gs = apply(g, s)
                 except OutOfDomain:
                     continue
-                if not pres.space.equiv(gs, s):
+                moves = moved.get(s)
+                if moves is None:
+                    try:
+                        moves = not pres.space.equiv(apply(g, s), s)
+                    except OutOfDomain:
+                        moves = False
+                    moved[s] = moves
+                if moves:
                     return t
     return None
 

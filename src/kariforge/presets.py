@@ -106,8 +106,16 @@ PRESETS = {
 }
 
 
+class UnknownPreset(KeyError):
+    """A name not in PRESETS.  It prints its message as given, where str()
+    of a plain KeyError would quote it."""
+
+    def __str__(self):
+        return self.args[0]
+
+
 def load_preset(name: str) -> PAGroupPresentation:
-    try:
-        return PRESETS[name]()
-    except KeyError:
-        raise KeyError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}") from None
+    build = PRESETS.get(name)
+    if build is None:
+        raise UnknownPreset(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
+    return build()

@@ -291,9 +291,7 @@ class ZTileSet:
         return ts
 
     def single_out(self) -> str:
-        if len(self.out_maxes) != 1:
-            raise ValueError("tile set has several outputs")
-        return self.out_maxes[0][0]
+        return _only_output(self.out_maxes)[0]
 
     def out_max(self, name: Optional[str] = None) -> int:
         if name is None:
@@ -328,6 +326,110 @@ class GroupTileSet:
 
 # ---------------------------------------------------------------------------
 # Generators
+#
+# Every generator works on plain rows (top, bottoms, left, right) whose side
+# labels are ids in a per-call label table, and makes labels, tiles and one
+# sorted, validated set only for the rows it returns.  build_plan keeps its
+# nodes as rows over one table, so only the root pays for that conversion.
+
+
+class _LabelTable:
+    """Side labels numbered so that equal labels get equal ids.  Label i is
+    nodes[i] = (kind, value): an atom's reduced (numerator, denominator), a
+    tag's (name, child id) or a tuple's child ids.  A child's id is below
+    its parent's.  `built` holds the plan nodes that build_plan evaluated
+    over this table."""
+
+    __slots__ = ("ids", "nodes", "built")
+
+    def __init__(self):
+        self.ids: dict[tuple, int] = {}
+        self.nodes: list[tuple] = []
+        self.built: dict = {}
+
+    def intern(self, kind: str, value) -> int:
+        key = (kind, value)
+        i = self.ids.get(key)
+        if i is None:
+            i = self.ids[key] = len(self.nodes)
+            self.nodes.append(key)
+        return i
+
+    def hlabels(self, ids: Iterable[int]) -> dict[int, HLabel]:
+        """The interned HLabel of each id in `ids` (and of their children),
+        each built once through atom, tag and tup."""
+        nodes = self.nodes
+        out: dict[int, HLabel] = {}
+
+        def build(i: int) -> HLabel:
+            l = out.get(i)
+            if l is None:
+                kind, value = nodes[i]
+                if kind == "atom":
+                    l = atom(Fraction(*value))
+                elif kind == "tag":
+                    l = tag(value[0], build(value[1]))
+                else:
+                    l = tup(*map(build, value))
+                out[i] = l
+            return l
+        for i in ids:
+            build(i)
+        return out
+
+
+class _Rows:
+    """A tile set as rows (top, bottoms, left, right) over a label table.
+    The sides are label ids or, in the candidates of a compose or product
+    node (`parts`), tuples of ids that trim_tiles turns into tuple labels
+    for the survivors.  `trimmed`: every row occurs in a bi-infinite row."""
+
+    __slots__ = ("in_max", "out_maxes", "tiles", "source", "labels", "parts", "trimmed")
+
+    def __init__(self, in_max: int, out_maxes: tuple[tuple[str, int], ...], tiles: list[tuple],
+                 source: Optional[Plan], labels: _LabelTable, parts: bool = False, trimmed: bool = False):
+        self.in_max = in_max
+        self.out_maxes = out_maxes
+        self.tiles = tiles
+        self.source = source
+        self.labels = labels
+        self.parts = parts
+        self.trimmed = trimmed
+
+    @staticmethod
+    def of(ts: ZTileSet, labels: _LabelTable) -> "_Rows":
+        """The rows of a tile set, each distinct label node numbered once."""
+        intern = labels.intern
+        ids: dict[HLabel, int] = {}
+
+        def id_of(l: HLabel) -> int:
+            i = ids.get(l)
+            if i is None:
+                if l.kind == "atom":
+                    i = intern("atom", (l.value.numerator, l.value.denominator))
+                elif l.kind == "tag":
+                    i = intern("tag", (l.value[0], id_of(l.value[1])))
+                else:
+                    i = intern("tup", tuple(map(id_of, l.value)))
+                ids[l] = i
+            return i
+        rows = [(t.top, t.bottoms, id_of(t.left), id_of(t.right)) for t in ts.tiles]
+        return _Rows(ts.in_max, ts.out_maxes, rows, ts.source, labels)
+
+    def tileset(self) -> ZTileSet:
+        """The rows as a sorted, validated ZTileSet of interned labels."""
+        rows = self.tiles
+        ids = {r[2] for r in rows}
+        ids.update(r[3] for r in rows)
+        label = self.labels.hlabels(ids)
+        tiles = [ZTile(top, bottoms, label[l], label[r]) for top, bottoms, l, r in rows]
+        return ZTileSet.make(self.in_max, dict(self.out_maxes), tiles, source=self.source)
+
+
+def _only_output(out_maxes: tuple[tuple[str, int], ...]) -> tuple[str, int]:
+    if len(out_maxes) != 1:
+        raise ValueError("tile set has several outputs")
+    return out_maxes[0]
 
 
 def _carry_range(a: Fraction, b: Fraction) -> tuple[int, int, int]:
@@ -351,52 +453,105 @@ def carry_set(a, b) -> tuple[Fraction, ...]:
     return tuple(Fraction(k, D) for k in range(lo, hi + 1))
 
 
-def affine_tiles(a, b, in_max: int, out_max: int, out_name: str = "f") -> ZTileSet:
-    """All tiles satisfying bottom = a*top + b + left - right over the carry set.
-
-    With carries k/D and A = a*D, B = b*D, the relation reads
-    D*bottom = A*top + B + k - k', so for each (top, k) the bottoms are the
-    integers u with k' = A*top + B + k - u*D inside the carry range.
-    """
+def _affine(labels: _LabelTable, a, b, in_max: int, out_max: int, out_name: str = "f") -> _Rows:
+    """The rows of affine_tiles.  With carries k/D and A = a*D, B = b*D, the
+    relation reads D*bottom = A*top + B + k - k', so for each (top, k) the
+    bottoms are the integers u with k' = A*top + B + k - u*D inside the carry
+    range."""
     a, b = rat(a), rat(b)
     if a == 0:
         raise ValueError("slope must be nonzero")
     D, lo, hi = _carry_range(a, b)
     A, B = a.numerator * (D // a.denominator), b.numerator * (D // b.denominator)
-    labels = [atom(Fraction(k, D)) for k in range(lo, hi + 1)]
-    tiles = []
+    ids = []
+    for k in range(lo, hi + 1):
+        g = math.gcd(k, D)
+        ids.append(labels.intern("atom", (k // g, D // g)))
+    bottoms = [((out_name, u),) for u in range(out_max + 1)]
+    rows = []
     for t in range(in_max + 1):
         for k in range(lo, hi + 1):
             base = A * t + B + k
             for u in range(max(0, -((hi - base) // D)), min(out_max, (base - lo) // D) + 1):
-                tiles.append(ZTile(t, ((out_name, u),), labels[k - lo], labels[base - u * D - lo]))
-    if not tiles:
+                rows.append((t, bottoms[u], ids[k - lo], ids[base - u * D - lo]))
+    if not rows:
         raise EmptyTileSetError(f"no tiles for a={a}, b={b}")
-    return ZTileSet.make(in_max, {out_name: out_max}, tiles, source=PlanAff(a, b))
+    return _Rows(in_max, ((out_name, out_max),), rows, PlanAff(a, b), labels)
+
+
+def _union(A: _Rows, B: _Rows) -> _Rows:
+    """Each operand's rows with its labels tagged L or R, one tag id per
+    distinct label id."""
+    if A.in_max != B.in_max or A.out_maxes != B.out_maxes:
+        raise AlphabetMismatch("union operands must share in/out alphabets")
+    intern = A.labels.intern
+    rows: list[tuple] = []
+    for name, ts in (("L", A), ("R", B)):
+        ids = {r[2] for r in ts.tiles}
+        ids.update(r[3] for r in ts.tiles)
+        tagged = {i: intern("tag", (name, i)) for i in ids}
+        rows += [(top, bottoms, tagged[l], tagged[r]) for top, bottoms, l, r in ts.tiles]
+    src = PlanUnion(A.source, B.source) if A.source is not None and B.source is not None else None
+    # the tags keep every bi-infinite row inside one operand
+    return _Rows(A.in_max, A.out_maxes, rows, src, A.labels, trimmed=A.trimmed and B.trimmed)
+
+
+def _compose(A: _Rows, B: _Rows) -> _Rows:
+    """The candidates of x -> f_B(f_A(x)): pairs whose middle bits agree."""
+    _, mid = _only_output(A.out_maxes)
+    if mid != B.in_max:
+        raise AlphabetMismatch(f"A out alphabet {mid} != B in alphabet {B.in_max}")
+    by_top: dict[int, list[tuple]] = {}
+    for rb in B.tiles:
+        by_top.setdefault(rb[0], []).append(rb)
+    candidates = [(ra[0], rb[1], (ra[2], rb[2]), (ra[3], rb[3]))
+                  for ra in A.tiles for rb in by_top.get(ra[1][0][1], ())]
+    src = PlanComp(A.source, B.source) if A.source is not None and B.source is not None else None
+    return _Rows(A.in_max, B.out_maxes, candidates, src, A.labels, parts=True)
+
+
+def _product(components: Sequence[tuple[str, _Rows]]) -> _Rows:
+    """The candidates of the synchronized product: one per choice of
+    component rows sharing a top bit."""
+    if not components:
+        raise ValueError("empty product")
+    in_max = components[0][1].in_max
+    for name, c in components:
+        if c.in_max != in_max:
+            raise AlphabetMismatch("product components must share the input alphabet")
+        _only_output(c.out_maxes)
+    out_maxes = _mk_bottoms({name: c.out_maxes[0][1] for name, c in components})
+    names = [name for name, _ in components]
+    bottoms_of: dict[tuple[int, ...], tuple[tuple[str, int], ...]] = {}
+    candidates = []
+    for t in range(in_max + 1):
+        rows = [[(r[1][0][1], r[2], r[3]) for r in c.tiles if r[0] == t] for _, c in components]
+        for chosen in itertools.product(*rows):
+            bits, lefts, rights = zip(*chosen)
+            bottoms = bottoms_of.get(bits)
+            if bottoms is None:
+                bottoms = bottoms_of[bits] = _mk_bottoms(dict(zip(names, bits)))
+            candidates.append((t, bottoms, lefts, rights))
+    srcs = [(name, c.source) for name, c in components]
+    src = PlanProd(tuple(srcs)) if all(s is not None for _, s in srcs) else None
+    return _Rows(in_max, out_maxes, candidates, src, components[0][1].labels, parts=True)
+
+
+def affine_tiles(a, b, in_max: int, out_max: int, out_name: str = "f") -> ZTileSet:
+    """All tiles satisfying bottom = a*top + b + left - right over the carry set."""
+    return _affine(_LabelTable(), a, b, in_max, out_max, out_name).tileset()
 
 
 def union_tiles(A: ZTileSet, B: ZTileSet) -> ZTileSet:
     """Disjoint union; side labels are tagged so rows cannot mix operands."""
-    if A.in_max != B.in_max or A.out_maxes != B.out_maxes:
-        raise AlphabetMismatch("union operands must share in/out alphabets")
-    tiles = [ZTile(t.top, t.bottoms, tag("L", t.left), tag("L", t.right)) for t in A.tiles]
-    tiles += [ZTile(t.top, t.bottoms, tag("R", t.left), tag("R", t.right)) for t in B.tiles]
-    src = PlanUnion(A.source, B.source) if A.source is not None and B.source is not None else None
-    return ZTileSet.make(A.in_max, dict(A.out_maxes), tiles, source=src)
+    labels = _LabelTable()
+    return _union(_Rows.of(A, labels), _Rows.of(B, labels)).tileset()
 
 
 def compose_tiles(A: ZTileSet, B: ZTileSet) -> ZTileSet:
     """Tiles of x -> f_B(f_A(x)): pairs whose middle bits agree, trimmed."""
-    mid = A.out_max()
-    if mid != B.in_max:
-        raise AlphabetMismatch(f"A out alphabet {mid} != B in alphabet {B.in_max}")
-    by_top: dict[int, list[ZTile]] = {}
-    for tb in B.tiles:
-        by_top.setdefault(tb.top, []).append(tb)
-    candidates = [(ta.top, tb.bottoms, (ta.left, tb.left), (ta.right, tb.right))
-                  for ta in A.tiles for tb in by_top.get(ta.bottom(), ())]
-    src = PlanComp(A.source, B.source) if A.source is not None and B.source is not None else None
-    return trim_tiles(_Candidates(A.in_max, dict(B.out_maxes), candidates, src))
+    labels = _LabelTable()
+    return trim_tiles(_compose(_Rows.of(A, labels), _Rows.of(B, labels))).tileset()
 
 
 def product_tiles(components: Sequence[tuple[str, ZTileSet]]) -> ZTileSet:
@@ -406,29 +561,8 @@ def product_tiles(components: Sequence[tuple[str, ZTileSet]]) -> ZTileSet:
     Each component must have a single output; in the product it is renamed to
     the component's name.
     """
-    if not components:
-        raise ValueError("empty product")
-    in_max = components[0][1].in_max
-    for name, c in components:
-        if c.in_max != in_max:
-            raise AlphabetMismatch("product components must share the input alphabet")
-        c.single_out()
-    out_maxes = {name: c.out_max() for name, c in components}
-    names = [name for name, _ in components]
-    bottoms_of: dict[tuple[int, ...], tuple[tuple[str, int], ...]] = {}
-    candidates = []
-    for t in range(in_max + 1):
-        rows = [[(tile.bottom(), tile.left, tile.right) for tile in c.tiles if tile.top == t]
-                for _, c in components]
-        for chosen in itertools.product(*rows):
-            bits, lefts, rights = zip(*chosen)
-            bottoms = bottoms_of.get(bits)
-            if bottoms is None:
-                bottoms = bottoms_of[bits] = _mk_bottoms(dict(zip(names, bits)))
-            candidates.append((t, bottoms, lefts, rights))
-    srcs = [(name, c.source) for name, c in components]
-    src = PlanProd(tuple(srcs)) if all(s is not None for _, s in srcs) else None
-    return trim_tiles(_Candidates(in_max, out_maxes, candidates, src))
+    labels = _LabelTable()
+    return trim_tiles(_product([(name, _Rows.of(c, labels)) for name, c in components])).tileset()
 
 
 # ---------------------------------------------------------------------------
@@ -471,34 +605,28 @@ def _alive(lefts: Sequence, rights: Sequence) -> list[int]:
     return [i for i, (f, b) in enumerate(zip(_extendable(succ, pred), _extendable(pred, succ))) if f and b]
 
 
-class _Candidates:
-    """The untrimmed tiles of a compose or product node, each a plain (top,
-    bottoms, left parts, right parts) tuple whose side labels would be
-    tup(*parts).  trim_tiles makes labels and tiles of the survivors only."""
-
-    __slots__ = ("in_max", "out_maxes", "tiles", "source")
-
-    def __init__(self, in_max: int, out_maxes: dict[str, int], tiles: list[tuple], source: Optional[Plan]):
-        self.in_max = in_max
-        self.out_maxes = out_maxes
-        self.tiles = tiles
-        self.source = source
-
-
-def trim_tiles(ts: ZTileSet | _Candidates) -> ZTileSet:
+def trim_tiles(ts: ZTileSet | _Rows) -> ZTileSet | _Rows:
     """Drop tiles that cannot occur in any bi-infinite row.
 
     A tile survives iff it has an infinite forward and an infinite backward
     extension in the adjacency graph (right label feeding the next left
-    label), so the set of bi-infinite valid rows is preserved exactly.
-    Given the candidates of a compose or product node, it returns what
-    trimming the tile set of every candidate would.
+    label), so the set of bi-infinite valid rows is preserved exactly.  A
+    ZTileSet keeps its order and alphabets.  Rows give rows: candidates'
+    id tuples become tuple labels for the survivors only, and rows already
+    trimmed (a union of trimmed rows) are returned as they are.
     """
     tiles = ts.tiles
-    if isinstance(ts, _Candidates):
-        alive = _alive([c[2] for c in tiles], [c[3] for c in tiles])
-        kept = [ZTile(top, bottoms, tup(*l), tup(*r)) for top, bottoms, l, r in map(tiles.__getitem__, alive)]
-        return ZTileSet.make(ts.in_max, ts.out_maxes, kept, source=ts.source)
+    if isinstance(ts, _Rows):
+        if ts.trimmed:
+            return ts
+        kept = [tiles[i] for i in _alive([r[2] for r in tiles], [r[3] for r in tiles])]
+        if ts.parts:
+            parts = {r[2] for r in kept}
+            parts.update(r[3] for r in kept)
+            intern = ts.labels.intern
+            ids = {p: intern("tup", p) for p in parts}
+            kept = [(top, bottoms, ids[l], ids[r]) for top, bottoms, l, r in kept]
+        return _Rows(ts.in_max, ts.out_maxes, kept, ts.source, ts.labels, trimmed=True)
     kept = tuple(tiles[i] for i in _alive([t.left for t in tiles], [t.right for t in tiles]))
     return ZTileSet._unchecked(ts.in_max, ts.out_maxes, kept, ts.source)
 
@@ -575,32 +703,38 @@ def pamap_plan(f: PAMap, fast_path: bool = True) -> Plan:
     return whole
 
 
-def build_plan(plan: Plan, in_max: int, out_max: int, _cache=None) -> ZTileSet:
+def build_plan(plan: Plan, in_max: int, out_max: int,
+               _labels: Optional[_LabelTable] = None) -> ZTileSet | _Rows:
     """Evaluate a plan into a tile set, trimming every node once so that
-    intermediate compositions stay small.  Compose and product nodes trim
-    their candidates before they build labels and tiles."""
-    if _cache is None:
-        _cache = {}
+    intermediate compositions stay small.
+
+    Every node is evaluated once, as rows over one label table; only the
+    root's rows become labels, tiles and a sorted, validated ZTileSet.
+    Called with a table, it returns the node's trimmed rows."""
+    if _labels is None:
+        return _node(plan, in_max, out_max, _LabelTable()).tileset()
     key = (plan, in_max, out_max)
-    if key in _cache:
-        return _cache[key]
+    rows = _labels.built.get(key)
+    if rows is None:
+        rows = _labels.built[key] = _node(plan, in_max, out_max, _labels)
+    return rows
+
+
+def _node(plan: Plan, in_max: int, out_max: int, labels: _LabelTable) -> _Rows:
+    """The plan node's trimmed rows, its children built through build_plan."""
     if isinstance(plan, PlanAff):
-        ts = trim_tiles(affine_tiles(plan.a, plan.b, in_max, out_max))
+        rows = _affine(labels, plan.a, plan.b, in_max, out_max)
     elif isinstance(plan, PlanUnion):
-        # a union of trimmed sets keeps every tile (its tags hold each row
-        # inside one operand); the trim runs so that each node is trimmed
-        # once, which the benchmark's trim counters and self-test read
-        ts = trim_tiles(union_tiles(build_plan(plan.first, in_max, out_max, _cache),
-                                    build_plan(plan.second, in_max, out_max, _cache)))
+        rows = _union(build_plan(plan.first, in_max, out_max, labels),
+                      build_plan(plan.second, in_max, out_max, labels))
     elif isinstance(plan, PlanComp):
-        ts = compose_tiles(build_plan(plan.first, in_max, out_max, _cache),
-                           build_plan(plan.second, in_max, out_max, _cache))
+        rows = _compose(build_plan(plan.first, in_max, out_max, labels),
+                        build_plan(plan.second, in_max, out_max, labels))
     elif isinstance(plan, PlanProd):
-        ts = product_tiles([(name, build_plan(p, in_max, out_max, _cache)) for name, p in plan.parts])
+        rows = _product([(name, build_plan(p, in_max, out_max, labels)) for name, p in plan.parts])
     else:
         raise TypeError(f"not a plan: {plan!r}")
-    _cache[key] = ts
-    return ts
+    return trim_tiles(rows)
 
 
 def pamap_tiles(f: PAMap, fast_path: bool = True) -> ZTileSet:

@@ -52,6 +52,14 @@ def test_gen_bad_preset(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["gen", "--preset", "nope"],
+                                  ["group", "--preset", "nope", "--word", "d", "--is-identity"]])
+def test_unknown_preset_message_is_bare(argv, capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr().err == ("error: unknown preset 'nope'; choose from "
+                                       "['psl2z', 'thompson-t', 'thompson-v', 'z-kari']\n")
+
+
 def test_gen_deterministic_bytes(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     main(["gen", "--preset", "z-kari", "--out", str(a)])

@@ -990,20 +990,36 @@ def test_witness_matches_reference_on_shrinking_domains(pres, data):
     assert nontriviality_witness(pres, word, budget) == reference.nontriviality_witness(pres, word, budget)
 
 
-def test_witness_tries_each_map_once_while_the_candidates_stay(thompson_t, monkeypatch):
+def witness_applications(pres, word, budget, monkeypatch):
+    """The witness search's result, its (map, point) applications of the
+    ball's maps, and the points where it applied the word's map g."""
     import kariforge.pamaps as kernel
 
-    # thompson-t's maps are total, so every level keeps the whole circle's
-    # candidates, and a pair already tried cannot find a t on a later level
-    word = parse_word(thompson_t, "aA")
+    # a copy of g that no walk of the ball returns, told apart by identity
+    g = kernel.PAMap(pres.space, kernel.word_apply(pres, word).pieces)
+    monkeypatch.setattr(kernel, "word_apply", lambda pres, word: g)
     calls = []
     real = kernel.apply
     monkeypatch.setattr(kernel, "apply", lambda f, x: calls.append((f, x)) or real(f, x))
-    assert nontriviality_witness(thompson_t, word, 4) is None
-    tried = calls[::2]  # each apply(f, t) is followed by g's apply at f(t)
+    t = nontriviality_witness(pres, word, budget)
+    return t, [(f, x) for f, x in calls if f is not g], [x for f, x in calls if f is g]
+
+
+def test_witness_tries_each_map_once_while_the_candidates_stay(thompson_t, monkeypatch):
+    # thompson-t's maps are total, so every level keeps the whole circle's
+    # candidates, and a pair already tried cannot find a t on a later level
+    t, tried, _ = witness_applications(thompson_t, parse_word(thompson_t, "aA"), 4, monkeypatch)
+    assert t is None
     points = {x for _, x in tried}
     assert len(tried) == len(set(tried)) == len(enumerate_maps(thompson_t, 4)) * len(points)
-    assert len(calls) == 2 * len(tried) == 4790  # 6,470 when every level retried the ball
+    assert len(tried) == 2395  # 3,235 when every level retried the ball
+
+
+def test_witness_applies_the_word_once_per_point(thompson_t, monkeypatch):
+    t, tried, moved = witness_applications(thompson_t, parse_word(thompson_t, "aA"), 4, monkeypatch)
+    assert t is None
+    images = {apply(f, x) for f, x in tried}
+    assert len(moved) == len(set(moved)) == len(images) == 64  # 2,395, one per (map, point), before
 
 
 def test_witness_tries_every_map_on_new_candidates(thompson_v, monkeypatch):

@@ -887,3 +887,52 @@ def test_trim_runs_once_per_distinct_plan_node_on_the_reference_sizes(monkeypatc
     assert sorted(seen[tiles]) == sorted(seen[reference])
     assert sorted(source for source, _ in seen[tiles]) == sorted(map(repr, plan_nodes(plan)))
     assert gts.tiles == ref.tiles
+
+
+# -- plan nodes as rows over one label table -------------------------------
+
+
+def reference_sizes_plans():
+    kari, psl2z = presets.kari_map(), presets.load_preset("psl2z")
+    yield pamap_plan(kari, False), tiles.bit_max(kari.space)
+    for fast_path in (True, False):
+        yield PlanProd(tuple((name, pamap_plan(f, fast_path)) for name, f in psl2z.generators)), 2
+
+
+@pytest.mark.parametrize("plan, m", list(reference_sizes_plans()))
+def test_build_plan_validates_once_per_root(monkeypatch, plan, m):
+    calls = []
+    check = ZTileSet.__post_init__
+    monkeypatch.setattr(ZTileSet, "__post_init__", lambda self: calls.append(len(self.tiles)) or check(self))
+    ts = build_plan(plan, m, m)
+    assert calls == [len(ts.tiles)]
+
+
+def test_union_nodes_skip_the_trim_walk(monkeypatch, kari, psl2z):
+    """A union of trimmed nodes is trimmed: its trim runs no _alive walk,
+    while every other node's trim runs one."""
+    walks = []
+    alive = tiles._alive
+    monkeypatch.setattr(tiles, "_alive", lambda lefts, rights: walks.append(len(lefts)) or alive(lefts, rights))
+    trims = []
+    trim = tiles.trim_tiles
+
+    def counted(ts):
+        before = len(walks)
+        out = trim(ts)
+        trims.append((type(ts.source), len(walks) - before))
+        return out
+    monkeypatch.setattr(tiles, "trim_tiles", counted)
+    pamap_tiles(kari, fast_path=False)
+    family_tiles(psl2z)
+    assert {n for kind, n in trims if kind is PlanUnion} == {0}
+    assert {n for kind, n in trims if kind is not PlanUnion} == {1}
+
+
+@given(circle_homeos(max_denominator=4), st.booleans())
+@settings(max_examples=20, deadline=None)
+def test_compile_interns_only_the_labels_of_its_tiles(f, fast_path):
+    before = set(HLabel._interned.values())
+    ts = pamap_tiles(f, fast_path=fast_path)
+    nodes = {l for l, _ in label_nodes((l, 0) for t in ts.tiles for l in (t.left, t.right))}
+    assert set(HLabel._interned.values()) - before <= nodes
