@@ -504,6 +504,7 @@ def _compose(A: _Rows, B: _Rows) -> _Rows:
     by_top: dict[int, list[tuple]] = {}
     for rb in B.tiles:
         by_top.setdefault(rb[0], []).append(rb)
+    # ra[1][0][1] is the bit of A's one output
     candidates = [(ra[0], rb[1], (ra[2], rb[2]), (ra[3], rb[3]))
                   for ra in A.tiles for rb in by_top.get(ra[1][0][1], ())]
     src = PlanComp(A.source, B.source) if A.source is not None and B.source is not None else None

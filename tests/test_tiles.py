@@ -892,14 +892,14 @@ def test_trim_runs_once_per_distinct_plan_node_on_the_reference_sizes(monkeypatc
 # -- plan nodes as rows over one label table -------------------------------
 
 
-def reference_sizes_plans():
+def root_plans():
     kari, psl2z = presets.kari_map(), presets.load_preset("psl2z")
     yield pamap_plan(kari, False), tiles.bit_max(kari.space)
     for fast_path in (True, False):
         yield PlanProd(tuple((name, pamap_plan(f, fast_path)) for name, f in psl2z.generators)), 2
 
 
-@pytest.mark.parametrize("plan, m", list(reference_sizes_plans()))
+@pytest.mark.parametrize("plan, m", list(root_plans()))
 def test_build_plan_validates_once_per_root(monkeypatch, plan, m):
     calls = []
     check = ZTileSet.__post_init__
