@@ -13,6 +13,7 @@ import functools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import freegroup, pamaps, presets, render, tiles, verify
 
@@ -28,10 +29,6 @@ def _write_text(path, text: str) -> None:
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def _dump(obj) -> str:
-    return json.dumps(obj, indent=1) + "\n"
 
 
 def _budget(default: int) -> int:
@@ -99,12 +96,39 @@ def cmd_verify(args) -> int:
                     oracle_points.append({"k": k, "points": [[str(iv.lo), str(iv.hi)] for iv in pts]})
     report["soundness_violations"] = violations
     report["oracle_periodic_points"] = oracle_points
-    _write_text(args.out, _dump(report))
+    _write_text(args.out, _report_json(report))
     if violations:
         return 3
     if periodic:
         return 2
     return 0
+
+
+def _violation_json(v: dict) -> str:
+    """Text of a soundness violation at depth 2 of `json.dumps(report, indent=1)`;
+    its cycle, a closed walk, has at least one tile."""
+    expected = v["expected"]
+    return ('  {\n   "n": ' + str(v["n"])
+            + ',\n   "cycle": [\n    ' + ",\n    ".join(map(str, v["cycle"]))
+            + '\n   ],\n   "top_avg": ' + encode_basestring_ascii(v["top_avg"])
+            + ',\n   "bottom_avg": ' + encode_basestring_ascii(v["bottom_avg"])
+            + ',\n   "expected": ' + ("null" if expected is None else encode_basestring_ascii(expected))
+            + "\n  }")
+
+
+def _report_json(report: dict) -> str:
+    """`json.dumps(report, indent=1) + "\n"` for a verify report.  The
+    soundness violations, which can number thousands, are written field by
+    field; the other entries are few and go through json.dumps, indented one
+    level deeper (a JSON text has no raw newline inside a string)."""
+    entries = []
+    for key, value in report.items():
+        if key == "soundness_violations" and value:
+            text = "[\n" + ",\n".join(map(_violation_json, value)) + "\n ]"
+        else:
+            text = json.dumps(value, indent=1).replace("\n", "\n ")
+        entries.append(encode_basestring_ascii(key) + ": " + text)
+    return "{\n " + ",\n ".join(entries) + "\n}\n"
 
 
 def cmd_simulate(args) -> int:

@@ -708,13 +708,18 @@ def composites(pres: PAGroupPresentation) -> Callable[[tuple[int, ...]], tuple[P
 
 
 def word_apply(pres: PAGroupPresentation, word: Word) -> PAMap:
-    """Composite of the word: the rightmost symbol acts first."""
-    return composites(pres)(tuple(pres.letter(n, s) for n, s in word))[0]
+    """Composite of the word: the rightmost symbol acts first.  One word is
+    a left fold, the steps `composites` takes, without its memo: each
+    intermediate composite is dropped once the next one is made."""
+    m = identity(pres.space)
+    for n, s in word:
+        m = compose(m, pres.letters[pres.letter(n, s)])
+    return m
 
 
 def is_identity_word(pres: PAGroupPresentation, word: Word) -> bool:
-    return composites(pres)(tuple(pres.letter(n, s) for n, s in word)) == (identity(pres.space), True)
-
+    m = word_apply(pres, word)
+    return m.is_total() and m == identity(pres.space)
 
 
 def fixed_points(f: PAMap) -> tuple[Interval, ...]:

@@ -311,9 +311,25 @@ class GroupTileSet:
     source: Optional[Plan] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
+        self._check_outputs()
+        ZTileSet(self.in_max, self.out_maxes, self.tiles, self.source)  # the bit range and duplicate checks
+
+    def _check_outputs(self) -> None:
         if sorted(n for n, _ in self.out_maxes) != sorted(self.generators):
             raise ValueError("outputs must match the generators")
-        ZTileSet(self.in_max, self.out_maxes, self.tiles, self.source)  # the bit range and duplicate checks
+
+    @staticmethod
+    def _of_validated(generators: tuple[str, ...], ts: ZTileSet) -> "GroupTileSet":
+        """The group set of a validated set's tiles: checks the outputs
+        against the generators, and skips the checks `ts` has passed."""
+        g = object.__new__(GroupTileSet)
+        object.__setattr__(g, "generators", generators)
+        object.__setattr__(g, "in_max", ts.in_max)
+        object.__setattr__(g, "out_maxes", ts.out_maxes)
+        object.__setattr__(g, "tiles", ts.tiles)
+        object.__setattr__(g, "source", ts.source)
+        g._check_outputs()
+        return g
 
     def phi(self, t: ZTile, h: str) -> int:
         return t.bottom(h)
@@ -748,9 +764,7 @@ def family_tiles(pres: PAGroupPresentation, fast_path: bool = True) -> GroupTile
     generators' tile sets, read with psi_h = input bit and phi_h = h's output."""
     m = bit_max(pres.space)
     plan = PlanProd(tuple((name, pamap_plan(mp, fast_path)) for name, mp in pres.generators))
-    prod = build_plan(plan, m, m)
-    return GroupTileSet(tuple(name for name, _ in pres.generators), prod.in_max,
-                        prod.out_maxes, prod.tiles, prod.source)
+    return GroupTileSet._of_validated(tuple(name for name, _ in pres.generators), build_plan(plan, m, m))
 
 
 # ---------------------------------------------------------------------------

@@ -246,24 +246,59 @@ def nonempty_rows(ts: ZTileSet | GroupTileSet) -> bool:
     return bool(tiles.trim_tiles(ts).tiles)
 
 
+def _reach_masks(succ: Sequence[Sequence[int]], n: int) -> list[list[int]]:
+    """reach[L][v]: the tiles reachable from v in exactly L steps, L <= n, as
+    a bitmask with bit u set for tile u."""
+    reach = [[1 << v for v in range(len(succ))]]
+    for _ in range(n):
+        prev = reach[-1]
+        layer = []
+        for vs in succ:
+            mask = 0
+            for w in vs:
+                mask |= prev[w]
+            layer.append(mask)
+        reach.append(layer)
+    return reach
+
+
 def closed_walks(succ: Sequence[Sequence[int]], n: int) -> Iterator[tuple[int, ...]]:
-    """All closed walks of length n, start tile marked (rotations distinct)."""
+    """All closed walks of length n, start tile marked (rotations distinct).
+
+    Walks come in depth-first order: by start tile, then by each step's
+    position in its tile's successor list.  A step goes to a successor only
+    if the start tile is reachable from it in exactly the steps that remain,
+    so every path the search extends closes at least once.
+    """
     if n < 1:
         raise ValueError("row length must be >= 1")
-    path = [0] * n
-
-    def extend(start: int, node: int, depth: int) -> Iterator[tuple[int, ...]]:
-        if depth == n:
-            if start in succ[node]:
-                yield tuple(path)
-            return
-        for nxt in succ[node]:
-            path[depth] = nxt
-            yield from extend(start, nxt, depth + 1)
-
+    reach = _reach_masks(succ, n)
+    last = n - 1
     for start in range(len(succ)):
-        path[0] = start
-        yield from extend(start, start, 1)
+        bit = 1 << start
+        if not reach[n][start] & bit:
+            continue
+        if n == 1:
+            yield (start,)
+            continue
+        path = [start] * n
+        steps: list = [None] * n  # steps[d]: the candidates for path[d] not yet tried
+        steps[1] = iter(succ[start])
+        d = 1
+        while d:
+            to_go = reach[n - d]
+            for v in steps[d]:
+                if to_go[v] & bit:
+                    path[d] = v
+                    break
+            else:
+                d -= 1
+                continue
+            if d == last:
+                yield tuple(path)
+            else:
+                d += 1
+                steps[d] = iter(succ[v])
 
 
 def _closed_walk_sums(succ: Sequence[Sequence[int]], tops: Sequence[int], bots: Sequence[int],
@@ -361,28 +396,24 @@ def periodic_soundness(ts: ZTileSet, f: PAMap, n_max: int,
     violations = []
     for n, classes in rs.sums.items():
         expected: dict[int, Optional[Fraction]] = {}
-        bad = set()
+        bad: dict[tuple[int, int], tuple[str, str, Optional[str]]] = {}  # class -> its texts
         for T, B in classes:
             if T not in expected:
                 try:
                     expected[T] = pamaps.apply(f, sp.normalize(Fraction(T, n)))
                 except OutOfDomain:
                     expected[T] = None  # a row the map cannot account for
-            if expected[T] is None or not sp.equiv(Fraction(B, n), expected[T]):
-                bad.add((T, B))
+            e = expected[T]
+            if e is None or not sp.equiv(Fraction(B, n), e):
+                bad[T, B] = (str(Fraction(T, n)), str(Fraction(B, n)), None if e is None else str(e))
         if not bad:
             continue
         for walk in closed_walks(succ, n):
-            T = sum(tops[i] for i in walk)
-            B = sum(bots[i] for i in walk)
-            if (T, B) in bad:
-                violations.append({
-                    "n": n,
-                    "cycle": list(walk),
-                    "top_avg": str(Fraction(T, n)),
-                    "bottom_avg": str(Fraction(B, n)),
-                    "expected": None if expected[T] is None else str(expected[T]),
-                })
+            texts = bad.get((sum(map(tops.__getitem__, walk)), sum(map(bots.__getitem__, walk))))
+            if texts is not None:
+                top_avg, bottom_avg, expected_text = texts
+                violations.append({"n": n, "cycle": list(walk), "top_avg": top_avg,
+                                   "bottom_avg": bottom_avg, "expected": expected_text})
                 if stop_early:
                     return violations
     return violations
@@ -429,9 +460,9 @@ def stacked_periodic_scan(ts: ZTileSet, n_max: int, k_max: int,
         # neither those rows' BFS levels nor their parents.
         pairs: dict[tuple, dict[tuple, tuple]] = {}
         for walk in closed_walks(succ, n):
-            row_tops = tuple(tops[i] for i in walk)
+            row_tops = tuple(map(tops.__getitem__, walk))
             if sum(row_tops) in loops:
-                pairs.setdefault(row_tops, {}).setdefault(tuple(bots[i] for i in walk), walk)
+                pairs.setdefault(row_tops, {}).setdefault(tuple(map(bots.__getitem__, walk)), walk)
         for t0 in sorted(pairs):
             # a found (n, k, s) is never replaced, so only lengths with a
             # shear still open can add to the report

@@ -2,8 +2,10 @@
 
 These are the walk-by-walk forms of `verify.periodic_soundness` and
 `verify.stacked_periodic_scan`: every marked closed walk is listed and
-checked on its own.  The library decides both checks from closed-walk sums
-instead; the differential tests require equal outputs on small inputs.
+checked on its own, by a walk search that follows every path.  The library
+decides both checks from closed-walk sums and lists walks with a pruned
+search instead; the differential tests require equal outputs on small
+inputs.
 """
 
 from __future__ import annotations
@@ -11,10 +13,34 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
+from typing import Iterator, Sequence
+
 from kariforge import pamaps
 from kariforge.pamaps import OutOfDomain, PAMap
 from kariforge.tiles import ZTileSet
-from kariforge.verify import TransitionGraph, closed_walks
+from kariforge.verify import TransitionGraph
+
+
+def closed_walks(succ: Sequence[Sequence[int]], n: int) -> Iterator[tuple[int, ...]]:
+    """All closed walks of length n, start tile marked (rotations distinct):
+    every path of n - 1 steps from every start tile is followed, and the
+    ones whose last tile leads back to the start are kept."""
+    if n < 1:
+        raise ValueError("row length must be >= 1")
+    path = [0] * n
+
+    def extend(start: int, node: int, depth: int) -> Iterator[tuple[int, ...]]:
+        if depth == n:
+            if start in succ[node]:
+                yield tuple(path)
+            return
+        for nxt in succ[node]:
+            path[depth] = nxt
+            yield from extend(start, nxt, depth + 1)
+
+    for start in range(len(succ)):
+        path[0] = start
+        yield from extend(start, start, 1)
 
 
 def _rot(word: tuple[int, ...], s: int) -> tuple[int, ...]:

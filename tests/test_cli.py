@@ -376,7 +376,7 @@ def test_group_witness_refuses_budget_below_one(budget, capsys):
 # -- verify's periodic-point oracle: one power chain ----------------------
 
 import pamaps_reference  # noqa: E402
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from test_verify import circle_homeos  # noqa: E402
 
@@ -597,3 +597,37 @@ def test_gen_and_render_bytes_do_not_depend_on_the_hash_seed(tmp_path):
                            stdout=subprocess.DEVNULL)
         assert _sha256(out) == "55a2d8946c429461ab6d8336acc8c7eb9d0abfcb3e23c1d035c1607fb3468ea9"
         assert _sha256(svg) == "a51a957e25a7f5a78033c335f9ca0f64bca946793ce1a7300a70cb88e0e0708f"
+
+
+# -- the verify report writer -------------------------------------------------
+
+
+def _texts():
+    """Rationals as verify writes them, and any text, to reach the escapes."""
+    return st.one_of(st.fractions().map(str), st.text(max_size=6))
+
+
+def _records(**fields):
+    """Dicts with the given keys in the given order, as verify builds them."""
+    return st.tuples(*fields.values()).map(lambda values: dict(zip(fields, values)))
+
+
+def _reports():
+    ints = st.integers(0, 40)
+    lattice = _records(n=ints, k=ints, shear=ints, rows=st.lists(st.lists(ints, max_size=4), max_size=3))
+    violation = _records(n=st.integers(1, 12), cycle=st.lists(st.integers(0, 500), min_size=1, max_size=6),
+                         top_avg=_texts(), bottom_avg=_texts(), expected=st.one_of(st.none(), _texts()))
+    points = _records(k=st.integers(1, 8), points=st.lists(st.tuples(_texts(), _texts()).map(list), max_size=3))
+    return _records(nonempty=st.booleans(), periodic=st.lists(lattice, max_size=3),
+                    soundness_violations=st.lists(violation, max_size=4),
+                    oracle_periodic_points=st.one_of(st.none(), st.lists(points, max_size=3)))
+
+
+@given(_reports())
+@example({"nonempty": True, "periodic": [], "soundness_violations": [], "oracle_periodic_points": None})
+@example({"nonempty": False, "periodic": [], "soundness_violations": [], "oracle_periodic_points": []})
+@settings(max_examples=200, deadline=None)
+def test_report_writer_equals_json_dumps(report):
+    from kariforge.cli import _report_json
+
+    assert _report_json(report) == json.dumps(report, indent=1) + "\n"

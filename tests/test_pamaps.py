@@ -855,6 +855,34 @@ def test_is_identity_word_agrees_with_pa_oracle(name, data):
     assert oracle.composite(signed).pieces == reference.word_apply(pres, word).pieces
 
 
+@pytest.mark.parametrize("name", PRESET_NAMES)
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_word_fold_matches_composites(name, data):
+    import kariforge.pamaps as kernel
+
+    pres = PRESETS[name]
+    word = data.draw(short_words(name, 10))
+    m, total = kernel.composites(pres)(tuple(pres.letter(n, s) for n, s in word))
+    assert word_apply(pres, word) == m
+    assert is_identity_word(pres, word) == ((m, total) == (identity(pres.space), True))
+
+
+def test_word_apply_keeps_no_intermediate_composites(psl2z):
+    """(dE)^100 composes 200 times; with every intermediate composite kept
+    in a memo its peak was 3.4 MB."""
+    import tracemalloc
+
+    word = parse_word(psl2z, "dE" * 100)
+    tracemalloc.start()
+    try:
+        word_apply(psl2z, word)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
+
+
 def test_witness_walks_the_ball_once(psl2z, monkeypatch):
     import kariforge.pamaps as kernel
 

@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -850,12 +851,26 @@ def affine_or_empty(p, m):
         return ZTileSet.make(m, {"f": m}, [], source=p)
 
 
+def product_candidates(sets) -> int:
+    """Tiles of the reference's untrimmed product of the sets: one per choice
+    of a tile from each set, all with the same top bit."""
+    tops = Counter(t.top for t in sets[0].tiles)
+    for ts in sets[1:]:
+        here = Counter(t.top for t in ts.tiles)
+        tops = Counter({top: n * here[top] for top, n in tops.items()})
+    return sum(tops.values())
+
+
 @given(st.sampled_from([1, 2]), st.data())
 @settings(max_examples=60, deadline=None)
 def test_compose_and_product_are_trimmed_reference(m, data):
     A, B = data.draw(untrimmed_sets(m)), data.draw(untrimmed_sets(m))
     assert built(compose_tiles, A, B) == built(lambda: trim_tiles(reference.compose_tiles(A, B)))
-    parts = [(f"g{i}", c) for i, c in enumerate(data.draw(st.lists(untrimmed_sets(m), min_size=1, max_size=3)))]
+    # three reference compositions can make a product of millions of tiles
+    # (57 million in one probe), which the reference builds one by one
+    parts = data.draw(st.lists(untrimmed_sets(m), min_size=1, max_size=3)
+                      .filter(lambda sets: product_candidates(sets) <= 15_000))
+    parts = [(f"g{i}", c) for i, c in enumerate(parts)]
     assert built(product_tiles, parts) == built(lambda: trim_tiles(reference.product_tiles(parts)))
     for ts in (A, B):
         assert trim_tiles(ts).tiles == reference.trim_tiles(ts).tiles
@@ -906,6 +921,21 @@ def test_build_plan_validates_once_per_root(monkeypatch, plan, m):
     monkeypatch.setattr(ZTileSet, "__post_init__", lambda self: calls.append(len(self.tiles)) or check(self))
     ts = build_plan(plan, m, m)
     assert calls == [len(ts.tiles)]
+
+
+def test_family_tiles_validates_its_root_once(monkeypatch, psl2z):
+    calls = []
+    check = ZTileSet.__post_init__
+    monkeypatch.setattr(ZTileSet, "__post_init__", lambda self: calls.append(len(self.tiles)) or check(self))
+    gts = family_tiles(psl2z)
+    assert calls == [len(gts.tiles)]
+    # a set built directly or loaded is still checked in full
+    calls.clear()
+    assert GroupTileSet(gts.generators, gts.in_max, gts.out_maxes, gts.tiles) == gts
+    assert grouptileset_from_obj(grouptileset_to_obj(gts)) == gts
+    assert calls == [len(gts.tiles)] * 2
+    with pytest.raises(ValueError, match="outputs must match the generators"):
+        GroupTileSet._of_validated(gts.generators[:1], build_plan(gts.source, gts.in_max, gts.in_max))
 
 
 def test_union_nodes_skip_the_trim_walk(monkeypatch, kari, psl2z):

@@ -2,7 +2,7 @@ import functools
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import periodic_reference as reference
@@ -476,6 +476,44 @@ def test_stacked_scan_matches_walk_enumeration_on_rotations(q):
         ts = compiled(rotation_map(p, q))
         for n_max, k_max in [(q, q), (8, 6)]:
             assert stacked_periodic_scan(ts, n_max, k_max) == reference.stacked_periodic_scan(ts, n_max, k_max)
+
+
+@st.composite
+def successor_lists(draw):
+    """Graphs on 1-8 tiles with at most three successors each, listed in
+    any order: self-loops, tiles with no successor, sinks and tiles nothing
+    reaches all occur."""
+    size = draw(st.integers(1, 8))
+    return [draw(st.lists(st.integers(0, size - 1), unique=True, max_size=3)) for _ in range(size)]
+
+
+@given(successor_lists(), st.integers(1, 8))
+@example([[0], [], [1, 0]], 3)  # a self-loop, a sink, and a tile nothing reaches
+@example([[1], [2], [0, 3], [3]], 7)  # a 3-cycle beside a self-loop: walks of 7 need both
+@settings(max_examples=300, deadline=None)
+def test_closed_walks_match_the_unpruned_search(succ, n):
+    assert list(closed_walks(succ, n)) == list(reference.closed_walks(succ, n))
+
+
+@st.composite
+def compiled_graphs(draw):
+    """Transition graphs of rotations by p/q, q <= 7, of z-kari and of
+    z-kari with one bottom bit flipped."""
+    kind = draw(st.sampled_from(["rotation", "kari", "flipped"]))
+    if kind == "rotation":
+        q = draw(st.integers(1, 7))
+        ts = compiled(rotation_map(draw(st.integers(0, q - 1)), q))
+    else:
+        ts = compiled(presets.kari_map())
+        if kind == "flipped":
+            ts = flip_bottom(ts, draw(st.integers(0, len(ts.tiles) - 1)))
+    return TransitionGraph.of(ts).succ
+
+
+@given(compiled_graphs(), st.integers(1, 8))
+@settings(max_examples=60, deadline=None)
+def test_closed_walks_match_the_unpruned_search_on_tile_sets(succ, n):
+    assert list(closed_walks(succ, n)) == list(reference.closed_walks(succ, n))
 
 
 def cycle_tiles(start, tops, bots):
