@@ -686,7 +686,8 @@ def composites(pres: PAGroupPresentation) -> Callable[[tuple[int, ...]], tuple[P
     """(f_s1 o ... o f_sk, is it total) for each word (s1, ..., sk) of signed
     indices into `pres.letters`, memoized by word and by (map, letter): a
     prefix-closed set of words such as a ball costs one composition per
-    (element, letter) it reaches.  Every word this package decides goes here."""
+    (element, letter) it reaches.  The memo keeps every composite it makes,
+    so one long word goes through `word_apply` instead."""
     by_word: dict[tuple[int, ...], tuple[PAMap, bool]] = {(): (identity(pres.space), True)}
     by_step: dict[tuple[PAMap, int], tuple[PAMap, bool]] = {}
 
