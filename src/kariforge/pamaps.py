@@ -21,6 +21,7 @@ the word problem of groups of such maps) a plain comparison.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -472,9 +473,14 @@ def _make(space: Space, rows: Iterable[Row]) -> PAMap:
     return _wrap(space, _canonical(space, rows))
 
 
-def identity(space: Space) -> PAMap:
+def _identity_row(space: Space) -> Row:
+    """x -> x on the whole space: the identity's one canonical row."""
     L = space.length
-    return _make(space, [(0, 1, L.numerator, L.denominator, 1, 1, 0, 1)])
+    return (0, 1, L.numerator, L.denominator, 1, 1, 0, 1)
+
+
+def identity(space: Space) -> PAMap:
+    return _make(space, [_identity_row(space)])
 
 
 def _value(f: PAMap, xn: int, xd: int) -> Optional[Pair]:
@@ -711,16 +717,16 @@ def composites(pres: PAGroupPresentation) -> Callable[[tuple[int, ...]], tuple[P
 def word_apply(pres: PAGroupPresentation, word: Word) -> PAMap:
     """Composite of the word: the rightmost symbol acts first.  One word is
     a left fold, the steps `composites` takes, without its memo: each
-    intermediate composite is dropped once the next one is made."""
-    m = identity(pres.space)
-    for n, s in word:
-        m = compose(m, pres.letters[pres.letter(n, s)])
-    return m
+    intermediate composite is dropped once the next one is made.  The fold
+    starts from the first letter's map; only the empty word is the
+    identity."""
+    maps = [pres.letters[pres.letter(n, s)] for n, s in word]
+    return functools.reduce(compose, maps) if maps else identity(pres.space)
 
 
 def is_identity_word(pres: PAGroupPresentation, word: Word) -> bool:
-    m = word_apply(pres, word)
-    return m.is_total() and m == identity(pres.space)
+    """The word's composite is the identity on the whole space."""
+    return word_apply(pres, word)._core == (_identity_row(pres.space),)
 
 
 def fixed_points(f: PAMap) -> tuple[Interval, ...]:

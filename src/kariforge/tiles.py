@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import marshal
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -57,7 +58,7 @@ class HLabel:
     operations (compose, product, trimming) get without a Python call.
     """
 
-    __slots__ = ("kind", "value", "_key")
+    __slots__ = ("kind", "value")
     _interned: dict = {}
 
     def __new__(cls, kind: str, value):
@@ -67,22 +68,12 @@ class HLabel:
         self = object.__new__(cls)
         self.kind = kind
         self.value = value
-        self._key = None
         cls._interned[(kind, value)] = self
         return self
 
-    def sort_key(self):
-        # an atom's float comes first: it is correctly rounded, so it never
-        # reverses the order, and a tie falls through to the exact value
-        if self._key is None:
-            if self.kind == "atom":
-                self._key = (0, _float_key(self.value), self.value)
-            elif self.kind == "tag":
-                name, inner = self.value
-                self._key = (1, name, inner.sort_key())
-            else:
-                self._key = (2, len(self.value), tuple(l.sort_key() for l in self.value))
-        return self._key
+    def sort_key(self) -> tuple:
+        """The label's flat key (see `_flat_key`); labels sort by it."""
+        return _flat_key(self, {})
 
     def __repr__(self):
         if self.kind == "atom":
@@ -98,6 +89,30 @@ def _float_key(v) -> float:
         return float(v)
     except OverflowError:
         return math.inf if v > 0 else -math.inf
+
+
+def _flat_key(l: HLabel, memo: dict) -> tuple:
+    """The label's preorder with each node's arity: an atom is
+    (0, float, value), a tag (1, name, *child) and a tuple (2, len,
+    *children).  No key is a proper prefix of another, so these keys sort
+    as the nested keys (0, float, value), (1, name, child key) and (2, len,
+    child keys) do, and a comparison reads only the shared prefix.  An
+    atom's float comes first: it is correctly rounded, so it never reverses
+    the order, and a tie falls through to the exact value.  `memo` keeps
+    the key of each node reached in one call."""
+    key = memo.get(l)
+    if key is None:
+        value = l.value
+        if l.kind == "atom":
+            key = (0, _float_key(value), value)
+        elif l.kind == "tag":
+            key = (1, value[0]) + _flat_key(value[1], memo)
+        else:
+            key = (2, len(value))
+            for x in value:
+                key += _flat_key(x, memo)
+        memo[l] = key
+    return key
 
 
 def _ranks(values, key=None) -> dict:
@@ -149,6 +164,27 @@ def _label_reader(atoms: dict[str, HLabel]):
         label = interned.get(key)
         return HLabel(*key) if label is None else label
     return read
+
+
+def _side_reader(read):
+    """side(obj): read(obj), run once per distinct JSON value.  Values are
+    keyed by their marshal bytes: equal bytes mean equal values, and true,
+    1 and 1.0 marshal apart, so a repeated side label costs one C call.  A
+    malformed label raises before it is stored, and a value marshal refuses
+    is no JSON value and goes to read as it is."""
+    sides: dict[bytes, HLabel] = {}
+    dumps = marshal.dumps
+
+    def side(obj) -> HLabel:
+        try:
+            key = dumps(obj)
+        except ValueError:
+            return read(obj)
+        label = sides.get(key)
+        if label is None:
+            label = sides[key] = read(obj)
+        return label
+    return side
 
 
 def label_from_obj(obj, atoms: Optional[dict[str, HLabel]] = None) -> HLabel:
@@ -267,13 +303,15 @@ class ZTileSet:
         """Deduplicate and sort by (top, bottoms, left, right), labels in
         `HLabel.sort_key` order.  Each field's distinct values are sorted once
         and numbered, and the tiles are sorted by one integer built from the
-        numbers, so no tile comparison reaches a label."""
+        numbers, so no tile comparison reaches a label.  The labels' flat
+        keys are built once per distinct label node."""
         tiles = set(tiles)
         tops = _ranks({t.top for t in tiles})
         bottoms = _ranks({t.bottoms for t in tiles})
         labels = {t.left for t in tiles}
         labels.update(t.right for t in tiles)
-        sides = _ranks(labels, key=HLabel.sort_key)
+        memo: dict = {}
+        sides = _ranks(labels, key=lambda l: _flat_key(l, memo))
         nb, nl = len(bottoms), len(sides)
         order = sorted(tiles, key=lambda t: ((tops[t.top] * nb + bottoms[t.bottoms]) * nl
                                              + sides[t.left]) * nl + sides[t.right])
@@ -588,38 +626,56 @@ def product_tiles(components: Sequence[tuple[str, ZTileSet]]) -> ZTileSet:
 
 def _successors(lefts: Sequence, rights: Sequence) -> list[list[int]]:
     """Row adjacency of tiles given by their side labels: succ[i] lists the
-    j with lefts[j] == rights[i].  With the arguments swapped it lists the
-    tiles before i."""
+    j with lefts[j] == rights[i] (verify's transition graph)."""
     by_left: dict = {}
     for j, l in enumerate(lefts):
         by_left.setdefault(l, []).append(j)
     return [by_left.get(r, []) for r in rights]
 
 
-def _extendable(adj: list[list[int]], radj: list[list[int]]) -> list[bool]:
-    """ok[i]: an infinite walk along adj starts at i.  Peels off the nodes
-    whose every successor is already peeled, starting from the dead ends."""
-    out = [len(a) for a in adj]
-    ok = [True] * len(adj)
-    queue = [i for i, o in enumerate(out) if o == 0]
-    for i in queue:
-        ok[i] = False
+def _live(n: int, sources: list[int], targets: list[int]) -> list[bool]:
+    """live[v]: an infinite walk leaves label v along the edges
+    sources[e] -> targets[e] of a graph on labels 0..n-1.  Peels off the
+    labels whose every out-edge leads to a peeled label, starting from the
+    labels with none; parallel edges count once each.  The edges into a
+    label are chained through two flat int lists (first[v], then after[e]),
+    so no list is built per label."""
+    out = [0] * n
+    first = [-1] * n
+    after = []
+    for e, (s, t) in enumerate(zip(sources, targets)):
+        out[s] += 1
+        after.append(first[t])
+        first[t] = e
+    live = [True] * n
+    queue = [v for v in range(n) if not out[v]]
+    for v in queue:
+        live[v] = False
     while queue:
-        for u in radj[queue.pop()]:
+        e = first[queue.pop()]
+        while e >= 0:
+            u = sources[e]
             out[u] -= 1
-            if out[u] == 0:  # adjacency lists hold no repeats, so once per u
-                ok[u] = False
+            if not out[u]:  # one decrement per edge, so once per u
+                live[u] = False
                 queue.append(u)
-    return ok
+            e = after[e]
+    return live
 
 
 def _alive(lefts: Sequence, rights: Sequence) -> list[int]:
     """The indices of the tiles, given by their side labels, that occur in a
-    bi-infinite row: those with an infinite forward and an infinite backward
-    extension (right label feeding the next left label)."""
-    succ = _successors(lefts, rights)
-    pred = _successors(rights, lefts)
-    return [i for i, (f, b) in enumerate(zip(_extendable(succ, pred), _extendable(pred, succ))) if f and b]
+    bi-infinite row, in index order.  A tile is an edge from its left label
+    to its right label, and a row a walk: the tile lies on a bi-infinite
+    walk iff an infinite walk leaves its right label and one arrives at its
+    left label.  Each distinct label is numbered once, so the work is one
+    step per tile and per label."""
+    ids: dict = {}
+    ls = [ids.setdefault(l, len(ids)) for l in lefts]
+    rs = [ids.setdefault(r, len(ids)) for r in rights]
+    ahead = _live(len(ids), ls, rs)
+    behind = _live(len(ids), rs, ls)
+    return [i for i, (l, r) in enumerate(zip(ls, rs)) if ahead[r] and behind[l]]
 
 
 def trim_tiles(ts: ZTileSet | _Rows) -> ZTileSet | _Rows:
@@ -838,8 +894,9 @@ def _read_tile(obj, read, bits: dict, gens: Optional[list[str]]) -> ZTile:
 
 def _read_set(obj, group: bool) -> tuple:
     """The checked fields of a tile set's JSON form: in_max, the out maxes
-    and the tiles, led by the generators when `group`.  One label walker and
-    one bits memo serve the whole load."""
+    and the tiles, led by the generators when `group`.  One label walker,
+    run once per distinct side label, and one bits memo serve the whole
+    load."""
     if type(obj) is not dict:
         raise ValueError(f"a tile set is a JSON object, not {_shown(obj)}")
     fields = []
@@ -864,7 +921,7 @@ def _read_set(obj, group: bool) -> tuple:
         raise ValueError(f"tile set has no {field!r} field") from None
     except ValueError as exc:
         raise ValueError(f"{field}: {exc}") from None
-    read = _label_reader({})
+    read = _side_reader(_label_reader({}))
     bits: dict = {}
     tiles = []
     for i, t in enumerate(items):

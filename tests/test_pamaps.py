@@ -720,6 +720,57 @@ def test_word_apply_matches_reference(case):
     assert word_apply(pres, word).pieces == reference.word_apply(pres, word).pieces
 
 
+def identity_seeded_fold(pres, word) -> PAMap:
+    """The word's composite folded from the identity map."""
+    m = identity(pres.space)
+    for n, s in word:
+        m = compose(m, pres.letters[pres.letter(n, s)])
+    return m
+
+
+def inverse_word(word):
+    return tuple((n, -s) for n, s in reversed(word))
+
+
+# random words, and words followed by their inverse (freely trivial, so the
+# identity on total maps and a partial identity on thompson-v's)
+FOLD_WORDS = st.tuples(WORD_LETTERS, st.booleans()).map(
+    lambda c: (c[0][0], tuple(c[0][1]) + (inverse_word(c[0][1]) if c[1] else ())))
+
+
+@given(FOLD_WORDS)
+@settings(max_examples=200, deadline=None)
+def test_word_fold_matches_the_identity_seeded_fold(case):
+    """word_apply folds from the first letter's map, and is_identity_word
+    compares its rows with the one identity row; both agree with the fold
+    from the identity on every preset, the empty word included."""
+    name, word = case
+    pres = PRESETS[name]
+    seeded = identity_seeded_fold(pres, word)
+    got = word_apply(pres, word)
+    assert got._core == seeded._core and got == seeded
+    assert is_identity_word(pres, word) == (seeded.is_total() and seeded == identity(pres.space))
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_word_fold_on_the_empty_word_and_single_letters(name):
+    pres = PRESETS[name]
+    assert word_apply(pres, ()) == identity(pres.space) and is_identity_word(pres, ())
+    for n in pres.names():
+        for s in (1, -1):
+            word = ((n, s),)
+            assert word_apply(pres, word) == identity_seeded_fold(pres, word)
+            assert word_apply(pres, word + inverse_word(word)) == identity_seeded_fold(pres, word + inverse_word(word))
+    # a freely trivial word is the identity exactly when its maps are total
+    trivial = is_identity_word(pres, ((pres.names()[-1], 1), (pres.names()[-1], -1)))
+    assert trivial == (name != "thompson-v")
+    if name == "psl2z":
+        for text in ("ddd", "ee", "dddee", "dEeD"):
+            word = parse_word(pres, text)
+            seeded = identity_seeded_fold(pres, word)
+            assert word_apply(pres, word) == seeded == identity(pres.space) and is_identity_word(pres, word)
+
+
 def test_word_apply_inverts_each_letter_once(psl2z, monkeypatch):
     # the presentation keeps the inverses it checked when it was built, so a
     # word inverts nothing
@@ -891,7 +942,8 @@ def test_witness_walks_the_ball_once(psl2z, monkeypatch):
     enumerate_maps(psl2z, 3)
     walk = len(calls)
     assert nontriviality_witness(psl2z, word, 3) is None
-    assert len(calls) - walk == walk + len(word)
+    # the word's fold starts from its first letter's map
+    assert len(calls) - walk == walk + len(word) - 1
 
 
 def test_witness_tries_the_identity():

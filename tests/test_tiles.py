@@ -861,13 +861,22 @@ def product_candidates(sets) -> int:
     return sum(tops.values())
 
 
+def compose_candidates(A, B) -> int:
+    """Tiles of the reference's untrimmed composition of A and B: one per
+    pair whose middle bits agree."""
+    tops = Counter(t.top for t in B.tiles)
+    return sum(tops[t.bottom()] for t in A.tiles)
+
+
 @given(st.sampled_from([1, 2]), st.data())
 @settings(max_examples=60, deadline=None)
 def test_compose_and_product_are_trimmed_reference(m, data):
-    A, B = data.draw(untrimmed_sets(m)), data.draw(untrimmed_sets(m))
+    # two reference compositions can compose to 159,736 candidates (one
+    # probe), and three can make a product of 57 million, which the
+    # reference builds tile by tile: both steps draw below a cap
+    A, B = data.draw(st.tuples(untrimmed_sets(m), untrimmed_sets(m))
+                     .filter(lambda sets: compose_candidates(*sets) <= 15_000))
     assert built(compose_tiles, A, B) == built(lambda: trim_tiles(reference.compose_tiles(A, B)))
-    # three reference compositions can make a product of millions of tiles
-    # (57 million in one probe), which the reference builds one by one
     parts = data.draw(st.lists(untrimmed_sets(m), min_size=1, max_size=3)
                       .filter(lambda sets: product_candidates(sets) <= 15_000))
     parts = [(f"g{i}", c) for i, c in enumerate(parts)]
@@ -966,3 +975,155 @@ def test_compile_interns_only_the_labels_of_its_tiles(f, fast_path):
     ts = pamap_tiles(f, fast_path=fast_path)
     nodes = {l for l, _ in label_nodes((l, 0) for t in ts.tiles for l in (t.left, t.right))}
     assert set(HLabel._interned.values()) - before <= nodes
+
+
+# -- label-level steps: the label-graph trim, flat keys, the side memo -----
+
+
+def label_multigraphs():
+    """Tiles as (left, right) pairs over a few labels, ints or tuples of ids
+    as a compose or product node's candidates have: self-loops, parallel
+    edges, sinks, sources and labels with no tile at all come up."""
+    ids = st.one_of(st.integers(0, 6), st.tuples(st.integers(0, 2), st.integers(0, 2)))
+    return st.lists(ids, min_size=1, max_size=8, unique=True).flatmap(
+        lambda pool: st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool)), max_size=30)
+        .flatmap(lambda edges: st.lists(st.integers(0, max(len(edges) - 1, 0)), max_size=6)
+                 .map(lambda again: edges + [edges[i] for i in again if edges])))
+
+
+@given(label_multigraphs())
+@settings(max_examples=400, deadline=None)
+def test_alive_matches_the_tile_graph_reference(edges):
+    lefts, rights = [l for l, _ in edges], [r for _, r in edges]
+    assert tiles._alive(lefts, rights) == reference.alive(lefts, rights)
+
+
+def test_alive_needs_both_sides_live():
+    # s -> a -> (b <-> c, with parallel edges) -> d -> z, and a loop on e:
+    # into the cycle from a source, out of it into a sink
+    edges = [("s", "a"), ("a", "b"), ("b", "c"), ("c", "b"), ("c", "b"), ("c", "d"), ("d", "z"),
+             ("e", "e"), ((0, 1), (0, 1)), ((0, 1), "b")]
+    lefts, rights = [l for l, _ in edges], [r for _, r in edges]
+    assert tiles._alive(lefts, rights) == reference.alive(lefts, rights) == [2, 3, 4, 7, 8, 9]
+    assert tiles._alive([], []) == []
+
+
+# tag names that share a prefix, and atoms whose floats tie or overflow
+PREFIX_NAMES = st.sampled_from(["", "L", "LL", "L\x00", "LR", "R"])
+FLAT_ATOMS = st.sampled_from(TIE_ATOMS + [F(10**20), F(10**20 + 1), F(-10**20), F(-10**20 - 1)]).map(atom)
+
+
+@st.composite
+def label_pools(draw):
+    """Labels built bottom up from a few atoms: tags and tuples of 0-3
+    children, taken from anywhere in the pool or from its newest labels."""
+    pool = draw(st.lists(FLAT_ATOMS, min_size=1, max_size=4))
+    for _ in range(draw(st.integers(0, 25))):
+        child = st.one_of(st.sampled_from(pool), st.sampled_from(pool[-2:]))
+        if draw(st.booleans()):
+            pool.append(tag(draw(PREFIX_NAMES), draw(child)))
+        else:
+            pool.append(tup(*draw(st.lists(child, max_size=3))))
+    return pool
+
+
+def assert_flat_order(pool):
+    """Flat keys order every pair as the nested reference keys do, and only
+    a label's own key equals it."""
+    keys = [(l, l.sort_key(), reference.label_key(l)) for l in pool]
+    for x, kx, rx in keys:
+        for y, ky, ry in keys:
+            assert (kx < ky) == (rx < ry), (x, y)
+            assert (kx == ky) == (x is y), (x, y)
+
+
+@given(st.one_of(label_pools(), shared_labels()))
+@settings(max_examples=300, deadline=None)
+def test_flat_keys_order_labels_as_the_nested_reference(pool):
+    assert_flat_order(pool)
+
+
+def test_flat_keys_on_prefixes_lengths_and_exact_atoms():
+    a, b = atom(0), atom(1)
+    pool = [tup(tup(a), b), tup(tup(a, b)), tup(), tup(tup()), tup(tup(), tup()), tup(a), tup(a, a),
+            tag("L", tup(a)), tag("L", tup(a, b)), tag("LL", a), tag("", a), tag("L", tag("L", a)),
+            atom(10**20), atom(10**20 + 1), atom(10**400), atom(10**400 + 1), atom(-10**400)]
+    assert_flat_order(pool)
+    sides = ZTileSet.make(0, {"f": 0}, [ZTile(0, (("f", 0),), l, a) for l in pool])
+    assert sides.tiles == reference.make(0, {"f": 0}, [ZTile(0, (("f", 0),), l, a) for l in pool]).tiles
+
+
+def _long_tuple(last):
+    return ["1/3"] * 6 + [last]
+
+
+# side values for the loader: labels that repeat, a tag with its keys in the
+# other order, labels whose text shares a long prefix, and malformed values,
+# true, 1 and 1.0 among them, each of which may repeat
+VALID_SIDES = ["0", "1/3", ["0", "1/3"], ["1/3", "0"], [], [[]],
+               {"tag": "L", "label": "0"}, {"label": "0", "tag": "L"}, {"label": ["0"], "tag": "R"},
+               _long_tuple("0"), _long_tuple("1"), [_long_tuple("0")], [_long_tuple("1")]]
+LOADER_SIDES = VALID_SIDES + [True, 1, 1.0, None, [True], [1], [1.0], {"tag": "L", "label": True},
+                              {"tag": "L", "label": 1}, {"tag": "L"}, {"tag": 1, "label": "0"}, "1/0",
+                              [["0", False]]]
+# documents of valid labels only, which load, and of any side values
+SIDE_ROWS = st.sampled_from([VALID_SIDES, LOADER_SIDES]).flatmap(lambda sides: st.lists(
+    st.tuples(st.integers(0, 1), st.integers(0, 1), st.sampled_from(sides), st.sampled_from(sides)),
+    max_size=12))
+
+
+def per_occurrence_load(doc):
+    """("ok", tiles) or ("error", text) of a tile document with each side
+    label decoded where it occurs, through the unmemoized reader; a valid
+    label must also be the reference's."""
+    try:
+        found = []
+        for i, t in enumerate(doc["tiles"]):
+            sides = []
+            for field in ("left", "right"):
+                try:
+                    sides.append(label_from_obj(t[field]))
+                except ValueError as exc:
+                    raise ValueError(f"tile {i}: {field}: {exc}") from None
+                assert sides[-1] is reference.label_from_obj(t[field])
+            found.append(ZTile(t["top"], (("f", t["bottom"]["f"]),), *sides))
+        return "ok", ZTileSet(1, (("f", 1),), tuple(found)).tiles
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def memo_load(doc):
+    try:
+        return "ok", tileset_from_obj(doc).tiles
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+@given(SIDE_ROWS)
+@settings(max_examples=400, deadline=None)
+def test_loader_decodes_each_side_as_the_reference(rows):
+    doc = json.loads(json.dumps({"in_max": 1, "outs": {"f": 1}, "tiles": [
+        {"top": top, "bottom": {"f": bit}, "left": l, "right": r} for top, bit, l, r in rows]}))
+    assert memo_load(doc) == per_occurrence_load(doc)
+
+
+def test_loader_tells_true_one_and_one_point_zero_apart():
+    def doc(*sides):
+        return {"in_max": 1, "outs": {"f": 1},
+                "tiles": [{"top": 0, "bottom": {"f": 0}, "left": s, "right": "0"} for s in sides]}
+
+    for bad, shown in ((True, "true"), (1, "1"), (1.0, "1.0"), ({"tag": "L", "label": True}, "true")):
+        for sides, at in (((bad,), 0), ((bad, bad), 0), (("1", bad), 1), ((["0"], [bad]), 1)):
+            text = f"tile {at}: left: not a label: "
+            with pytest.raises(ValueError) as info:
+                tileset_from_obj(doc(*sides))
+            assert str(info.value).startswith(text) and shown in str(info.value)
+            assert memo_load(doc(*sides)) == per_occurrence_load(doc(*sides))
+    # values no JSON load makes: a Fraction, which marshal refuses, and a tuple
+    for odd in (F(1, 3), ("0",)):
+        assert memo_load(doc(odd))[0] == "error"
+        assert memo_load(doc(odd)) == per_occurrence_load(doc(odd))
+    ts = tileset_from_obj(doc({"tag": "L", "label": "0"}, {"label": "1", "tag": "L"},
+                              _long_tuple("0"), _long_tuple("1")))
+    assert [t.left for t in ts.tiles] == [tag("L", atom(0)), tag("L", atom(1)),
+                                          label_from_obj(_long_tuple("0")), label_from_obj(_long_tuple("1"))]

@@ -14,6 +14,12 @@ tests require equal outputs.
 every plan node.  The library trims the candidates before it makes labels
 and tiles: its compose and product must equal `trim_tiles` of these, and
 its `build_plan` this one.
+
+`alive` finds the tiles on a bi-infinite row from the tile graph: each
+tile's successor and predecessor tiles, then forward and backward
+extendability per tile, whose work is the sum over labels of in * out.  The
+library's `_alive` peels the label graph instead, one step per tile and
+per label, and must keep the same indices.
 """
 
 from __future__ import annotations
@@ -181,6 +187,31 @@ def trim_tiles(ts: ZTileSet) -> ZTileSet:
     alive = extendable(succ, pred) & extendable(pred, succ)
     kept = tuple(t for i, t in enumerate(tiles) if i in alive)
     return ZTileSet(ts.in_max, ts.out_maxes, kept, ts.source)
+
+
+def extendable(adj: list[list[int]], radj: list[list[int]]) -> list[bool]:
+    """ok[i]: an infinite walk along adj starts at i.  Peels off the nodes
+    whose every successor is already peeled, starting from the dead ends."""
+    out = [len(a) for a in adj]
+    ok = [True] * len(adj)
+    queue = [i for i, o in enumerate(out) if o == 0]
+    for i in queue:
+        ok[i] = False
+    while queue:
+        for u in radj[queue.pop()]:
+            out[u] -= 1
+            if out[u] == 0:  # adjacency lists hold no repeats, so once per u
+                ok[u] = False
+                queue.append(u)
+    return ok
+
+
+def alive(lefts: Sequence, rights: Sequence) -> list[int]:
+    """The indices of the tiles with an infinite forward and an infinite
+    backward extension, read off the tile graph."""
+    succ = library._successors(lefts, rights)
+    pred = library._successors(rights, lefts)
+    return [i for i, (f, b) in enumerate(zip(extendable(succ, pred), extendable(pred, succ))) if f and b]
 
 
 def build_plan(plan, in_max: int, out_max: int, _cache=None) -> ZTileSet:
