@@ -980,15 +980,17 @@ def test_compile_interns_only_the_labels_of_its_tiles(f, fast_path):
 # -- label-level steps: the label-graph trim, flat keys, the side memo -----
 
 
-def label_multigraphs():
+@st.composite
+def label_multigraphs(draw):
     """Tiles as (left, right) pairs over a few labels, ints or tuples of ids
-    as a compose or product node's candidates have: self-loops, parallel
-    edges, sinks, sources and labels with no tile at all come up."""
+    as a compose or product node's candidates have.  Self-loops, sinks,
+    sources and parallel edges (tiles drawn again) come up."""
     ids = st.one_of(st.integers(0, 6), st.tuples(st.integers(0, 2), st.integers(0, 2)))
-    return st.lists(ids, min_size=1, max_size=8, unique=True).flatmap(
-        lambda pool: st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool)), max_size=30)
-        .flatmap(lambda edges: st.lists(st.integers(0, max(len(edges) - 1, 0)), max_size=6)
-                 .map(lambda again: edges + [edges[i] for i in again if edges])))
+    side = st.sampled_from(draw(st.lists(ids, min_size=1, max_size=8, unique=True)))
+    edges = draw(st.lists(st.tuples(side, side), max_size=30))
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=6))
+    return edges
 
 
 @given(label_multigraphs())
