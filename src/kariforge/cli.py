@@ -2,8 +2,7 @@
 
 Exit codes: 0 clean, 1 usage or input error, 2 a periodic configuration was
 found, 3 a soundness violation was found.  Rationals on every surface are
-exact "p/q" strings; the KARIFORGE_BUDGET environment variable overrides
-search budgets.
+exact "p/q" strings.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -29,11 +27,6 @@ def _write_text(path, text: str) -> None:
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def _budget(default: int) -> int:
-    env = os.environ.get("KARIFORGE_BUDGET")
-    return int(env) if env else default
 
 
 def _load_tiles(path: str):
@@ -156,8 +149,7 @@ def cmd_group(args) -> int:
     if args.is_identity:
         print("true" if pamaps.is_identity_word(pres, word) else "false")
         return 0
-    budget = _budget(args.budget)
-    t = pamaps.nontriviality_witness(pres, word, budget)
+    t = pamaps.nontriviality_witness(pres, word, args.budget)
     if t is None:
         print("unknown")
     else:
@@ -167,9 +159,8 @@ def cmd_group(args) -> int:
 
 def cmd_freegroup(args) -> int:
     problem = freegroup.problem_from_obj(_read_json(args.problem))
-    budget = _budget(args.budget)
     try:
-        verdict = freegroup.empty_finite(problem, budget)
+        verdict = freegroup.empty_finite(problem, args.budget)
     except freegroup.BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 1

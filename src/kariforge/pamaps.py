@@ -266,9 +266,6 @@ class Space:
             return (u - v) % self.length == 0
         return u == v
 
-    def whole(self) -> Interval:
-        return _interval(Fraction(0), self.length)
-
 
 @dataclass(frozen=True)
 class AffinePiece:

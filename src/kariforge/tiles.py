@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from . import pamaps
-from .pamaps import Interval, PAGroupPresentation, PAMap, _shown, rat, rat_str
+from .pamaps import PAGroupPresentation, PAMap, _shown, rat, rat_str
 
 
 class TileSetError(Exception):
@@ -624,13 +624,14 @@ def product_tiles(components: Sequence[tuple[str, ZTileSet]]) -> ZTileSet:
 # Compiling a piecewise map
 
 
-def _successors(lefts: Sequence, rights: Sequence) -> list[list[int]]:
-    """Row adjacency of tiles given by their side labels: succ[i] lists the
-    j with lefts[j] == rights[i] (verify's transition graph)."""
-    by_left: dict = {}
-    for j, l in enumerate(lefts):
-        by_left.setdefault(l, []).append(j)
-    return [by_left.get(r, []) for r in rights]
+def _label_ids(lefts: Sequence, rights: Sequence) -> tuple[int, list[int], list[int]]:
+    """The label graph of tiles given by their side labels: each distinct
+    label is numbered once, and tile i is an edge from label ls[i] to label
+    rs[i].  Returns (number of labels, ls, rs)."""
+    ids: dict = {}
+    ls = [ids.setdefault(l, len(ids)) for l in lefts]
+    rs = [ids.setdefault(r, len(ids)) for r in rights]
+    return len(ids), ls, rs
 
 
 def _live(n: int, sources: list[int], targets: list[int]) -> list[bool]:
@@ -670,11 +671,9 @@ def _alive(lefts: Sequence, rights: Sequence) -> list[int]:
     walk iff an infinite walk leaves its right label and one arrives at its
     left label.  Each distinct label is numbered once, so the work is one
     step per tile and per label."""
-    ids: dict = {}
-    ls = [ids.setdefault(l, len(ids)) for l in lefts]
-    rs = [ids.setdefault(r, len(ids)) for r in rights]
-    ahead = _live(len(ids), ls, rs)
-    behind = _live(len(ids), rs, ls)
+    n, ls, rs = _label_ids(lefts, rights)
+    ahead = _live(n, ls, rs)
+    behind = _live(n, rs, ls)
     return [i for i, (l, r) in enumerate(zip(ls, rs)) if ahead[r] and behind[l]]
 
 
@@ -708,22 +707,15 @@ def bit_max(space: pamaps.Space) -> int:
     return math.ceil(space.length)
 
 
-def _preimage(q: pamaps.AffinePiece, lo: Fraction, hi: Fraction) -> Optional[Interval]:
-    """Solutions x in dom(q) of q(x) in [lo, hi]."""
-    if q.slope == 0:
-        return q.dom if lo <= q.offset <= hi else None
-    x1 = (lo - q.offset) / q.slope
-    x2 = (hi - q.offset) / q.slope
-    box = Interval(min(x1, x2), max(x1, x2))
-    return q.dom.intersect(box)
-
-
-def _fast_path_ok(space: pamaps.Space, piece: pamaps.AffinePiece, m: int) -> bool:
+def _fast_path_ok(piece: pamaps.AffinePiece, m: int) -> bool:
     """True when the output range alone already forces inputs into the piece's
-    domain, so the bare affine tiles are sound without domain scaffolding."""
-    box = Interval(Fraction(0), Fraction(m))
-    pre = _preimage(pamaps.AffinePiece(box, piece.slope, piece.offset), Fraction(0), Fraction(m))
-    return pre == piece.dom
+    domain, so the bare affine tiles are sound without domain scaffolding:
+    the x in [0, m] with slope * x + offset in [0, m] are exactly dom."""
+    a, b, dom = piece.slope, piece.offset, piece.dom
+    if a == 0:
+        return 0 <= b <= m and (dom.lo, dom.hi) == (0, m)
+    x1, x2 = sorted((-b / a, (m - b) / a))
+    return (max(x1, 0), min(x2, m)) == (dom.lo, dom.hi)
 
 
 def _wrap_plan(length: Fraction) -> Plan:
@@ -751,7 +743,7 @@ def pamap_plan(f: PAMap, fast_path: bool = True) -> Plan:
     M = Fraction(m)
     plans = []
     for piece in f.pieces:
-        if fast_path and _fast_path_ok(sp, piece, m):
+        if fast_path and _fast_path_ok(piece, m):
             plans.append(PlanAff(piece.slope, piece.offset))
             continue
         stages: list[Plan] = []

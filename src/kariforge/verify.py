@@ -231,14 +231,28 @@ def witness_row(ts: ZTileSet | GroupTileSet, x, N: int) -> list[ZTile]:
 # Transition graph and periodic rows
 
 
+def _label_graph(ts: ZTileSet | GroupTileSet) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The label graph that `tiles.trim_tiles` peels: tile i is an edge from
+    its left label to its right label rights[i], and outs[l] lists the tiles
+    whose left label is l, in index order.  A row is a walk on it."""
+    n, lefts, rights = tiles._label_ids([t.left for t in ts.tiles], [t.right for t in ts.tiles])
+    outs: list = [[] for _ in range(n)]
+    for i, l in enumerate(lefts):
+        outs[l].append(i)
+    return list(map(tuple, outs)), rights
+
+
 @dataclass(frozen=True)
 class TransitionGraph:
+    """succ[i]: the tiles that may follow tile i in a row, those whose left
+    label is its right label.  Tiles sharing a right label share one tuple."""
+
     succ: tuple[tuple[int, ...], ...]
 
     @staticmethod
     def of(ts: ZTileSet | GroupTileSet) -> "TransitionGraph":
-        lefts, rights = [t.left for t in ts.tiles], [t.right for t in ts.tiles]
-        return TransitionGraph(tuple(map(tuple, tiles._successors(lefts, rights))))
+        outs, rights = _label_graph(ts)
+        return TransitionGraph(tuple(outs[r] for r in rights))
 
 
 def nonempty_rows(ts: ZTileSet | GroupTileSet) -> bool:
@@ -301,42 +315,36 @@ def closed_walks(succ: Sequence[Sequence[int]], n: int) -> Iterator[tuple[int, .
                 steps[d] = iter(succ[v])
 
 
-def _closed_walk_sums(succ: Sequence[Sequence[int]], tops: Sequence[int], bots: Sequence[int],
-                      n_max: int) -> dict[int, set[tuple[int, int]]]:
+def _closed_walk_sums(outs: Sequence[Sequence[int]], rights: Sequence[int], tops: Sequence[int],
+                      bots: Sequence[int], n_max: int) -> dict[int, set[tuple[int, int]]]:
     """The (top sum, bottom sum) pairs of the closed walks of each length n <= n_max.
 
     The periodic-row checks depend on a walk only through these sums, and a
-    DP over (start tile, current tile, sums) finds them without listing the
-    walks.  Sums are rotation invariant and every closed walk has a rotation
-    starting at its smallest tile index, so the walks from each start tile
-    stay on tiles at or after it.  A set of sum pairs is one integer with
-    bit T * width + B set: taking a tile shifts it, merging two sets ORs them.
+    DP over (start label, current label, sums) on the label graph finds them
+    without listing the walks: a step from label u takes a tile t of outs[u]
+    to label rights[t].  Sums are rotation invariant and every closed walk
+    has a rotation starting at its smallest label, so the walks from each
+    start label stay on labels at or after it.  A set of sum pairs is one
+    integer with bit T * width + B set: taking a tile shifts it, merging two
+    sets ORs them.
     """
     if n_max < 1:
         return {}
     width = n_max * max(bots, default=0) + 1
     shift = [t * width + b for t, b in zip(tops, bots)]
-    pred: list[list[int]] = [[] for _ in succ]
-    for u, vs in enumerate(succ):
-        for v in vs:
-            pred[v].append(u)
     found = [0] * (n_max + 1)
-    for start in range(len(succ)):
-        closers = [u for u in pred[start] if u >= start]
-        if not closers:
-            continue
-        layer = {start: 1 << shift[start]}
+    for start in range(len(outs)):
+        layer = {start: 1}
         for n in range(1, n_max + 1):
-            for u in closers:
-                if u in layer:
-                    found[n] |= layer[u]
-            if n == n_max or not layer:
-                break
             nxt: dict[int, int] = {}
             for u, sums in layer.items():
-                for v in succ[u]:
+                for t in outs[u]:
+                    v = rights[t]
                     if v >= start:
-                        nxt[v] = nxt.get(v, 0) | (sums << shift[v])
+                        nxt[v] = nxt.get(v, 0) | (sums << shift[t])
+            if not nxt:
+                break
+            found[n] |= nxt.get(start, 0)
             layer = nxt
     out = {}
     for n in range(1, n_max + 1):
@@ -366,10 +374,11 @@ class RowSums:
     @staticmethod
     def of(ts: ZTileSet, n_max: int) -> "RowSums":
         name = ts.single_out()
-        succ = TransitionGraph.of(ts).succ
+        outs, rights = _label_graph(ts)
         tops = [t.top for t in ts.tiles]
         bots = [t.bottom(name) for t in ts.tiles]
-        return RowSums(n_max, succ, tops, bots, _closed_walk_sums(succ, tops, bots, n_max))
+        return RowSums(n_max, tuple(outs[r] for r in rights), tops, bots,
+                       _closed_walk_sums(outs, rights, tops, bots, n_max))
 
 
 def _row_sums(ts: ZTileSet, n_max: int, sums: Optional[RowSums]) -> RowSums:

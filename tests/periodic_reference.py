@@ -2,23 +2,74 @@
 
 These are the walk-by-walk forms of `verify.periodic_soundness` and
 `verify.stacked_periodic_scan`: every marked closed walk is listed and
-checked on its own, by a walk search that follows every path.  The library
-decides both checks from closed-walk sums and lists walks with a pruned
-search instead; the differential tests require equal outputs on small
-inputs.
+checked on its own, by a walk search that follows every path, on a tile
+graph built pair by pair.  The library decides both checks from
+closed-walk sums and lists walks with a pruned search instead; the
+differential tests require equal outputs on small inputs.
+
+`closed_walk_sums` is the sums DP on the tile graph, over (start tile,
+current tile, sums) with predecessor lists to close each walk.  The
+library runs it on the label graph, over (start label, current label,
+sums), and must find the same classes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
-
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 from kariforge import pamaps
 from kariforge.pamaps import OutOfDomain, PAMap
-from kariforge.tiles import ZTileSet
-from kariforge.verify import TransitionGraph
+from kariforge.tiles import GroupTileSet, ZTileSet
+
+
+def successors(ts: ZTileSet | GroupTileSet) -> tuple[tuple[int, ...], ...]:
+    """succ[i]: the tiles j whose left label is tile i's right label, in
+    index order, one tuple per tile."""
+    return tuple(tuple(j for j, u in enumerate(ts.tiles) if u.left == t.right) for t in ts.tiles)
+
+
+def closed_walk_sums(succ: Sequence[Sequence[int]], tops: Sequence[int], bots: Sequence[int],
+                     n_max: int) -> dict[int, set[tuple[int, int]]]:
+    """The (top sum, bottom sum) pairs of the closed tile walks of each
+    length n <= n_max.  The walks from each start tile stay on tiles at or
+    after it, and one of length n is found when the layer after n - 1 steps
+    holds a predecessor of the start."""
+    if n_max < 1:
+        return {}
+    width = n_max * max(bots, default=0) + 1
+    shift = [t * width + b for t, b in zip(tops, bots)]
+    pred: list[list[int]] = [[] for _ in succ]
+    for u, vs in enumerate(succ):
+        for v in vs:
+            pred[v].append(u)
+    found = [0] * (n_max + 1)
+    for start in range(len(succ)):
+        closers = [u for u in pred[start] if u >= start]
+        if not closers:
+            continue
+        layer = {start: 1 << shift[start]}
+        for n in range(1, n_max + 1):
+            for u in closers:
+                if u in layer:
+                    found[n] |= layer[u]
+            if n == n_max or not layer:
+                break
+            nxt: dict[int, int] = {}
+            for u, sums in layer.items():
+                for v in succ[u]:
+                    if v >= start:
+                        nxt[v] = nxt.get(v, 0) | (sums << shift[v])
+            layer = nxt
+    out = {}
+    for n in range(1, n_max + 1):
+        pairs, bits = set(), found[n]
+        while bits:
+            low = bits & -bits
+            pairs.add(divmod(low.bit_length() - 1, width))
+            bits ^= low
+        out[n] = pairs
+    return out
 
 
 def closed_walks(succ: Sequence[Sequence[int]], n: int) -> Iterator[tuple[int, ...]]:
@@ -52,7 +103,7 @@ def periodic_soundness(ts: ZTileSet, f: PAMap, n_max: int,
                        stop_early: bool = False) -> list[dict]:
     name = ts.single_out()
     sp = f.space
-    succ = TransitionGraph.of(ts).succ
+    succ = successors(ts)
     violations = []
     for n in range(1, n_max + 1):
         for walk in closed_walks(succ, n):
@@ -79,7 +130,7 @@ def periodic_soundness(ts: ZTileSet, f: PAMap, n_max: int,
 
 def stacked_periodic_scan(ts: ZTileSet, n_max: int, k_max: int) -> list[dict]:
     name = ts.single_out()
-    succ = TransitionGraph.of(ts).succ
+    succ = successors(ts)
     found: dict[tuple[int, int, int], dict] = {}
     for n in range(1, n_max + 1):
         pairs: dict[tuple, dict[tuple, tuple]] = {}

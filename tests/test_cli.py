@@ -284,15 +284,15 @@ def test_group_witness_unknown_for_identity(capsys):
     assert capsys.readouterr().out.strip() == "unknown"
 
 
-def test_budget_env_override(monkeypatch, tmp_path, capsys):
+def test_budget_comes_from_the_flag_only(monkeypatch, tmp_path, capsys):
     problem = {"alphabet": 2, "patterns": [
         {"cells": [{"word": "x1", "letter": 0}, {"word": "x2", "letter": 0}]}]}
     path = tmp_path / "prob.json"
     path.write_text(json.dumps(problem))
-    monkeypatch.setenv("KARIFORGE_BUDGET", "1")
-    assert main(["freegroup", "--problem", str(path)]) == 1
+    assert main(["freegroup", "--problem", str(path), "--budget", "1"]) == 1
     assert "budget" in capsys.readouterr().err
-    monkeypatch.delenv("KARIFORGE_BUDGET")
+    # the environment no longer overrides the default budget
+    monkeypatch.setenv("KARIFORGE_BUDGET", "1")
     assert main(["freegroup", "--problem", str(path)]) == 0
     assert capsys.readouterr().out.strip() == "nonempty"
 

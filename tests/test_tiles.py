@@ -1010,6 +1010,54 @@ def test_alive_needs_both_sides_live():
     assert tiles._alive([], []) == []
 
 
+SMALL_FRACTIONS = st.builds(F, st.integers(-9, 9), st.integers(1, 4))
+
+
+@st.composite
+def affine_pieces(draw):
+    """A piece and the bit range m of its space.  Half the domains are the
+    preimage of [0, m] clipped to [0, m], the fast path's own case, moved
+    by a small step one time in two; slopes are often 0."""
+    m = draw(st.integers(1, 3))
+    a = draw(st.one_of(st.just(F(0)), SMALL_FRACTIONS))
+    b = draw(SMALL_FRACTIONS)
+    lo, hi = sorted(draw(st.lists(SMALL_FRACTIONS, min_size=2, max_size=2)))
+    if draw(st.booleans()):
+        if a == 0:
+            lo, hi = F(0), F(m)
+        else:
+            x1, x2 = sorted(((0 - b) / a, (m - b) / a))
+            lo, hi = max(x1, F(0)), min(x2, F(m))
+            if lo > hi:
+                lo, hi = hi, lo
+        step = draw(st.sampled_from([F(0), F(0), F(1, 4), F(-1, 4)]))
+        lo, hi = sorted((lo + step * draw(st.integers(0, 1)), hi + step * draw(st.integers(0, 1))))
+    return pamaps.AffinePiece(pamaps.Interval(lo, hi), a, b), m
+
+
+@given(affine_pieces())
+@settings(max_examples=1000, deadline=None)
+def test_fast_path_test_matches_the_preimage_reference(piece_m):
+    piece, m = piece_m
+    assert tiles._fast_path_ok(piece, m) == reference.fast_path_ok(piece, m)
+
+
+def test_fast_path_test_on_fixed_pieces():
+    Iv, P = pamaps.Interval, pamaps.AffinePiece
+    cases = [
+        (P(Iv(0, 2), 0, 1), 2, True),  # slope 0: the whole range, offset inside it
+        (P(Iv(0, 2), 0, 3), 2, False),  # offset outside [0, m]
+        (P(Iv(0, 1), 0, 1), 2, False),  # slope 0 on part of the range
+        (P(Iv(0, 1), 2, 0), 2, True),  # [0, m] pulls back to [0, 1]
+        (P(Iv(1, 2), -2, 4), 2, True),  # falling: pulls back to [1, 2]
+        (P(Iv(F(1, 2), 2), -2, 4), 2, False),  # a domain wider than the pullback
+        (P(Iv(1, 2), 1, -1), 2, True),  # pulls back to [1, 3], clipped to [1, 2]
+        (P(Iv(0, 2), 1, 3), 2, False),  # the preimage misses [0, m]
+    ]
+    for piece, m, want in cases:
+        assert tiles._fast_path_ok(piece, m) == reference.fast_path_ok(piece, m) == want, piece
+
+
 # tag names that share a prefix, and atoms whose floats tie or overflow
 PREFIX_NAMES = st.sampled_from(["", "L", "LL", "L\x00", "LR", "R"])
 FLAT_ATOMS = st.sampled_from(TIE_ATOMS + [F(10**20), F(10**20 + 1), F(-10**20), F(-10**20 - 1)]).map(atom)

@@ -496,24 +496,82 @@ def test_closed_walks_match_the_unpruned_search(succ, n):
 
 
 @st.composite
-def compiled_graphs(draw):
-    """Transition graphs of rotations by p/q, q <= 7, of z-kari and of
-    z-kari with one bottom bit flipped."""
+def compiled_sets(draw):
+    """Rotations by p/q, q <= 7, z-kari and z-kari with one bottom bit
+    flipped."""
     kind = draw(st.sampled_from(["rotation", "kari", "flipped"]))
     if kind == "rotation":
         q = draw(st.integers(1, 7))
-        ts = compiled(rotation_map(draw(st.integers(0, q - 1)), q))
-    else:
-        ts = compiled(presets.kari_map())
-        if kind == "flipped":
-            ts = flip_bottom(ts, draw(st.integers(0, len(ts.tiles) - 1)))
-    return TransitionGraph.of(ts).succ
+        return compiled(rotation_map(draw(st.integers(0, q - 1)), q))
+    ts = compiled(presets.kari_map())
+    if kind == "flipped":
+        ts = flip_bottom(ts, draw(st.integers(0, len(ts.tiles) - 1)))
+    return ts
 
 
-@given(compiled_graphs(), st.integers(1, 8))
+@given(compiled_sets().map(lambda ts: TransitionGraph.of(ts).succ), st.integers(1, 8))
 @settings(max_examples=60, deadline=None)
 def test_closed_walks_match_the_unpruned_search_on_tile_sets(succ, n):
     assert list(closed_walks(succ, n)) == list(reference.closed_walks(succ, n))
+
+
+# -- one label graph: the walk sums and successor lists read it -----------
+
+
+def label_set(cells):
+    """A tile set from (left, right, top, bottom) cells on int labels."""
+    return ZTileSet.make(2, {"f": 2}, [ZTile(t, (("f", b),), atom(l), atom(r)) for l, r, t, b in cells])
+
+
+@st.composite
+def label_multigraph_sets(draw):
+    """Tile sets on at most six labels with bits 0-2: self-loops, parallel
+    tiles that carry different bits, sinks, sources and labels alone in
+    their component all come up."""
+    side = st.integers(0, draw(st.integers(0, 5)))
+    bit = st.integers(0, 2)
+    cells = draw(st.lists(st.tuples(side, side, bit, bit), min_size=1, max_size=14))
+    if draw(st.booleans()):  # a parallel copy of some tile with other bits
+        l, r, _, _ = draw(st.sampled_from(cells))
+        cells.append((l, r, draw(bit), draw(bit)))
+    return label_set(cells)
+
+
+def assert_sums_match_the_tile_dp(ts, n_max):
+    rs = verify.RowSums.of(ts, n_max)
+    succ = reference.successors(ts)
+    assert rs.succ == succ
+    assert rs.sums == reference.closed_walk_sums(succ, rs.tops, rs.bots, n_max)
+
+
+# parallel tiles 0 -> 1 with different bits on a 2-cycle, a self-loop on 2
+@example(label_set([(0, 1, 0, 0), (0, 1, 1, 2), (1, 0, 0, 1), (2, 2, 1, 0)]), 4)
+# a source 3 and a sink 4 beside a 3-cycle
+@example(label_set([(2, 0, 1, 1), (0, 1, 0, 2), (1, 2, 2, 0), (3, 1, 1, 1), (2, 4, 0, 0)]), 6)
+@given(label_multigraph_sets(), st.integers(0, 7))
+@settings(max_examples=400, deadline=None)
+def test_label_walk_sums_match_the_tile_dp_on_multigraphs(ts, n_max):
+    assert_sums_match_the_tile_dp(ts, n_max)
+
+
+@given(compiled_sets(), st.integers(1, 12))
+@example(compiled(presets.kari_map()), 12)
+@settings(max_examples=60, deadline=None)
+def test_label_walk_sums_match_the_tile_dp_on_tile_sets(ts, n_max):
+    assert_sums_match_the_tile_dp(ts, n_max)
+
+
+def test_successor_lists_are_the_per_tile_lists(kari_tiles, psl2z_family):
+    sets = [kari_tiles, psl2z_family, compiled(rotation_map(2, 5)),
+            label_set([(0, 1, 0, 0), (0, 1, 1, 2), (1, 0, 0, 1), (2, 2, 1, 0), (1, 3, 0, 0)])]
+    for ts in sets:
+        succ = TransitionGraph.of(ts).succ
+        assert succ == reference.successors(ts)
+        assert all(type(s) is tuple for s in succ)
+        # tiles that share a right label share one tuple
+        by_right = {}
+        for t, s in zip(ts.tiles, succ):
+            assert by_right.setdefault(t.right, s) is s
 
 
 def cycle_tiles(start, tops, bots):

@@ -20,6 +20,10 @@ tile's successor and predecessor tiles, then forward and backward
 extendability per tile, whose work is the sum over labels of in * out.  The
 library's `_alive` peels the label graph instead, one step per tile and
 per label, and must keep the same indices.
+
+`fast_path_ok` asks whether a piece may skip its domain scaffolding by
+building the piece's map on [0, m] and taking the preimage of [0, m]; the
+library compares the clipped preimage endpoints with the domain directly.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from kariforge import tiles as library
-from kariforge.pamaps import rat
+from kariforge.pamaps import AffinePiece, Interval, rat
 from kariforge.tiles import (
     AlphabetMismatch,
     EmptyTileSetError,
@@ -51,6 +55,8 @@ from kariforge.tiles import (
     tileset_to_obj,
     tup,
 )
+
+from pamaps_reference import _preimage
 
 
 def carry_set(a, b) -> tuple[Fraction, ...]:
@@ -206,12 +212,27 @@ def extendable(adj: list[list[int]], radj: list[list[int]]) -> list[bool]:
     return ok
 
 
+def successors(lefts: Sequence, rights: Sequence) -> list[list[int]]:
+    """Row adjacency of tiles given by their side labels: succ[i] lists the
+    j with lefts[j] == rights[i], in index order."""
+    by_left: dict = {}
+    for j, l in enumerate(lefts):
+        by_left.setdefault(l, []).append(j)
+    return [by_left.get(r, []) for r in rights]
+
+
 def alive(lefts: Sequence, rights: Sequence) -> list[int]:
     """The indices of the tiles with an infinite forward and an infinite
     backward extension, read off the tile graph."""
-    succ = library._successors(lefts, rights)
-    pred = library._successors(rights, lefts)
+    succ = successors(lefts, rights)
+    pred = successors(rights, lefts)
     return [i for i, (f, b) in enumerate(zip(extendable(succ, pred), extendable(pred, succ))) if f and b]
+
+
+def fast_path_ok(piece: AffinePiece, m: int) -> bool:
+    """The piece's map on [0, m] pulls [0, m] back to exactly its domain."""
+    box = Interval(Fraction(0), Fraction(m))
+    return _preimage(AffinePiece(box, piece.slope, piece.offset), Fraction(0), Fraction(m)) == piece.dom
 
 
 def build_plan(plan, in_max: int, out_max: int, _cache=None) -> ZTileSet:
