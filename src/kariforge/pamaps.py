@@ -302,17 +302,13 @@ def _piece(r: Row) -> AffinePiece:
     return p
 
 
-def _canonical(space: Space, rows: Iterable[Row]) -> tuple[Row, ...]:
-    """Canonical rows of a list of rows.
-
-    Every row is range-checked first, in input order.  Each row then carries
-    its values at lo and hi, so the merge, the covered-point drop and the
-    overlap and wrap checks rarely evaluate a piece again.
-    """
+def _prepared(space: Space, rows: Iterable[Row]) -> Iterator[tuple]:
+    """Each row range-checked, in input order, as (*domain, *function, value
+    at lo, value at hi).  The function is the row's (slope, offset), or
+    (0, v) for a point or a constant, with v normalized on a circle."""
     L = space.length
     Ln, Ld = L.numerator, L.denominator
     circle = space.circle
-    by_fn: dict[Row, list] = {}
     for lon, lod, hin, hid, an, ad, bn, bd in rows:
         if lon < 0 or hin * Ld > Ln * hid:
             raise ValueError(f"piece domain [{_str(lon, lod)}, {_str(hin, hid)}] outside [0, {L}]")
@@ -330,10 +326,71 @@ def _canonical(space: Space, rows: Iterable[Row]) -> tuple[Row, ...]:
         if point:  # a point or a constant: slope 0 and a normalized value
             if circle and va[0] == Ln and va[1] == Ld:
                 va = vb = (0, 1)
-            fn = (0, 1, *va)
+            yield lon, lod, hin, hid, 0, 1, va[0], va[1], va, vb
         else:
-            fn = (an, ad, bn, bd)
-        by_fn.setdefault(fn, []).append((lon, lod, hin, hid, va, vb))
+            yield lon, lod, hin, hid, an, ad, bn, bd, va, vb
+
+
+def _canonical(space: Space, rows: Sequence[Row]) -> tuple[Row, ...]:
+    """Canonical rows of a list of rows.
+
+    Each row is range-checked in input order, before any other error is
+    raised, and carries its values at lo and hi.  Rows that arrive sorted by
+    lo and meet only at endpoints, as `compose` and `invert` hand them over,
+    are canonical after one sweep: it merges touching rows of one function,
+    drops a point that a piece covers at a junction, and checks the values
+    at each junction and across the wrap.  Any other list (unsorted or
+    overlapping) takes `_canonical_general`, and so does a sorted list whose
+    values disagree somewhere, so every `Conflict` is raised there, with one
+    text whichever path the list started on.
+    """
+    L = space.length
+    Ln, Ld = L.numerator, L.denominator
+    circle = space.circle
+    # a row of `kept` is (*row, value at lo, value at hi); lo strictly rises
+    kept: list[tuple] = []
+    for r in _prepared(space, rows):
+        if not kept:
+            kept.append(r)
+            continue
+        lon, lod, hin, hid, an, ad, bn, bd, va, vb = r
+        plon, plod, phin, phid, pan, pad, pbn, pbd, pva, pvb = kept[-1]
+        after = lon * phid - phin * lod  # the sign of lo - p's hi
+        if after > 0:
+            kept.append(r)
+        elif bn == pbn and an == pan and bd == pbd and ad == pad and lon * plod >= plon * lod:
+            # p's function, starting inside p or at its hi: merge
+            if hin * phid > phin * hid:
+                kept[-1] = (plon, plod, hin, hid, an, ad, bn, bd, pva, vb)
+        elif after or (va != pvb and (not circle or not _equiv(va, pvb, Ln, Ld))):
+            return _canonical_general(space, rows)
+        elif lon == hin and lod == hid:
+            continue  # a point at the junction, covered by p
+        elif plon == phin and plod == phid:
+            kept[-1] = r  # p is a point at the junction, covered by this row
+        else:
+            kept.append(r)
+    # on a circle, 0 and length are one point: only the first row can start
+    # at 0, and only the last can end at length
+    if circle and kept and not kept[0][0] and kept[-1][2] == Ln and kept[-1][3] == Ld:
+        u, w = kept[0][8], kept[-1][9]
+        if u != w and not _equiv(u, w, Ln, Ld):
+            return _canonical_general(space, rows)
+    return tuple([r[:8] for r in kept])
+
+
+def _canonical_general(space: Space, rows: Iterable[Row]) -> tuple[Row, ...]:
+    """Canonical rows of any list of rows, whatever their order and overlaps:
+    rows of one function are merged, then all are sorted, points covered by
+    another piece dropped, and every remaining overlap and the wrap checked.
+    Each row carries its values at lo and hi, so these steps rarely evaluate
+    a piece again."""
+    L = space.length
+    Ln, Ld = L.numerator, L.denominator
+    circle = space.circle
+    by_fn: dict[Row, list] = {}
+    for lon, lod, hin, hid, an, ad, bn, bd, va, vb in _prepared(space, rows):
+        by_fn.setdefault((an, ad, bn, bd), []).append((lon, lod, hin, hid, va, vb))
 
     # merge touching/overlapping pieces carrying the same affine function;
     # a row of `merged` is (*row, value at lo, value at hi)
@@ -533,20 +590,23 @@ def compose(f: PAMap, g: PAMap) -> PAMap:
                             for _, _, phin, phid, pan, pad, pbn, pbd in fs if phin == Ln and phid == Ld)]
     out: list[Row] = []
     for qln, qld, qhn, qhd, qan, qad, qbn, qbd in g._core:
-        # q's image [ylo, yhi], and where q reaches L and 0
+        # q's values y0, y1 at its ends, and its image [ylo, yhi]
         if not qan:
-            ylon, ylod = yhin, yhid = qbn, qbd
-            if circle:
-                pin_len = (qln, qld, qhn, qhd) if qbn == Ln and qbd == Ld else None
-                pin_zero = (qln, qld, qhn, qhd) if not qbn else None
+            y0 = y1 = (qbn, qbd)
         else:
             y0 = _at(qan, qad, qln, qld, qbn, qbd)
             y1 = _at(qan, qad, qhn, qhd, qbn, qbd)
-            (ylon, ylod), (yhin, yhid) = (y0, y1) if qan > 0 else (y1, y0)
-            if circle:
-                pin_len = ((qln, qld, qln, qld) if y0[0] == Ln and y0[1] == Ld else (qhn, qhd, qhn, qhd)) \
-                    if yhin == Ln and yhid == Ld else None
-                pin_zero = ((qln, qld, qln, qld) if not y0[0] else (qhn, qhd, qhn, qhd)) if not ylon else None
+        (ylon, ylod), (yhin, yhid) = (y1, y0) if qan < 0 else (y0, y1)
+        if circle:
+            # where q reaches 0 (L), f's value at L (0) pins that end of q's
+            # domain, or all of it if q is constant; each pin goes on the
+            # side of the block where it lies, so rows stay sorted by lo
+            lo_pin = at_len if not y0[0] else at_zero if y0[0] == Ln and y0[1] == Ld else ()
+            hi_pin = () if not qan else at_len if not y1[0] else at_zero if y1[0] == Ln and y1[1] == Ld else ()
+            if lo_pin:
+                lo_end = (qln, qld, qln, qld) if qan else (qln, qld, qhn, qhd)
+                out += [(*lo_end, 0, 1, *v) for v in lo_pin]
+        block = len(out)
         for plon, plod, phin, phid, pan, pad, pbn, pbd in fs:
             if plon * yhid > yhin * plod:
                 break  # f's rows are sorted by lo: none later meets q's image
@@ -562,11 +622,10 @@ def compose(f: PAMap, g: PAMap) -> PAMap:
                 lo = (qln, qld) if phin * yhid >= yhin * phid else _solve(qan, qad, qbn, qbd, phin, phid)
                 hi = (qhn, qhd) if plon * ylod <= ylon * plod else _solve(qan, qad, qbn, qbd, plon, plod)
             out.append((*lo, *hi, *_mul(pan, pad, qan, qad), *_at(pan, pad, qbn, qbd, pbn, pbd)))
-        if circle:
-            if pin_len is not None:
-                out.extend((*pin_len, 0, 1, *v) for v in at_zero)
-            if pin_zero is not None:
-                out.extend((*pin_zero, 0, 1, *v) for v in at_len)
+        if qan < 0:  # a decreasing q meets f's rows from its hi down
+            out[block:] = out[block:][::-1]
+        if circle and hi_pin:
+            out += [(qhn, qhd, qhn, qhd, 0, 1, *v) for v in hi_pin]
     return _make(sp, out)
 
 
@@ -585,6 +644,8 @@ def invert(f: PAMap) -> PAMap:
         ia = (ad, an) if an > 0 else (-ad, -an)
         ib = _mul(-bn, bd, *ia)
         inv.append((*va, *vb, *ia, *ib) if an > 0 else (*vb, *va, *ia, *ib))
+    if len(inv) > 1:  # by lo, so `_canonical` takes its sweep
+        inv.sort(key=_exact_key(inv, 1))
     try:
         return _make(f.space, inv)
     except Conflict as exc:

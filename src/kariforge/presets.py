@@ -114,8 +114,17 @@ class UnknownPreset(KeyError):
         return self.args[0]
 
 
+_BUILT: dict[str, PAGroupPresentation] = {}  # at most one per key of PRESETS
+
+
 def load_preset(name: str) -> PAGroupPresentation:
-    build = PRESETS.get(name)
-    if build is None:
-        raise UnknownPreset(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    return build()
+    """The named preset, built on the first call and returned by every later
+    one: the presentation is shared, so callers must not mutate it (or its
+    `letters`)."""
+    pres = _BUILT.get(name)
+    if pres is None:
+        build = PRESETS.get(name)
+        if build is None:
+            raise UnknownPreset(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
+        pres = _BUILT[name] = build()
+    return pres

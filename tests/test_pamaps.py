@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -707,7 +708,96 @@ def test_invert_errors_match_reference(label):
     assert outcome(invert, f) == outcome(reference.invert, f) == (type(error), str(error))
 
 
-WORD_LETTERS = st.sampled_from(PRESET_NAMES).flatmap(
+# -- the sorted sweep of `_canonical` against the reference -----------------
+
+import kariforge.pamaps as kernel  # noqa: E402
+
+
+@st.composite
+def sorted_rows(draw):
+    """(space, rows) with the rows sorted by lo and meeting only at endpoints,
+    the lists `_canonical` sweeps: affine pieces between values drawn at the
+    cuts of a grid, constant pieces, skipped cells (a partial map), and
+    points at the cuts.  An end value or a point's value is sometimes another
+    value than the cut's (a disagreeing junction), and on a circle a cut's
+    value 0 or L sometimes its twin across the wrap.  The cuts often include
+    0 and L, so rows end there."""
+    L = draw(LENGTHS)
+    circle = draw(st.booleans())
+    cuts = draw(st.sets(grid(L), min_size=2, max_size=6))
+    if draw(st.booleans()):
+        cuts |= {F(0), L}
+    cuts = sorted(cuts)
+    ys = [draw(grid(L)) for _ in cuts]
+
+    def value(i):
+        kind = draw(st.sampled_from(["cut"] * 6 + ["twin", "other"]))
+        if kind == "twin" and circle and ys[i] in (0, L):
+            return L - ys[i]
+        return draw(grid(L)) if kind == "other" else ys[i]
+
+    rows = []
+    for i, x in enumerate(cuts):
+        for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+            a = draw(st.sampled_from([F(0), F(0), F(1)]))  # a point keeps any slope
+            rows.append((x, x, a, value(i) - a * x))
+        if i + 1 == len(cuts):
+            break
+        x1 = cuts[i + 1]
+        kind = draw(st.sampled_from(["skip", "affine", "affine", "constant"]))
+        if kind == "affine":
+            y0, y1 = value(i), value(i + 1)
+            a = (y1 - y0) / (x1 - x)  # 0 when the ends agree: a constant piece
+            rows.append((x, x1, a, y0 - a * x))
+        elif kind == "constant":
+            rows.append((x, x1, F(0), value(i)))
+    return Space(L, circle), rows
+
+
+@given(sorted_rows())
+@settings(max_examples=400, deadline=None)
+def test_sorted_sweep_matches_reference(case):
+    """Identical rows, or the identical exception type and text; and on a
+    sorted list, only a list the reference refuses leaves the sweep."""
+    space, rows = case
+    general = kernel._canonical_general
+    left = []
+    with mock.patch.object(kernel, "_canonical_general", lambda *args: left.append(1) or general(*args)):
+        got = _both_makes(space, rows)
+    assert (got[0] == "ok") == (not left)
+
+
+class GeneralPath(AssertionError):
+    pass
+
+
+def _refuse(*args):
+    raise GeneralPath(args)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_preset_letters_compose_in_one_sweep(name, monkeypatch):
+    letters = PRESETS[name].letters
+    monkeypatch.setattr(kernel, "_canonical_general", _refuse)
+    for m in letters.values():
+        invert(m)
+        for h in letters.values():
+            compose(m, h)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_circle_homeos_make_compose_and_invert_in_one_sweep(data):
+    L = data.draw(LENGTHS)
+    space = Space(L, True)
+    f, g = (PAMap.make(space, _pieces(data.draw(circle_homeo_rows(L)))) for _ in range(2))
+    with mock.patch.object(kernel, "_canonical_general", _refuse):
+        for h in (f, g, compose(f, g), compose(g, f)):
+            assert PAMap.make(space, h.pieces) == h
+            assert compose(invert(h), h) == identity(space)
+
+
+WORD_LETTERS =st.sampled_from(PRESET_NAMES).flatmap(
     lambda name: st.tuples(st.just(name), st.lists(
         st.tuples(st.sampled_from(PRESETS[name].names()), st.sampled_from([1, -1])), max_size=12)))
 

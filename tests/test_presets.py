@@ -2,15 +2,29 @@ from fractions import Fraction as F
 
 import pytest
 
-from kariforge import pamaps
+from kariforge import pamaps, presets
 from kariforge.pamaps import apply, equals, identity, is_circle_homeo
-from kariforge.presets import PRESETS, load_preset
+from kariforge.presets import PRESETS, UnknownPreset, load_preset
 
 
 def test_preset_names():
     assert set(PRESETS) == {"z-kari", "psl2z", "thompson-t", "thompson-v"}
     with pytest.raises(KeyError):
         load_preset("nope")
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_each_preset_is_built_once(name):
+    pres = load_preset(name)
+    assert load_preset(name) is pres
+    assert pres == PRESETS[name]()
+
+
+def test_unknown_preset_is_not_stored():
+    for _ in range(2):
+        with pytest.raises(UnknownPreset, match="unknown preset 'nope'"):
+            load_preset("nope")
+    assert set(presets._BUILT) <= set(PRESETS)
 
 
 def test_z_kari_is_fixed_point_free_homeo(kari):
