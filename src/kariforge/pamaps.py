@@ -523,7 +523,7 @@ def _wrap(space: Space, core: tuple[Row, ...]) -> PAMap:
     return f
 
 
-def _make(space: Space, rows: Iterable[Row]) -> PAMap:
+def _make(space: Space, rows: Sequence[Row]) -> PAMap:
     return _wrap(space, _canonical(space, rows))
 
 
