@@ -45,15 +45,16 @@ def cmd_gen(args) -> int:
         pres = presets.load_preset(args.preset)
         if len(pres.generators) == 1:
             ts = tiles.pamap_tiles(pres.generators[0][1], fast_path=fast)
-            text = tiles.tileset_to_json(ts)
         else:
             ts = tiles.family_tiles(pres, fast_path=fast)
-            text = tiles.grouptileset_to_json(ts)
     else:
-        f = pamaps.pamap_from_obj(_read_json(args.map))
-        ts = tiles.pamap_tiles(f, fast_path=fast)
-        text = tiles.tileset_to_json(ts)
-    _write_text(args.out, text)
+        ts = tiles.pamap_tiles(pamaps.pamap_from_obj(_read_json(args.map)), fast_path=fast)
+    # the set is built before the file is opened, so a failed compile leaves none
+    if args.out is None:
+        tiles.write_json(ts, sys.stdout.write)
+    else:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            tiles.write_json(ts, fh.write)
     # the count goes to stderr when stdout carries the document
     print(f"{len(ts.tiles)} tiles", file=sys.stdout if args.out else sys.stderr)
     return 0

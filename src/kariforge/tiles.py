@@ -24,7 +24,7 @@ import marshal
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import pamaps
 from .pamaps import PAGroupPresentation, PAMap, _shown, rat, rat_str
@@ -187,10 +187,9 @@ def _side_reader(read):
     return side
 
 
-def label_from_obj(obj, atoms: Optional[dict[str, HLabel]] = None) -> HLabel:
-    """Inverse of label_to_obj.  A load passes one `atoms` dict to all its
-    labels, so each distinct carry string is parsed once."""
-    return _label_reader({} if atoms is None else atoms)(obj)
+def label_from_obj(obj) -> HLabel:
+    """Inverse of label_to_obj."""
+    return _label_reader({})(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -969,37 +968,46 @@ def _label_writer():
     return text
 
 
-def _text_cache(encode, key):
-    """encode(x), computed once per distinct key(x)."""
-    cache: dict = {}
+def write_json(ts: ZTileSet | GroupTileSet, write: Callable[[str], object]) -> None:
+    """Write `json.dumps(obj, indent=1) + "\n"` through write, one tile at a
+    time, where obj is tileset_to_obj(ts) for a ZTileSet and
+    grouptileset_to_obj(ts) for a GroupTileSet.  Each distinct label node
+    and (top, bottoms) pair is encoded once."""
+    if isinstance(ts, GroupTileSet):
+        gens = ts.generators
+        head = {"generators": list(gens)}
 
-    def text(x):
-        k = key(x)
-        s = cache.get(k)
-        if s is None:
-            s = cache[k] = encode(x)
-        return s
-    return text
+        def around(t: ZTile) -> tuple[str, str]:
+            return ('{\n   "left": ',
+                    ',\n   "psi": ' + _json_text({h: t.top for h in gens}, 3)
+                    + ',\n   "phi": ' + _json_text({h: t.bottom(h) for h in gens}, 3) + "\n  }")
+    else:
+        head = {}
 
-
-def _json_document(head: dict, tiles: list[str]) -> str:
-    """`json.dumps(dict(head, tiles=...), indent=1) + "\n"`, given the text of
-    each tile object at depth 2."""
-    text = json.dumps(dict(head, tiles=[]), indent=1)
-    if tiles:
-        text = text[:-len("[]\n}")] + "[\n  " + ",\n  ".join(tiles) + "\n ]\n}"
-    return text + "\n"
-
-
-def tileset_to_json(ts: ZTileSet) -> str:
-    """`json.dumps(tileset_to_obj(ts), indent=1) + "\n"`, encoding each
-    distinct label node and (top, bottoms) pair once."""
+        def around(t: ZTile) -> tuple[str, str]:
+            return ('{\n   "top": ' + json.dumps(t.top) + ',\n   "bottom": '
+                    + _json_text({n: v for n, v in t.bottoms}, 3) + ',\n   "left": ', "\n  }")
+    text = json.dumps(dict(head, in_max=ts.in_max, outs={n: v for n, v in ts.out_maxes}, tiles=[]),
+                      indent=1)
+    if not ts.tiles:
+        write(text + "\n")
+        return
     label = _label_writer()
-    head = _text_cache(lambda t: ('{\n   "top": ' + json.dumps(t.top) + ',\n   "bottom": '
-                                  + _json_text({n: v for n, v in t.bottoms}, 3) + ',\n   "left": '),
-                       key=lambda t: (t.top, t.bottoms))
-    tiles = [head(t) + label(t.left, 3) + ',\n   "right": ' + label(t.right, 3) + "\n  }" for t in ts.tiles]
-    return _json_document({"in_max": ts.in_max, "outs": {n: v for n, v in ts.out_maxes}}, tiles)
+    bits: dict = {}  # (top, bottoms) -> the text around the tile's labels
+    sep = text[:-len("[]\n}")] + "[\n  "
+    for t in ts.tiles:
+        key = (t.top, t.bottoms)
+        before, after = bits.get(key) or bits.setdefault(key, around(t))
+        write(sep + before + label(t.left, 3) + ',\n   "right": ' + label(t.right, 3) + after)
+        sep = ",\n  "
+    write("\n ]\n}\n")
+
+
+def tileset_to_json(ts: ZTileSet | GroupTileSet) -> str:
+    """The text write_json writes for ts, a ZTileSet or a GroupTileSet."""
+    chunks: list[str] = []
+    write_json(ts, chunks.append)
+    return "".join(chunks)
 
 
 def tileset_from_obj(obj: dict) -> ZTileSet:
@@ -1025,18 +1033,7 @@ def grouptileset_to_obj(g: GroupTileSet) -> dict:
     }
 
 
-def grouptileset_to_json(g: GroupTileSet) -> str:
-    """`json.dumps(grouptileset_to_obj(g), indent=1) + "\n"`, encoding each
-    distinct label node and (top, bottoms) pair once."""
-    label = _label_writer()
-    tail = _text_cache(lambda t: (',\n   "psi": ' + _json_text({h: t.top for h in g.generators}, 3)
-                                  + ',\n   "phi": ' + _json_text({h: t.bottom(h) for h in g.generators}, 3)
-                                  + "\n  }"),
-                       key=lambda t: (t.top, t.bottoms))
-    tiles = ['{\n   "left": ' + label(t.left, 3) + ',\n   "right": ' + label(t.right, 3) + tail(t)
-             for t in g.tiles]
-    return _json_document({"generators": list(g.generators), "in_max": g.in_max,
-                           "outs": {n: v for n, v in g.out_maxes}}, tiles)
+grouptileset_to_json = tileset_to_json
 
 
 def grouptileset_from_obj(obj: dict) -> GroupTileSet:

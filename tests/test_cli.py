@@ -52,6 +52,14 @@ def test_gen_bad_preset(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_gen_failed_compile_writes_no_file(tmp_path, capsys):
+    # thompson-v's maps are partial, so its compile fails before --out is opened
+    out = tmp_path / "v.json"
+    assert main(["gen", "--preset", "thompson-v", "--out", str(out)]) == 1
+    assert "not total" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [["gen", "--preset", "nope"],
                                   ["group", "--preset", "nope", "--word", "d", "--is-identity"]])
 def test_unknown_preset_message_is_bare(argv, capsys):
