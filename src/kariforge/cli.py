@@ -188,11 +188,17 @@ def cmd_render(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # exit 1, not 2: verify exits 2 on a periodic configuration
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command line parser, built on the first call and shared after it."""
-    ap = argparse.ArgumentParser(prog="kariforge",
-                                 description="piecewise affine maps -> Wang tile sets, with verification")
+    ap = _Parser(prog="kariforge",
+                 description="piecewise affine maps -> Wang tile sets, with verification")
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate a tile set from a map file or preset")

@@ -167,13 +167,12 @@ def cyclic_oracle(n: int) -> WordProblem:
     return WordProblem(lambda w: sum(1 if s > 0 else -1 for s in w) % n)
 
 
-def table_oracle(mult: Sequence[Sequence[int]], gens: Sequence[int], identity: int = 0) -> WordProblem:
-    """Finite group by multiplication table; gens[i] is the element of x_{i+1}."""
-    inv = {}
-    for a in range(len(mult)):
-        for b in range(len(mult)):
-            if mult[a][b] == identity:
-                inv[a] = b
+def table_oracle(mult: Sequence[Sequence[int]], gens: Sequence[int]) -> WordProblem:
+    """Finite group by multiplication table, its identity the e with mult[e][x] == x for every x;
+    gens[i] is the element of x_{i+1}."""
+    elements = range(len(mult))
+    [identity] = [e for e in elements if all(mult[e][x] == x for x in elements)]
+    inv = {a: b for a in elements for b in elements if mult[a][b] == identity}
 
     def nf(w: FGWord) -> int:
         acc = identity
@@ -262,15 +261,14 @@ def empty_semi(alphabet_size: int, enumerator: Iterable[Pattern], max_stages: in
 
 
 def in_language(w: Pattern, problem: PatternProblem, budget: int = DEFAULT_BUDGET) -> bool:
-    """True iff every surviving configuration disagrees with w somewhere."""
-    support = w.support()
-    incompatible = []
-    for letters in itertools.product(range(problem.alphabet_size), repeat=len(support)):
-        cand = Pattern.make(tuple(zip(support, letters)))
-        if cand != w:
-            incompatible.append(cand)
-    extended = PatternProblem(problem.alphabet_size, problem.patterns + tuple(incompatible))
-    return empty_finite(extended, budget)
+    """True iff every surviving configuration disagrees with w somewhere.  With w's cells assigned,
+    a pattern disagreeing with w there is avoided, and the others on their remaining cells."""
+    if any(not 0 <= letter < problem.alphabet_size for _, letter in w.cells):
+        return True  # no configuration agrees with w
+    fixed = dict(w.cells)
+    rest = tuple(Pattern(tuple(c for c in pat.cells if c[0] not in fixed)) for pat in problem.patterns
+                 if all(fixed.get(word, letter) == letter for word, letter in pat.cells))
+    return empty_finite(PatternProblem(problem.alphabet_size, rest), budget)
 
 
 # ---------------------------------------------------------------------------

@@ -435,22 +435,18 @@ def _canonical_general(space: Space, rows: Iterable[Row]) -> tuple[Row, ...]:
             kept.append(p)
 
     # remaining overlaps must be single shared endpoints with agreeing values
-    for i, (_, _, phin, phid, pan, pad, pbn, pbd, _, pv) in enumerate(kept):
+    for i, (_, _, phin, phid, _, _, _, _, _, pv) in enumerate(kept):
         for qlon, qlod, qhin, qhid, _, _, _, _, qv, _ in kept[i + 1:]:
             if qlon * phid > phin * qlod:
                 break
-            if phin * qhid <= qhin * phid:
-                if qlon != phin or qlod != phid:
-                    raise Conflict(f"overlapping pieces on [{_str(qlon, qlod)}, {_str(phin, phid)}]"
-                                   " with different functions")
-                u = pv
-            else:
-                if qlon != qhin or qlod != qhid:
-                    raise Conflict(f"overlapping pieces on [{_str(qlon, qlod)}, {_str(qhin, qhid)}]"
-                                   " with different functions")
-                u = _at(pan, pad, qlon, qlod, pbn, pbd)
-            if u != qv and (not circle or not _equiv(u, qv, Ln, Ld)):
-                raise Conflict(f"values disagree at {_str(qlon, qlod)}: {_str(*u)} vs {_str(*qv)}")
+            if phin * qhid > qhin * phid:  # q is nested in p; points inside p were dropped above
+                raise Conflict(f"overlapping pieces on [{_str(qlon, qlod)}, {_str(qhin, qhid)}]"
+                               " with different functions")
+            if qlon != phin or qlod != phid:
+                raise Conflict(f"overlapping pieces on [{_str(qlon, qlod)}, {_str(phin, phid)}]"
+                               " with different functions")
+            if pv != qv and (not circle or not _equiv(pv, qv, Ln, Ld)):
+                raise Conflict(f"values disagree at {_str(qlon, qlod)}: {_str(*pv)} vs {_str(*qv)}")
 
     # on a circle, 0 and length are one point: all pieces defined there must agree
     if circle and kept:

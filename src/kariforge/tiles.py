@@ -506,7 +506,7 @@ def carry_set(a, b) -> tuple[Fraction, ...]:
     return tuple(Fraction(k, D) for k in range(lo, hi + 1))
 
 
-def _affine(labels: _LabelTable, a, b, in_max: int, out_max: int, out_name: str = "f") -> _Rows:
+def _affine(labels: _LabelTable, a, b, in_max: int, out_max: int) -> _Rows:
     """The rows of affine_tiles.  With carries k/D and A = a*D, B = b*D, the
     relation reads D*bottom = A*top + B + k - k', so for each (top, k) the
     bottoms are the integers u with k' = A*top + B + k - u*D inside the carry
@@ -520,7 +520,7 @@ def _affine(labels: _LabelTable, a, b, in_max: int, out_max: int, out_name: str 
     for k in range(lo, hi + 1):
         g = math.gcd(k, D)
         ids.append(labels.intern("atom", (k // g, D // g)))
-    bottoms = [((out_name, u),) for u in range(out_max + 1)]
+    bottoms = [(("f", u),) for u in range(out_max + 1)]
     rows = []
     for t in range(in_max + 1):
         for k in range(lo, hi + 1):
@@ -529,7 +529,7 @@ def _affine(labels: _LabelTable, a, b, in_max: int, out_max: int, out_name: str 
                 rows.append((t, bottoms[u], ids[k - lo], ids[base - u * D - lo]))
     if not rows:
         raise EmptyTileSetError(f"no tiles for a={a}, b={b}")
-    return _Rows(in_max, ((out_name, out_max),), rows, PlanAff(a, b), labels)
+    return _Rows(in_max, (("f", out_max),), rows, PlanAff(a, b), labels)
 
 
 def _union(A: _Rows, B: _Rows) -> _Rows:
@@ -591,9 +591,9 @@ def _product(components: Sequence[tuple[str, _Rows]]) -> _Rows:
     return _Rows(in_max, out_maxes, candidates, src, components[0][1].labels, parts=True)
 
 
-def affine_tiles(a, b, in_max: int, out_max: int, out_name: str = "f") -> ZTileSet:
-    """All tiles satisfying bottom = a*top + b + left - right over the carry set."""
-    return _affine(_LabelTable(), a, b, in_max, out_max, out_name).tileset()
+def affine_tiles(a, b, in_max: int, out_max: int) -> ZTileSet:
+    """All tiles whose output f satisfies f = a*top + b + left - right over the carry set."""
+    return _affine(_LabelTable(), a, b, in_max, out_max).tileset()
 
 
 def union_tiles(A: ZTileSet, B: ZTileSet) -> ZTileSet:
@@ -810,7 +810,13 @@ def family_tiles(pres: PAGroupPresentation, fast_path: bool = True) -> GroupTile
     """Tiles over Z x G for a presentation: the synchronized product of the
     generators' tile sets, read with psi_h = input bit and phi_h = h's output."""
     m = bit_max(pres.space)
-    plan = PlanProd(tuple((name, pamap_plan(mp, fast_path)) for name, mp in pres.generators))
+    parts = []
+    for name, mp in pres.generators:
+        try:
+            parts.append((name, pamap_plan(mp, fast_path)))
+        except NotHomeo as exc:
+            raise NotHomeo(f"generator {name}: {exc}") from None
+    plan = PlanProd(tuple(parts))
     return GroupTileSet._of_validated(tuple(name for name, _ in pres.generators), build_plan(plan, m, m))
 
 

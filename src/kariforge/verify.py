@@ -256,8 +256,9 @@ class TransitionGraph:
 
 
 def nonempty_rows(ts: ZTileSet | GroupTileSet) -> bool:
-    """A bi-infinite valid row exists iff some tile survives trimming."""
-    return bool(tiles.trim_tiles(ts).tiles)
+    """A bi-infinite row exists iff some label starts an infinite walk (the label graph is finite)."""
+    lefts, rights = [t.left for t in ts.tiles], [t.right for t in ts.tiles]
+    return any(tiles._live(*tiles._label_ids(lefts, rights)))
 
 
 def _reach_masks(succ: Sequence[Sequence[int]], n: int) -> list[list[int]]:
@@ -390,7 +391,7 @@ def _row_sums(ts: ZTileSet, n_max: int, sums: Optional[RowSums]) -> RowSums:
 
 
 def periodic_soundness(ts: ZTileSet, f: PAMap, n_max: int,
-                       stop_early: bool = False, sums: Optional[RowSums] = None) -> list[dict]:
+                       sums: Optional[RowSums] = None) -> list[dict]:
     """Check every n-periodic row, n <= n_max: its bit averages must follow f.
 
     Returns violation records; an empty list certifies soundness up to n_max.
@@ -423,8 +424,6 @@ def periodic_soundness(ts: ZTileSet, f: PAMap, n_max: int,
                 top_avg, bottom_avg, expected_text = texts
                 violations.append({"n": n, "cycle": list(walk), "top_avg": top_avg,
                                    "bottom_avg": bottom_avg, "expected": expected_text})
-                if stop_early:
-                    return violations
     return violations
 
 
@@ -516,16 +515,17 @@ class PatchRow:
 
 
 FGWord = tuple[int, ...]
+BASE_POINT_MAX_DEN = 50  # search_base_point tries denominators 1..BASE_POINT_MAX_DEN
 
 
 def patch_check(gts: GroupTileSet, patch: dict[FGWord, PatchRow],
                 is_identity: Callable[[FGWord], bool]) -> bool:
     """Check a finite patch: keyed by group words, one row window per element.
 
-    Validates tile membership, row connectivity, key consistency (two words
-    equal in the group must carry equal rows), and for every pair of patch
-    elements v = w * h^-1 the generator constraint phi_h(w) = psi_h(v)
-    pointwise on the shared window.
+    Validates key consistency (two words equal in the group must carry equal
+    rows), each element's row as `witness_row` checks one (tile membership
+    and connectivity), and for every pair of patch elements v = w * h^-1 the
+    generator constraint phi_h(w) = psi_h(v) pointwise on the shared window.
     """
     known = frozenset(gts.tiles)
     nf = freegroup.word_problem(is_identity).nf
@@ -534,16 +534,12 @@ def patch_check(gts: GroupTileSet, patch: dict[FGWord, PatchRow],
         v = rep_of.setdefault(nf(w), w)
         if patch[v] != patch[w]:
             raise InconsistentPatch(f"{v} and {w} are equal in G but carry different rows")
-    reps = list(rep_of.values())
-    for w in reps:
-        row = patch[w]
-        for t in row.tiles:
-            if t not in known:
-                return False
-        for u, v in zip(row.tiles, row.tiles[1:]):
-            if u.right != v.left:
-                return False
-    for w in reps:
+    try:
+        for w in rep_of.values():
+            _check_row(patch[w].tiles, known)
+    except WitnessFailure:
+        return False
+    for w in rep_of.values():
         for i, h in enumerate(gts.generators, start=1):
             v = rep_of.get(nf(freegroup.w_mul(w, (-i,))))
             if v is None:
@@ -559,17 +555,14 @@ def patch_check(gts: GroupTileSet, patch: dict[FGWord, PatchRow],
     return True
 
 
-def search_base_point(pres: PAGroupPresentation, radius: int,
-                      max_den: int = 50) -> Fraction:
+def search_base_point(pres: PAGroupPresentation, radius: int) -> Fraction:
     """First rational (by denominator, then numerator) whose whole radius-ball
     orbit stays inside every composite's domain."""
     maps = pamaps.enumerate_maps(pres, radius + 1)
     L = pres.space.length
-    for q in range(1, max_den + 1):
-        for num in range(0, math.ceil(L * q) + 1):
+    for q in range(1, BASE_POINT_MAX_DEN + 1):
+        for num in range(0, math.floor(L * q) + 1):  # num / q <= L
             z = Fraction(num, q)
-            if z > L:
-                continue
             try:
                 for m in maps:
                     pamaps.apply(m, z)

@@ -99,8 +99,7 @@ def _rot(word: tuple[int, ...], s: int) -> tuple[int, ...]:
     return tuple(word[(m - s) % n] for m in range(n))
 
 
-def periodic_soundness(ts: ZTileSet, f: PAMap, n_max: int,
-                       stop_early: bool = False) -> list[dict]:
+def periodic_soundness(ts: ZTileSet, f: PAMap, n_max: int) -> list[dict]:
     name = ts.single_out()
     sp = f.space
     succ = successors(ts)
@@ -123,8 +122,6 @@ def periodic_soundness(ts: ZTileSet, f: PAMap, n_max: int,
                     "bottom_avg": str(bot_avg),
                     "expected": None if expected is None else str(expected),
                 })
-                if stop_early:
-                    return violations
     return violations
 
 

@@ -142,7 +142,7 @@ def test_criterion_4_soundness_and_mutation_suite():
             tiles = list(ts.tiles)
             tiles[idx] = tile
             mutated = ZTileSet.make(ts.in_max, dict(ts.out_maxes), tiles)
-            if (periodic_soundness(mutated, kari, 8, stop_early=True)
+            if (periodic_soundness(mutated, kari, 8)
                     or not nonempty_rows(mutated)
                     or stacked_periodic_scan(mutated, 4, 2)):
                 detected += 1

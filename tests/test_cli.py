@@ -56,7 +56,7 @@ def test_gen_failed_compile_writes_no_file(tmp_path, capsys):
     # thompson-v's maps are partial, so its compile fails before --out is opened
     out = tmp_path / "v.json"
     assert main(["gen", "--preset", "thompson-v", "--out", str(out)]) == 1
-    assert "not total" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: generator a: map is not total on its interval\n"
     assert not out.exists()
 
 
@@ -127,6 +127,30 @@ def test_python_m_kariforge_runs_the_cli():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert "verify" in done.stdout
+    done = subprocess.run([sys.executable, "-m", "kariforge", "verify", "--max-n", "3"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1
+    assert "the following arguments are required: --tiles" in done.stderr
+
+
+@pytest.mark.parametrize("argv", [["verify", "--max-n", "3"],  # no --tiles
+                                  [],
+                                  ["nope"],
+                                  ["verify", "--tiles", "t.json", "--max-n", "abc"],
+                                  ["group", "--preset", "psl2z", "--word", "d", "--is-identity", "--witness"]])
+def test_usage_errors_exit_1(argv, capsys):
+    # 2 is verify's code for a periodic configuration, so usage errors use 1
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert "--max-n" in capsys.readouterr().out
 
 
 def test_gen_fast_path_off_still_verifies(tmp_path, kari_map_file, capsys):
@@ -248,6 +272,14 @@ def test_simulate(kari_map_file, capsys):
     out = capsys.readouterr().out
     assert "witness row valid" in out
     assert "f(x) = 1/7" in out
+
+
+def test_simulate_without_a_witness(kari_map_file, capsys):
+    # 2 lies outside z-kari's input bits 0..1, so no row encodes it
+    assert main(["simulate", "--map", kari_map_file, "--x", "2", "--window", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "no witness: input 2 not encodable in bits 0..1\n"
 
 
 def test_simulate_all_zero(identity_map_file, capsys):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import freegroup_reference
 from kariforge import pamaps, presets
 from kariforge.freegroup import (
     BudgetExceeded,
@@ -133,6 +134,25 @@ def test_in_language_self_membership():
     assert in_language(w, problem) is True
 
 
+@st.composite
+def language_cases(draw):
+    """(w, problem): alphabet 1-3, at most 8 cells in w and the patterns
+    together, on the words of the radius-2 ball of F2.  Letters run one past
+    the alphabet, so some patterns and some w can never be matched."""
+    size = draw(st.integers(1, 3))
+    cells = st.dictionaries(st.sampled_from(ball(2, 2)), st.integers(0, size), max_size=4)
+    w = draw(cells)
+    patterns = draw(st.lists(cells, max_size=4).filter(lambda ps: len(w) + sum(map(len, ps)) <= 8))
+    return Pattern.make(w), PatternProblem(size, tuple(map(Pattern.make, patterns)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(language_cases())
+def test_in_language_matches_pattern_adding_reference(case):
+    w, problem = case
+    assert in_language(w, problem) == freegroup_reference.in_language(w, problem)
+
+
 # -- pattern generators ----------------------------------------------------
 
 
@@ -206,6 +226,18 @@ def test_table_oracle_z3():
     oracle = table_oracle(Z3, gens=[1])
     assert oracle((1, 1, 1))
     assert not oracle((1, 1))
+
+
+def test_table_oracle_reads_its_identity_off_the_table():
+    # Z/3 relabeled by x -> x - 1: element 2 is the identity, and 0 and 1
+    # are each other's inverses
+    shifted = [[(i + j - 2) % 3 for j in range(3)] for i in range(3)]
+    oracle = table_oracle(shifted, gens=[0])
+    assert oracle.nf(()) == 2
+    assert oracle((1, -1)) and oracle((-1, -1, -1))
+    assert not oracle((1,)) and not oracle((-1,))
+    with pytest.raises(ValueError):  # no row fixes every element
+        table_oracle([[1, 0], [1, 0]], gens=[0])
 
 
 # -- normal forms --------------------------------------------------------

@@ -674,6 +674,8 @@ INVALID = {  # label: (space, rows, the error both kernels raise)
     "point image outside": (CIRCLE2, [(F(1), F(1), F(0), F(3))], ValueError("piece image [3, 3] outside [0, 2]")),
     "overlapping": (SEG1, [(F(0), F(1, 2), F(1), F(0)), (F(1, 4), F(1), F(1, 2), F(1, 4))],
                     Conflict("overlapping pieces on [1/4, 1/2] with different functions")),
+    "nested piece": (SEG1, [(F(0), F(1), F(1), F(0)), (F(1, 4), F(1, 2), F(1, 2), F(1, 4))],
+                     Conflict("overlapping pieces on [1/4, 1/2] with different functions")),
     "conflicting point": (SEG1, [(F(0), F(1, 2), F(1), F(0)), (F(1, 4), F(1, 4), F(0), F(3, 4))],
                           Conflict("values disagree at 1/4: 1/4 vs 3/4")),
     "disagreeing endpoint": (SEG1, [(F(0), F(1, 2), F(1), F(0)), (F(1, 2), F(1), F(1, 2), F(0))],

@@ -19,6 +19,7 @@ from kariforge.freegroup import (
 )
 from kariforge.pamaps import AffinePiece, Interval, PAMap, Space
 from kariforge.tiles import (
+    GroupTileSet,
     PlanComp,
     PlanProd,
     ZTile,
@@ -28,6 +29,7 @@ from kariforge.tiles import (
     bit_max,
     pamap_plan,
     pamap_tiles,
+    trim_tiles,
 )
 from kariforge.verify import (
     BitWindow,
@@ -119,6 +121,14 @@ def test_witness_out_of_range_rejected():
     ts = affine_tiles(F(2, 3), F(-1, 3), 1, 1)
     with pytest.raises(WitnessFailure):
         witness_row(ts, F(1, 4), 8)  # (2*(1/4)-1)/3 < 0
+
+
+def test_witness_refuses_a_set_missing_a_row_tile(kari_tiles):
+    row = witness_row(kari_tiles, F(5, 7), 8)
+    missing = ZTileSet.make(kari_tiles.in_max, dict(kari_tiles.out_maxes),
+                            [t for t in kari_tiles.tiles if t != row[3]], kari_tiles.source)
+    with pytest.raises(WitnessFailure, match="witness tile not in set"):
+        witness_row(missing, F(5, 7), 8)
 
 
 def test_witness_through_union_and_wrap(kari, kari_tiles):
@@ -272,6 +282,25 @@ def test_empty_single_mismatched_tile():
     assert not nonempty_rows(ts)
 
 
+@st.composite
+def small_tilesets(draw):
+    """Z and Z x G sets of up to 10 tiles on up to 5 atom labels, empty ones
+    included: dead ends, self-loops and cycles with tails."""
+    names = draw(st.sampled_from([("f",), ("a", "b")]))
+    side = st.integers(0, draw(st.integers(0, 4))).map(atom)
+    bits = st.tuples(*[st.integers(0, 1) for _ in names])
+    tiles = draw(st.lists(st.builds(lambda top, bs, l, r: ZTile(top, tuple(zip(names, bs)), l, r),
+                                    st.integers(0, 1), bits, side, side), max_size=10))
+    ts = ZTileSet.make(1, {n: 1 for n in names}, tiles)
+    return GroupTileSet(names, 1, ts.out_maxes, ts.tiles) if draw(st.booleans()) else ts
+
+
+@given(small_tilesets())
+@settings(max_examples=300, deadline=None)
+def test_nonempty_rows_is_a_nonempty_trim(ts):
+    assert nonempty_rows(ts) == bool(trim_tiles(ts).tiles)
+
+
 # -- periodic rows ----------------------------------------------------------
 
 
@@ -324,7 +353,7 @@ def test_soundness_detects_corruption(kari, kari_tiles):
     flipped = ZTile(victim.top, (("f", 1 - victim.bottom()),), victim.left, victim.right)
     mutated = ZTileSet.make(kari_tiles.in_max, dict(kari_tiles.out_maxes),
                             [flipped] + tiles[1:])
-    assert periodic_soundness(mutated, kari, 8, stop_early=True)
+    assert periodic_soundness(mutated, kari, 8)
 
 
 def test_soundness_reports_rows_outside_the_domain(kari, kari_tiles):
@@ -459,12 +488,11 @@ def walk_check_cases(draw):
     return compiled(kari), half
 
 
-@given(walk_check_cases(), st.integers(1, 6), st.integers(1, 4), st.booleans())
+@given(walk_check_cases(), st.integers(1, 6), st.integers(1, 4))
 @settings(max_examples=120, deadline=None)
-def test_periodic_checks_match_walk_enumeration(case, n_max, k_max, stop_early):
+def test_periodic_checks_match_walk_enumeration(case, n_max, k_max):
     ts, f = case
-    assert (periodic_soundness(ts, f, n_max, stop_early)
-            == reference.periodic_soundness(ts, f, n_max, stop_early))
+    assert periodic_soundness(ts, f, n_max) == reference.periodic_soundness(ts, f, n_max)
     assert stacked_periodic_scan(ts, n_max, k_max) == reference.stacked_periodic_scan(ts, n_max, k_max)
 
 
@@ -644,6 +672,17 @@ def test_orbit_patch_negative_control(psl2z, psl2z_family):
     wrong[0] = donor
     patch[key] = PatchRow(row.offset, tuple(wrong))
     assert not patch_check(psl2z_family, patch, pa_oracle(psl2z))
+
+
+def test_patch_refuses_a_tile_outside_the_set(psl2z_family):
+    # one element, one tile: no neighbor and no adjacency to check, so only
+    # membership can refuse it
+    known = set(psl2z_family.tiles)
+    t = psl2z_family.tiles[0]
+    outside = next(ZTile(t.top, t.bottoms, t.left, s.right) for s in psl2z_family.tiles
+                   if ZTile(t.top, t.bottoms, t.left, s.right) not in known)
+    assert patch_check(psl2z_family, {(): PatchRow(0, (t,))}, free_oracle)
+    assert not patch_check(psl2z_family, {(): PatchRow(0, (outside,))}, free_oracle)
 
 
 def test_patch_subpatch_monotone(psl2z, psl2z_family):

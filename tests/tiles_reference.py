@@ -69,7 +69,7 @@ def carry_set(a, b) -> tuple[Fraction, ...]:
     return tuple(Fraction(k, D) for k in range(lo_k.numerator, hi_k.numerator + 1))
 
 
-def affine_tiles(a, b, in_max: int, out_max: int, out_name: str = "f") -> ZTileSet:
+def affine_tiles(a, b, in_max: int, out_max: int) -> ZTileSet:
     a, b = rat(a), rat(b)
     if a == 0:
         raise ValueError("slope must be nonzero")
@@ -80,10 +80,10 @@ def affine_tiles(a, b, in_max: int, out_max: int, out_name: str = "f") -> ZTileS
             for cp in carries:
                 u = a * t + b + c - cp
                 if u.denominator == 1 and 0 <= u <= out_max:
-                    tiles.append(ZTile(t, ((out_name, int(u)),), atom(c), atom(cp)))
+                    tiles.append(ZTile(t, (("f", int(u)),), atom(c), atom(cp)))
     if not tiles:
         raise EmptyTileSetError(f"no tiles for a={a}, b={b}")
-    return make(in_max, {out_name: out_max}, tiles, source=PlanAff(a, b))
+    return make(in_max, {"f": out_max}, tiles, source=PlanAff(a, b))
 
 
 def label_key(l: HLabel):
