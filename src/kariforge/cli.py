@@ -21,12 +21,15 @@ def _read_json(path: str):
         return json.load(fh)
 
 
-def _write_text(path, text: str) -> None:
+def _output(path, produce) -> None:
+    """produce(write), with write going to the file at path (default
+    stdout).  The file is opened only here, so a command that fails before
+    its output is ready leaves none."""
     if path is None:
-        sys.stdout.write(text)
+        produce(sys.stdout.write)
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            produce(fh.write)
 
 
 def _load_tiles(path: str):
@@ -49,12 +52,7 @@ def cmd_gen(args) -> int:
             ts = tiles.family_tiles(pres, fast_path=fast)
     else:
         ts = tiles.pamap_tiles(pamaps.pamap_from_obj(_read_json(args.map)), fast_path=fast)
-    # the set is built before the file is opened, so a failed compile leaves none
-    if args.out is None:
-        tiles.write_json(ts, sys.stdout.write)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            tiles.write_json(ts, fh.write)
+    _output(args.out, lambda write: tiles.write_json(ts, write))
     # the count goes to stderr when stdout carries the document
     print(f"{len(ts.tiles)} tiles", file=sys.stdout if args.out else sys.stderr)
     return 0
@@ -80,17 +78,12 @@ def cmd_verify(args) -> int:
         if not f.is_total():
             oracle_points = None  # the exact solver needs a total map
         else:
-            # one power chain: f^k = f o f^(k-1), the power periodic_points builds
-            power = f
-            for k in range(1, args.max_k + 1):
-                if k > 1:
-                    power = pamaps.compose(f, power)
-                pts = pamaps.fixed_points(power)
-                if pts:
-                    oracle_points.append({"k": k, "points": [[str(iv.lo), str(iv.hi)] for iv in pts]})
+            oracle_points = [{"k": k, "points": [[str(iv.lo), str(iv.hi)] for iv in pts]}
+                             for k, pts in enumerate(pamaps.power_fixed_points(f, args.max_k), 1) if pts]
     report["soundness_violations"] = violations
     report["oracle_periodic_points"] = oracle_points
-    _write_text(args.out, _report_json(report))
+    text = _report_json(report)
+    _output(args.out, lambda write: write(text))
     if violations:
         return 3
     if periodic:
@@ -139,7 +132,7 @@ def cmd_simulate(args) -> int:
     print("n:      " + " ".join(f"{n:>3}" for n in ns))
     print("in:     " + " ".join(f"{t.top:>3}" for t in row))
     print("out:    " + " ".join(f"{t.bottom(name):>3}" for t in row))
-    print("left:   " + " ".join(render.label_text(t.left) for t in row))
+    print("left:   " + " ".join(repr(t.left) for t in row))
     print(f"witness row valid; encodes x = {x}, f(x) = {pamaps.apply(f, x)}")
     return 0
 
@@ -176,15 +169,11 @@ def cmd_render(args) -> int:
         # oversized file is refused before a tile is decoded
         if isinstance(obj, dict) and isinstance(obj.get("tiles"), list):
             render.check_size(len(obj["tiles"]))
-        ts = _tiles_from_obj(obj)
-        if isinstance(ts, tiles.GroupTileSet):
-            svg = render.render_grouptileset(ts)
-        else:
-            svg = render.render_tileset(ts)
+        svg = render.render_tileset(_tiles_from_obj(obj))
     except render.TooLarge as exc:
         print(f"too large: {exc}", file=sys.stderr)
         return 1
-    _write_text(args.out, svg)
+    _output(args.out, lambda write: write(svg))
     return 0
 
 

@@ -305,8 +305,7 @@ def xleq1_forbidden(oracle: Oracle, p: int, radius: int) -> list[Pattern]:
     return [Pattern.make({(): 1, g: 1}) for g in reps if g != ()]
 
 
-def simple_sft_check(oracle: Oracle, p: int, radius: int, a: FGWord,
-                     alphabet_size: int = 3) -> dict[FGWord, int]:
+def simple_sft_check(oracle: Oracle, p: int, radius: int, a: FGWord) -> dict[FGWord, int]:
     """3-color the ball so that every edge {g, g*a} is bichromatic.
 
     The edge set is a union of paths and cycles (each vertex touches at most
@@ -341,7 +340,7 @@ def simple_sft_check(oracle: Oracle, p: int, radius: int, a: FGWord,
             if g in coloring:
                 continue
             used = {coloring[n] for n in neighbors[g] if n in coloring}
-            for color in range(alphabet_size):
+            for color in range(3):
                 if color not in used:
                     coloring[g] = color
                     break

@@ -806,16 +806,24 @@ def fixed_points(f: PAMap) -> tuple[Interval, ...]:
     return _intervals(_union(found))
 
 
-def periodic_points(f: PAMap, k: int) -> tuple[Interval, ...]:
-    """Fixed points of the k-th compositional power; f must be total."""
-    if k < 1:
+def power_fixed_points(f: PAMap, k_max: int) -> list[tuple[Interval, ...]]:
+    """Fix(f^k) for k = 1..k_max, from one power chain f^k = f o f^(k-1);
+    f must be total."""
+    if k_max < 1:
         raise ValueError("k must be >= 1")
     if not f.is_total():
         raise OutOfDomain("periodic_points needs a total map")
     power = f
-    for _ in range(k - 1):
+    points = [fixed_points(power)]
+    for _ in range(k_max - 1):
         power = compose(f, power)
-    return fixed_points(power)
+        points.append(fixed_points(power))
+    return points
+
+
+def periodic_points(f: PAMap, k: int) -> tuple[Interval, ...]:
+    """Fixed points of the k-th compositional power; f must be total."""
+    return power_fixed_points(f, k)[-1]
 
 
 def _levels(pres: PAGroupPresentation, depth: int) -> Iterator[list[PAMap]]:

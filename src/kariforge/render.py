@@ -8,7 +8,7 @@ generator and add a caption block naming the matching rules.
 
 from __future__ import annotations
 
-from .tiles import GroupTileSet, HLabel, ZTileSet
+from .tiles import GroupTileSet, HLabel, ZTile, ZTileSet
 
 MAX_TILES = 500
 CELL = 84
@@ -29,16 +29,12 @@ def _esc(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def label_text(l: HLabel) -> str:
-    return repr(l)
-
-
 def _node_text(l: HLabel, text) -> str:
-    """label_text(l) escaped for SVG, given text(child) for each of l's
-    children.  Escaping maps each character on its own, so the escaped
-    texts of the children join into the escaped text of the node."""
+    """repr(l) escaped for SVG, given text(child) for each of l's children.
+    Escaping maps each character on its own, so the escaped texts of the
+    children join into the escaped text of the node."""
     if l.kind == "atom":
-        return label_text(l)  # digits, "-" and "/": nothing to escape
+        return repr(l)  # digits, "-" and "/": nothing to escape
     if l.kind == "tag":
         name, inner = l.value
         return f"{_esc(name)}:{text(inner)}"
@@ -46,7 +42,7 @@ def _node_text(l: HLabel, text) -> str:
 
 
 def _label_texts(tiles) -> dict[HLabel, str]:
-    """label_text of each side label, escaped for SVG and keyed by label;
+    """repr of each side label, escaped for SVG and keyed by label;
     the text of each distinct label node is built once, so shared subtrees
     cost one step."""
     texts: dict[HLabel, str] = {}
@@ -102,41 +98,35 @@ def _document(body: list[str], width: int, height: int) -> str:
     return "\n".join([head] + body + ["</svg>"]) + "\n"
 
 
-def render_tileset(ts: ZTileSet) -> str:
+def render_tileset(ts: ZTileSet | GroupTileSet) -> str:
+    """The picture of ts, a ZTileSet or a GroupTileSet; the set's type picks
+    each tile's north and south fields and the caption."""
     check_size(len(ts.tiles))
     cols, rows = _grid(len(ts.tiles))
+    width = PAD + cols * (CELL + PAD)
+    height = PAD + rows * (CELL + PAD)
+    if isinstance(ts, GroupTileSet):
+        gens = ts.generators
+
+        def fields(t: ZTile) -> tuple[list[str], list[str]]:
+            return [f"{h}:{t.bottom(h)}" for h in gens], [str(t.top)]
+        lines = ["tile x at (n,g):", "right(x) = left of the tile at (n+1,g)"]
+        lines += [f"{h}-field of x = input bit of the tile at (n,g{h}')" for h in gens]
+        caption = [_text(PAD, height + 14 * (j + 1), _esc(s), size=10, anchor="start")
+                   for j, s in enumerate(lines)]
+        height += 48 + 14 * len(gens)
+    else:
+        def fields(t: ZTile) -> tuple[list[str], list[str]]:
+            souths = [f"{n}:{v}" for n, v in t.bottoms] if len(t.bottoms) > 1 else [str(t.bottom())]
+            return [str(t.top)], souths
+        caption = []
     texts = _label_texts(ts.tiles)
     body: list[str] = []
     for i, t in enumerate(ts.tiles):
         x0 = PAD + (i % cols) * (CELL + PAD)
         y0 = PAD + (i // cols) * (CELL + PAD)
-        souths = [f"{n}:{v}" for n, v in t.bottoms] if len(t.bottoms) > 1 else [str(t.bottom())]
-        body.extend(_tile_cell(x0, y0, texts[t.left], texts[t.right], [str(t.top)], souths))
-    width = PAD + cols * (CELL + PAD)
-    height = PAD + rows * (CELL + PAD)
-    return _document(body, width, height)
-
-
-def render_grouptileset(g: GroupTileSet) -> str:
-    check_size(len(g.tiles))
-    cols, rows = _grid(len(g.tiles))
-    texts = _label_texts(g.tiles)
-    body: list[str] = []
-    for i, t in enumerate(g.tiles):
-        x0 = PAD + (i % cols) * (CELL + PAD)
-        y0 = PAD + (i // cols) * (CELL + PAD)
-        norths = [f"{h}:{t.bottom(h)}" for h in g.generators]
-        body.extend(_tile_cell(x0, y0, texts[t.left], texts[t.right], norths, [str(t.top)]))
-    caption_y = PAD + rows * (CELL + PAD) + 14
-    caption = [
-        _text(PAD, caption_y, "tile x at (n,g):", size=10, anchor="start"),
-        _text(PAD, caption_y + 14,
-              "right(x) = left of the tile at (n+1,g)", size=10, anchor="start"),
-    ]
-    for j, h in enumerate(g.generators):
-        caption.append(_text(PAD, caption_y + 28 + 14 * j,
-                             _esc(f"{h}-field of x = input bit of the tile at (n,g{h}')"),
-                             size=10, anchor="start"))
-    width = PAD + cols * (CELL + PAD)
-    height = caption_y + 34 + 14 * len(g.generators)
+        body.extend(_tile_cell(x0, y0, texts[t.left], texts[t.right], *fields(t)))
     return _document(body + caption, width, height)
+
+
+render_grouptileset = render_tileset

@@ -268,6 +268,14 @@ class PlanProd:
 Plan = object
 
 
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass cls with these fields, built
+    without __post_init__: for fields whose checks have already passed."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 @dataclass(frozen=True)
 class ZTileSet:
     in_max: int
@@ -320,12 +328,7 @@ class ZTileSet:
     def _unchecked(in_max, out_maxes, tiles, source) -> "ZTileSet":
         """A set whose tiles are a subset of a validated set with the same
         alphabets; skips __post_init__."""
-        ts = object.__new__(ZTileSet)
-        object.__setattr__(ts, "in_max", in_max)
-        object.__setattr__(ts, "out_maxes", out_maxes)
-        object.__setattr__(ts, "tiles", tiles)
-        object.__setattr__(ts, "source", source)
-        return ts
+        return _trusted(ZTileSet, in_max=in_max, out_maxes=out_maxes, tiles=tiles, source=source)
 
     def single_out(self) -> str:
         return _only_output(self.out_maxes)[0]
@@ -349,7 +352,7 @@ class GroupTileSet:
 
     def __post_init__(self):
         self._check_outputs()
-        ZTileSet(self.in_max, self.out_maxes, self.tiles, self.source)  # the bit range and duplicate checks
+        ZTileSet.__post_init__(self)  # the bit range and duplicate checks
 
     def _check_outputs(self) -> None:
         if sorted(n for n, _ in self.out_maxes) != sorted(self.generators):
@@ -359,12 +362,8 @@ class GroupTileSet:
     def _of_validated(generators: tuple[str, ...], ts: ZTileSet) -> "GroupTileSet":
         """The group set of a validated set's tiles: checks the outputs
         against the generators, and skips the checks `ts` has passed."""
-        g = object.__new__(GroupTileSet)
-        object.__setattr__(g, "generators", generators)
-        object.__setattr__(g, "in_max", ts.in_max)
-        object.__setattr__(g, "out_maxes", ts.out_maxes)
-        object.__setattr__(g, "tiles", ts.tiles)
-        object.__setattr__(g, "source", ts.source)
+        g = _trusted(GroupTileSet, generators=generators, in_max=ts.in_max, out_maxes=ts.out_maxes,
+                     tiles=ts.tiles, source=ts.source)
         g._check_outputs()
         return g
 
@@ -824,15 +823,6 @@ def family_tiles(pres: PAGroupPresentation, fast_path: bool = True) -> GroupTile
 # JSON forms (bit-exact round trip)
 
 
-def tile_to_obj(t: ZTile) -> dict:
-    return {
-        "top": t.top,
-        "bottom": {n: v for n, v in t.bottoms},
-        "left": label_to_obj(t.left),
-        "right": label_to_obj(t.right),
-    }
-
-
 def _int(v) -> int:
     if type(v) is not int:
         raise ValueError(f"not a JSON integer: {_shown(v)}")
@@ -930,12 +920,25 @@ def _read_set(obj, group: bool) -> tuple:
     return tuple(fields)
 
 
-def tileset_to_obj(ts: ZTileSet) -> dict:
-    return {
-        "in_max": ts.in_max,
-        "outs": {n: v for n, v in ts.out_maxes},
-        "tiles": [tile_to_obj(t) for t in ts.tiles],
-    }
+def tileset_to_obj(ts: ZTileSet | GroupTileSet) -> dict:
+    """The JSON form of ts, which `json.loads(tileset_to_json(ts))` equals.
+    A GroupTileSet's form leads with its generators, and its tiles carry
+    psi and phi colors in place of the top and bottom bits."""
+    if isinstance(ts, GroupTileSet):
+        gens = ts.generators
+        head = {"generators": list(gens)}
+
+        def tile(t: ZTile) -> dict:
+            return {"left": label_to_obj(t.left), "right": label_to_obj(t.right),
+                    "psi": {h: t.top for h in gens}, "phi": {h: t.bottom(h) for h in gens}}
+    else:
+        head = {}
+
+        def tile(t: ZTile) -> dict:
+            return {"top": t.top, "bottom": {n: v for n, v in t.bottoms},
+                    "left": label_to_obj(t.left), "right": label_to_obj(t.right)}
+    return dict(head, in_max=ts.in_max, outs={n: v for n, v in ts.out_maxes},
+                tiles=[tile(t) for t in ts.tiles])
 
 
 def _json_text(obj, depth: int) -> str:
@@ -975,10 +978,9 @@ def _label_writer():
 
 
 def write_json(ts: ZTileSet | GroupTileSet, write: Callable[[str], object]) -> None:
-    """Write `json.dumps(obj, indent=1) + "\n"` through write, one tile at a
-    time, where obj is tileset_to_obj(ts) for a ZTileSet and
-    grouptileset_to_obj(ts) for a GroupTileSet.  Each distinct label node
-    and (top, bottoms) pair is encoded once."""
+    """Write `json.dumps(tileset_to_obj(ts), indent=1) + "\n"` through
+    write, one tile at a time, for a ZTileSet or a GroupTileSet.  Each
+    distinct label node and (top, bottoms) pair is encoded once."""
     if isinstance(ts, GroupTileSet):
         gens = ts.generators
         head = {"generators": list(gens)}
@@ -1017,32 +1019,16 @@ def tileset_to_json(ts: ZTileSet | GroupTileSet) -> str:
 
 
 def tileset_from_obj(obj: dict) -> ZTileSet:
-    """Inverse of tileset_to_obj; malformed input is a ValueError naming the
-    tile and the field."""
+    """Inverse of tileset_to_obj on a ZTileSet; malformed input is a
+    ValueError naming the tile and the field."""
     return ZTileSet(*_read_set(obj, group=False))
 
 
-def grouptileset_to_obj(g: GroupTileSet) -> dict:
-    return {
-        "generators": list(g.generators),
-        "in_max": g.in_max,
-        "outs": {n: v for n, v in g.out_maxes},
-        "tiles": [
-            {
-                "left": label_to_obj(t.left),
-                "right": label_to_obj(t.right),
-                "psi": {h: t.top for h in g.generators},
-                "phi": {h: t.bottom(h) for h in g.generators},
-            }
-            for t in g.tiles
-        ],
-    }
-
-
+grouptileset_to_obj = tileset_to_obj
 grouptileset_to_json = tileset_to_json
 
 
 def grouptileset_from_obj(obj: dict) -> GroupTileSet:
-    """Inverse of grouptileset_to_obj; malformed input is a ValueError
-    naming the tile and the field."""
+    """Inverse of tileset_to_obj on a GroupTileSet; malformed input is a
+    ValueError naming the tile and the field."""
     return GroupTileSet(*_read_set(obj, group=True))

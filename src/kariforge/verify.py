@@ -327,10 +327,8 @@ def _closed_walk_sums(outs: Sequence[Sequence[int]], rights: Sequence[int], tops
     has a rotation starting at its smallest label, so the walks from each
     start label stay on labels at or after it.  A set of sum pairs is one
     integer with bit T * width + B set: taking a tile shifts it, merging two
-    sets ORs them.
+    sets ORs them.  `RowSums.of` has checked that n_max >= 1.
     """
-    if n_max < 1:
-        return {}
     width = n_max * max(bots, default=0) + 1
     shift = [t * width + b for t, b in zip(tops, bots)]
     found = [0] * (n_max + 1)
@@ -374,6 +372,8 @@ class RowSums:
 
     @staticmethod
     def of(ts: ZTileSet, n_max: int) -> "RowSums":
+        if n_max < 1:  # a bound below 1 searches nothing and would read as clean
+            raise ValueError(f"n_max must be >= 1, got {n_max}")
         name = ts.single_out()
         outs, rights = _label_graph(ts)
         tops = [t.top for t in ts.tiles]
@@ -452,6 +452,8 @@ def stacked_periodic_scan(ts: ZTileSet, n_max: int, k_max: int,
     Reports one witness per (n, k, s) found; an empty report is bounded
     evidence of aperiodicity.  `sums`, if given, is `RowSums.of(ts, n_max)`.
     """
+    if k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
     rs = _row_sums(ts, n_max, sums)
     succ, tops, bots = rs.succ, rs.tops, rs.bots
     found: dict[tuple[int, int, int], dict] = {}

@@ -60,6 +60,18 @@ def test_gen_failed_compile_writes_no_file(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_gen_refuses_a_map_that_is_not_a_circle_homeomorphism(tmp_path, capsys):
+    doubling = {"space": {"length": "1", "circle": True},
+                "pieces": [{"dom": ["0", "1/2"], "a": "2", "b": "0"},
+                           {"dom": ["1/2", "1"], "a": "2", "b": "-1"}]}
+    map_file = tmp_path / "doubling.json"
+    map_file.write_text(json.dumps(doubling))
+    out = tmp_path / "tiles.json"
+    assert main(["gen", "--map", str(map_file), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: map is not a circle homeomorphism\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [["gen", "--preset", "nope"],
                                   ["group", "--preset", "nope", "--word", "d", "--is-identity"]])
 def test_unknown_preset_message_is_bare(argv, capsys):

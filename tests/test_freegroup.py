@@ -115,6 +115,11 @@ def test_empty_semi():
     assert empty_semi(2, iter(xleq1), len(xleq1)) is None  # the all-zero configuration survives
 
 
+def test_empty_semi_stops_when_the_enumerator_runs_out():
+    # one pattern, so the all-1 configuration survives every stage there is
+    assert empty_semi(2, iter([Pattern.make({(): 0})]), 5) is None
+
+
 # -- language membership ----------------------------------------------------
 
 

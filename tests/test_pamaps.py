@@ -34,6 +34,7 @@ from kariforge.pamaps import (
     pamap_to_obj,
     parse_word,
     periodic_points,
+    power_fixed_points,
     rat,
     union,
     word_apply,
@@ -338,6 +339,21 @@ def test_periodic_points_matches_fixed_points_of_power(psl2z):
 def test_periodic_points_requires_total(thompson_v):
     with pytest.raises(OutOfDomain):
         periodic_points(thompson_v.map_for("a"), 2)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_periodic_points_refuses_k_below_one(kari, k):
+    for solve in (periodic_points, power_fixed_points):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            solve(kari, k)
+
+
+def test_power_fixed_points_is_periodic_points_per_k(psl2z):
+    for f in (psl2z.map_for("d"), psl2z.map_for("e"), identity(CIRCLE1)):
+        assert power_fixed_points(f, 6) == [reference.periodic_points(f, k) for k in range(1, 7)]
+        assert periodic_points(f, 6) == reference.periodic_points(f, 6)
+    with pytest.raises(OutOfDomain, match="periodic_points needs a total map"):
+        power_fixed_points(piecemap(SEG1, [(0, F(1, 2), 1, 0)]), 2)
 
 
 # -- common domain -------------------------------------------------------

@@ -31,6 +31,16 @@ def test_group_tileset_render(kari):
     assert "f-field" in svg
 
 
+def test_one_renderer_for_both_kinds(kari_tiles):
+    assert render_grouptileset is render_tileset
+    # the set's type picks the caption: a group set with no generators has one
+    caption = "tile x at (n,g):"
+    empty_group = render_tileset(GroupTileSet((), 0, (), ()))
+    assert caption in empty_group and "<rect" not in empty_group
+    assert caption not in render_tileset(ZTileSet.make(0, {}, []))
+    assert caption not in render_tileset(kari_tiles)
+
+
 def test_too_large():
     tiles = [ZTile(0, (("f", 0),), atom(F(i)), atom(F(i))) for i in range(501)]
     ts = ZTileSet.make(0, {"f": 0}, tiles)
@@ -51,7 +61,7 @@ def label_nodes(labels) -> set:
 
 def test_label_text_once_per_distinct_label(monkeypatch, kari_tiles, psl2z_family):
     # each distinct label node's text is built once per drawing, shared
-    # subtrees included, and each side label reads as label_text
+    # subtrees included, and each side label reads as its repr
     calls = []
     build = render._node_text
     monkeypatch.setattr(render, "_node_text", lambda l, text: calls.append(l) or build(l, text))
@@ -62,7 +72,7 @@ def test_label_text_once_per_distinct_label(monkeypatch, kari_tiles, psl2z_famil
         assert sorted(calls, key=id) == sorted(label_nodes(sides), key=id)
         assert len(calls) > len(sides)
         texts = render._label_texts(ts.tiles)
-        assert all(texts[l] == render._esc(render.label_text(l)) and texts[l] in svg for l in sides)
+        assert all(texts[l] == render._esc(repr(l)) and texts[l] in svg for l in sides)
 
 
 def test_label_text_escapes_tag_names():
@@ -72,7 +82,7 @@ def test_label_text_escapes_tag_names():
     texts = render._label_texts(ts.tiles)
     for t in ts.tiles:
         for l in (t.left, t.right):
-            assert texts[l] == render._esc(render.label_text(l))
+            assert texts[l] == render._esc(repr(l))
     assert texts[inner] == "a&lt;&amp;&gt;b:(-1/3,&amp;lt;:0)"
     for svg in (render_tileset(ts), render_grouptileset(GroupTileSet(("f",), 1, ts.out_maxes, ts.tiles))):
         assert "&amp;lt;" in svg and "<&" not in svg

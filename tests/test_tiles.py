@@ -380,6 +380,23 @@ def test_json_shape_matches_contract(kari_tiles):
     assert isinstance(t["bottom"], dict)
 
 
+def test_object_form_is_the_text_form(kari_tiles, psl2z_family, thompson_t):
+    """One object writer for both kinds of set: tileset_to_obj(ts) is the
+    document tileset_to_json(ts) writes, keys in the same order, and the
+    loader its kind names reads it back as ts."""
+    assert grouptileset_to_obj is tileset_to_obj
+    ac = family_tiles(pamaps.PAGroupPresentation.make([g for g in thompson_t.generators if g[0] in "ac"]))
+    for ts in (kari_tiles, psl2z_family, ac, ZTileSet.make(1, {"f": 1}, []),
+               GroupTileSet(("a", "b"), 1, (("a", 1), ("b", 1)), ())):
+        obj = tileset_to_obj(ts)
+        text = tileset_to_json(ts)
+        assert obj == json.loads(text)
+        assert json.dumps(obj, indent=1) + "\n" == text
+        group = isinstance(ts, GroupTileSet)
+        assert ("generators" in obj) == group
+        assert (grouptileset_from_obj if group else tileset_from_obj)(obj) == ts
+
+
 # -- label-rank order and the JSON writers against tests/tiles_reference.py
 
 # atoms whose floats tie (all read 1.0) or overflow, beside ordinary carries
@@ -762,6 +779,24 @@ def _bad_tile_sets():
 def test_constructors_still_validate(message, build):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+def test_group_set_runs_the_z_checks_on_itself(monkeypatch):
+    """GroupTileSet checks its own fields with ZTileSet's checks, whose
+    texts it keeps, and builds no ZTileSet to do so."""
+    built = []
+    init = ZTileSet.__init__
+    monkeypatch.setattr(ZTileSet, "__init__", lambda self, *a, **k: built.append(a) or init(self, *a, **k))
+    ok = ZTile(0, (("f", 0),), atom(0), atom(0))
+    for message, tiles in (("duplicate tile", (ok, ok)),
+                           ("top bit 2 out of range", (ZTile(2, (("f", 0),), atom(0), atom(0)),)),
+                           ("tile outputs do not match", (ZTile(0, (), atom(0), atom(0)),))):
+        with pytest.raises(ValueError, match=message):
+            GroupTileSet(("f",), 1, (("f", 1),), tiles)
+    with pytest.raises(ValueError, match="outputs must match the generators"):
+        GroupTileSet(("g",), 1, (("f", 1),), (ok,))
+    assert GroupTileSet(("f",), 1, (("f", 1),), (ok,)).tiles == (ok,)
+    assert built == []
 
 
 # -- witness-based completeness property ----------------------------------

@@ -566,6 +566,10 @@ def label_multigraph_sets(draw):
 
 
 def assert_sums_match_the_tile_dp(ts, n_max):
+    if n_max < 1:  # no length to search: refused, not an empty answer
+        with pytest.raises(ValueError, match="n_max must be >= 1"):
+            verify.RowSums.of(ts, n_max)
+        return
     rs = verify.RowSums.of(ts, n_max)
     succ = reference.successors(ts)
     assert rs.succ == succ
@@ -643,11 +647,23 @@ def test_kari_clean_to_24(kari, kari_tiles):
     assert stacked_periodic_scan(kari_tiles, 24, 12) == []
 
 
-@pytest.mark.parametrize("n_max", [0, -3])
+@pytest.mark.parametrize("n_max", [0, -1, -3])
 def test_periodic_checks_need_a_length(n_max):
-    ts = flip_bottom(compiled(IDENTITY_CIRCLE), 0)
-    assert periodic_soundness(ts, IDENTITY_CIRCLE, n_max) == []
-    assert stacked_periodic_scan(ts, n_max, 2) == []
+    """A bound below 1 searches nothing, so it is refused, not reported
+    clean: with bound 2 both checks find something on these sets."""
+    kari_tiles = compiled(presets.kari_map())
+    half_turn = compiled(rotation_map(1, 2))
+    assert len(periodic_soundness(kari_tiles, IDENTITY_CIRCLE, 2)) == 14
+    assert {(r["n"], r["k"], r["shear"]) for r in stacked_periodic_scan(half_turn, 2, 2)} == {(2, 2, 0), (2, 2, 1)}
+    refused = f"^n_max must be >= 1, got {n_max}$"
+    with pytest.raises(ValueError, match=refused):
+        verify.RowSums.of(kari_tiles, n_max)
+    with pytest.raises(ValueError, match=refused):
+        periodic_soundness(kari_tiles, IDENTITY_CIRCLE, n_max)
+    with pytest.raises(ValueError, match=refused):
+        stacked_periodic_scan(half_turn, n_max, 2)
+    with pytest.raises(ValueError, match=f"^k_max must be >= 1, got {n_max}$"):
+        stacked_periodic_scan(half_turn, 2, n_max)
 
 
 # -- patches ----------------------------------------------------------
@@ -753,6 +769,22 @@ def test_patch_check_normal_form_matches_pairwise(psl2z, psl2z_family, psl2z_pat
 def test_search_base_point(psl2z):
     z0 = search_base_point(psl2z, 2)
     assert 0 <= z0 <= 2
+
+
+def test_search_base_point_skips_points_outside_a_domain():
+    # the generator is the identity on [1/2, 1] only, so 0 has no orbit
+    sp = Space(F(1), circle=False)
+    half = PAMap.make(sp, [AffinePiece(Interval(F(1, 2), F(1)), F(1), F(0))])
+    assert search_base_point(pamaps.PAGroupPresentation.make({"a": half}), 1) == 1
+
+
+def test_orbit_patch_needs_a_generation_plan(psl2z, psl2z_family):
+    from kariforge.tiles import grouptileset_from_obj, tileset_to_obj
+
+    loaded = grouptileset_from_obj(tileset_to_obj(psl2z_family))
+    assert loaded == psl2z_family and loaded.source is None
+    with pytest.raises(ValueError, match="^group tile set carries no generation plan$"):
+        build_orbit_patch(psl2z, loaded, 1, 8, F(1, 5))
 
 
 @st.composite
