@@ -32,16 +32,6 @@ def _output(path, produce) -> None:
             produce(fh.write)
 
 
-def _load_tiles(path: str):
-    return _tiles_from_obj(_read_json(path))
-
-
-def _tiles_from_obj(obj):
-    if isinstance(obj, dict) and "generators" in obj:
-        return tiles.grouptileset_from_obj(obj)
-    return tiles.tileset_from_obj(obj)
-
-
 def cmd_gen(args) -> int:
     fast = args.fast_path != "off"
     if args.preset:
@@ -62,7 +52,7 @@ def cmd_verify(args) -> int:
     for flag, bound in (("--max-n", args.max_n), ("--max-k", args.max_k)):
         if bound < 1:  # a bound below 1 searches nothing and would report clean
             raise ValueError(f"{flag} must be >= 1, got {bound}")
-    ts = _load_tiles(args.tiles)
+    ts = tiles.tileset_from_obj(_read_json(args.tiles))
     if isinstance(ts, tiles.GroupTileSet):
         print("verify expects a tile set over Z, not a group tile set", file=sys.stderr)
         return 1
@@ -169,7 +159,7 @@ def cmd_render(args) -> int:
         # oversized file is refused before a tile is decoded
         if isinstance(obj, dict) and isinstance(obj.get("tiles"), list):
             render.check_size(len(obj["tiles"]))
-        svg = render.render_tileset(_tiles_from_obj(obj))
+        svg = render.render_tileset(tiles.tileset_from_obj(obj))
     except render.TooLarge as exc:
         print(f"too large: {exc}", file=sys.stderr)
         return 1

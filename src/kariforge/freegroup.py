@@ -319,36 +319,15 @@ def simple_sft_check(oracle: Oracle, p: int, radius: int, a: FGWord) -> dict[FGW
     canon = canonical_classes(words, wp)
     reps = sorted(set(canon.values()))
     rep_of = {wp.nf(r): r for r in reps}
-
-    def step(g: FGWord) -> Optional[FGWord]:
-        return rep_of.get(wp.nf(w_mul(g, a)))
-
-    neighbors: dict[FGWord, list[FGWord]] = {g: [] for g in reps}
-    for g in reps:
-        nxt = step(g)
-        if nxt is not None:
-            neighbors[g].append(nxt)
-            neighbors[nxt].append(g)
-
+    succ = {g: rep_of.get(wp.nf(w_mul(g, a))) for g in reps}
+    pred = {n: g for g, n in succ.items() if n is not None}
     coloring: dict[FGWord, int] = {}
-    for start in reps:
-        if start in coloring:
-            continue
-        stack = [start]
-        while stack:
-            g = stack.pop()
-            if g in coloring:
-                continue
-            used = {coloring[n] for n in neighbors[g] if n in coloring}
-            for color in range(3):
-                if color not in used:
-                    coloring[g] = color
-                    break
-            else:
-                raise RuntimeError("no color left; oracle is inconsistent")
-            stack.extend(n for n in neighbors[g] if n not in coloring)
     for g in reps:
-        nxt = step(g)
+        coloring[g] = min({0, 1, 2} - {coloring.get(succ[g]), coloring.get(pred.get(g))})
+    # in a group g*a determines g; an oracle that is no word problem can
+    # give a vertex two predecessors or make it its own successor
+    for g in reps:
+        nxt = succ[g]
         if nxt is not None and coloring[g] == coloring[nxt]:
             raise RuntimeError("coloring check failed; oracle is inconsistent")
     return coloring

@@ -806,24 +806,29 @@ def fixed_points(f: PAMap) -> tuple[Interval, ...]:
     return _intervals(_union(found))
 
 
-def power_fixed_points(f: PAMap, k_max: int) -> list[tuple[Interval, ...]]:
-    """Fix(f^k) for k = 1..k_max, from one power chain f^k = f o f^(k-1);
-    f must be total."""
+def _powers(f: PAMap, k_max: int) -> Iterator[PAMap]:
+    """f^1, ..., f^k_max, one power chain f^k = f o f^(k-1); f must be total."""
     if k_max < 1:
         raise ValueError("k must be >= 1")
     if not f.is_total():
         raise OutOfDomain("periodic_points needs a total map")
     power = f
-    points = [fixed_points(power)]
+    yield power
     for _ in range(k_max - 1):
         power = compose(f, power)
-        points.append(fixed_points(power))
-    return points
+        yield power
+
+
+def power_fixed_points(f: PAMap, k_max: int) -> list[tuple[Interval, ...]]:
+    """Fix(f^k) for k = 1..k_max; f must be total."""
+    return [fixed_points(power) for power in _powers(f, k_max)]
 
 
 def periodic_points(f: PAMap, k: int) -> tuple[Interval, ...]:
     """Fixed points of the k-th compositional power; f must be total."""
-    return power_fixed_points(f, k)[-1]
+    for power in _powers(f, k):
+        pass
+    return fixed_points(power)
 
 
 def _levels(pres: PAGroupPresentation, depth: int) -> Iterator[list[PAMap]]:

@@ -127,6 +127,3 @@ def render_tileset(ts: ZTileSet | GroupTileSet) -> str:
         y0 = PAD + (i // cols) * (CELL + PAD)
         body.extend(_tile_cell(x0, y0, texts[t.left], texts[t.right], *fields(t)))
     return _document(body + caption, width, height)
-
-
-render_grouptileset = render_tileset

@@ -215,14 +215,19 @@ def _check_row(tiles: Sequence[ZTile], known: frozenset[ZTile]) -> None:
             raise WitnessFailure("witness row is not connected")
 
 
+def _out_max(ts: ZTileSet | GroupTileSet) -> int:
+    """The bound of the one output alphabet that plan_row's rows use."""
+    out_max = ts.out_maxes[0][1]
+    if any(m != out_max for _, m in ts.out_maxes):
+        raise ValueError("outputs use different alphabets")
+    return out_max
+
+
 def witness_row(ts: ZTileSet | GroupTileSet, x, N: int) -> list[ZTile]:
     """Row of 2N+1 tiles encoding x (positions -N..N); asserts membership."""
     if ts.source is None:
         raise ValueError("tile set carries no generation plan")
-    out_max = ts.out_maxes[0][1]
-    if any(m != out_max for _, m in ts.out_maxes):
-        raise ValueError("outputs use different alphabets")
-    tiles, _ = plan_row(ts.source, x, -N, N, ts.in_max, out_max)
+    tiles, _ = plan_row(ts.source, x, -N, N, ts.in_max, _out_max(ts))
     _check_row(tiles, frozenset(ts.tiles))
     return tiles
 
@@ -580,10 +585,10 @@ def build_orbit_patch(pres: PAGroupPresentation, gts: GroupTileSet, radius: int,
     z_w = f_{w^-1}(z0), so that moving in the h direction applies f_h."""
     if gts.source is None:
         raise ValueError("group tile set carries no generation plan")
+    out_max = _out_max(gts)
     if z0 is None:
         z0 = search_base_point(pres, radius)
     z0 = rat(z0)
-    out_max = gts.out_maxes[0][1]
     oracle = freegroup.pa_oracle(pres)
     words = freegroup.ball(len(pres.generators), radius)
     patch: dict[FGWord, PatchRow] = {}

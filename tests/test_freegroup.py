@@ -11,6 +11,7 @@ from kariforge.freegroup import (
     BudgetExceeded,
     Pattern,
     PatternProblem,
+    WordProblem,
     abelian_oracle,
     ball,
     canonical_classes,
@@ -31,6 +32,7 @@ from kariforge.freegroup import (
     w_mul,
     word_from_str,
     word_problem,
+    w_reduce,
     word_to_str,
     xleq1_forbidden,
 )
@@ -55,6 +57,21 @@ def test_word_reduction():
     assert word_from_str("x1X2x1") == (1, -2, 1)
     assert word_to_str((1, -2, 1)) == "x1X2x1"
     assert word_from_str("") == ()
+
+
+def test_words_refuse_a_zero_or_missing_index():
+    with pytest.raises(ValueError, match="0 is not a generator index"):
+        w_reduce((1, 0))
+    for text in ("x", "x1X", "xX1"):
+        with pytest.raises(ValueError, match="generator index missing"):
+            word_from_str(text)
+
+
+def test_pattern_families_refuse_small_alphabets():
+    with pytest.raises(ValueError, match="alphabet must have at least one letter"):
+        PatternProblem(0, ())
+    with pytest.raises(ValueError, match="needs at least two letters"):
+        perg_forbidden(free_oracle, 1, 1, alphabet_size=1)
 
 
 def test_ball_sizes():
@@ -222,6 +239,14 @@ def test_simple_sft_psl2z_d(psl2z):
 def test_simple_sft_rejects_identity():
     with pytest.raises(ValueError):
         simple_sft_check(free_oracle, 2, 2, ())
+
+
+def test_simple_sft_check_catches_an_oracle_that_is_no_word_problem():
+    # every nonempty word in one class: x1 * x1 lands in x1's class, a loop
+    # that no proper coloring has
+    collapsed = WordProblem(lambda w: min(len(w), 1))
+    with pytest.raises(RuntimeError, match="coloring check failed"):
+        simple_sft_check(collapsed, 1, 2, (1,))
 
 
 Z3 = [[(i + j) % 3 for j in range(3)] for i in range(3)]

@@ -356,6 +356,35 @@ def test_power_fixed_points_is_periodic_points_per_k(psl2z):
         power_fixed_points(piecemap(SEG1, [(0, F(1, 2), 1, 0)]), 2)
 
 
+def test_periodic_points_solves_only_the_last_power(kari, psl2z, monkeypatch):
+    # both walk one power chain; periodic_points solves Fix(f^k) alone
+    calls = []
+    solve = kernel.fixed_points
+    monkeypatch.setattr(kernel, "fixed_points", lambda f: calls.append(f) or solve(f))
+    for f in (kari, psl2z.map_for("d")):
+        calls.clear()
+        last = periodic_points(f, 8)
+        assert len(calls) == 1
+        calls.clear()
+        assert power_fixed_points(f, 8)[-1] == last
+        assert len(calls) == 8
+
+
+def test_intervals_and_spaces_refuse_empty_extents():
+    with pytest.raises(ValueError, match=r"empty interval \[1/2, 1/3\]"):
+        Interval(F(1, 2), F(1, 3))
+    for length in (0, -1):
+        with pytest.raises(ValueError, match="space length must be positive"):
+            Space(F(length), circle=True)
+
+
+def test_union_and_equals_refuse_other_spaces(kari):
+    other = identity(Space(F(2), circle=True))
+    for op in (union, equals):
+        with pytest.raises(SpaceMismatch):
+            op(kari, other)
+
+
 # -- common domain -------------------------------------------------------
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from kariforge import pamaps, render
 from kariforge.pamaps import Space
-from kariforge.render import TooLarge, render_grouptileset, render_tileset
+from kariforge.render import TooLarge, render_tileset
 from kariforge.tiles import GroupTileSet, ZTile, ZTileSet, atom, family_tiles, pamap_tiles, tag, tup
 
 
@@ -26,13 +26,12 @@ def test_render_deterministic(kari_tiles):
 
 def test_group_tileset_render(kari):
     gts = family_tiles(pamaps.PAGroupPresentation.make({"f": kari}))
-    svg = render_grouptileset(gts)
+    svg = render_tileset(gts)
     assert svg.count("<rect") == 22
     assert "f-field" in svg
 
 
 def test_one_renderer_for_both_kinds(kari_tiles):
-    assert render_grouptileset is render_tileset
     # the set's type picks the caption: a group set with no generators has one
     caption = "tile x at (n,g):"
     empty_group = render_tileset(GroupTileSet((), 0, (), ()))
@@ -65,10 +64,10 @@ def test_label_text_once_per_distinct_label(monkeypatch, kari_tiles, psl2z_famil
     calls = []
     build = render._node_text
     monkeypatch.setattr(render, "_node_text", lambda l, text: calls.append(l) or build(l, text))
-    for ts, draw in ((kari_tiles, render_tileset), (psl2z_family, render_grouptileset)):
+    for ts in (kari_tiles, psl2z_family):
         sides = {t.left for t in ts.tiles} | {t.right for t in ts.tiles}
         calls.clear()
-        svg = draw(ts)
+        svg = render_tileset(ts)
         assert sorted(calls, key=id) == sorted(label_nodes(sides), key=id)
         assert len(calls) > len(sides)
         texts = render._label_texts(ts.tiles)
@@ -84,5 +83,5 @@ def test_label_text_escapes_tag_names():
         for l in (t.left, t.right):
             assert texts[l] == render._esc(repr(l))
     assert texts[inner] == "a&lt;&amp;&gt;b:(-1/3,&amp;lt;:0)"
-    for svg in (render_tileset(ts), render_grouptileset(GroupTileSet(("f",), 1, ts.out_maxes, ts.tiles))):
+    for svg in (render_tileset(ts), render_tileset(GroupTileSet(("f",), 1, ts.out_maxes, ts.tiles))):
         assert "&amp;lt;" in svg and "<&" not in svg

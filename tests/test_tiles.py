@@ -24,7 +24,6 @@ from kariforge.tiles import (
     compose_tiles,
     family_tiles,
     grouptileset_from_obj,
-    grouptileset_to_json,
     grouptileset_to_obj,
     label_from_obj,
     label_to_obj,
@@ -383,8 +382,9 @@ def test_json_shape_matches_contract(kari_tiles):
 def test_object_form_is_the_text_form(kari_tiles, psl2z_family, thompson_t):
     """One object writer for both kinds of set: tileset_to_obj(ts) is the
     document tileset_to_json(ts) writes, keys in the same order, and the
-    loader its kind names reads it back as ts."""
+    one reader reads it back as ts, the document picking the kind."""
     assert grouptileset_to_obj is tileset_to_obj
+    assert grouptileset_from_obj is tileset_from_obj
     ac = family_tiles(pamaps.PAGroupPresentation.make([g for g in thompson_t.generators if g[0] in "ac"]))
     for ts in (kari_tiles, psl2z_family, ac, ZTileSet.make(1, {"f": 1}, []),
                GroupTileSet(("a", "b"), 1, (("a", 1), ("b", 1)), ())):
@@ -394,7 +394,7 @@ def test_object_form_is_the_text_form(kari_tiles, psl2z_family, thompson_t):
         assert json.dumps(obj, indent=1) + "\n" == text
         group = isinstance(ts, GroupTileSet)
         assert ("generators" in obj) == group
-        assert (grouptileset_from_obj if group else tileset_from_obj)(obj) == ts
+        assert tileset_from_obj(obj) == ts
 
 
 # -- label-rank order and the JSON writers against tests/tiles_reference.py
@@ -443,7 +443,7 @@ def test_make_and_writers_match_reference(case, reverse_generators):
     assert ts.tiles == reference.make(2, outs, tiles).tiles
     assert tileset_to_json(ts) == "".join(_written(ts)) == reference.tileset_json(ts)
     g = GroupTileSet(names[::-1] if reverse_generators else names, 2, ts.out_maxes, ts.tiles)
-    assert grouptileset_to_json(g) == "".join(_written(g)) == reference.grouptileset_json(g)
+    assert tileset_to_json(g) == "".join(_written(g)) == reference.grouptileset_json(g)
 
 
 def test_make_breaks_float_ties_exactly():
@@ -457,11 +457,11 @@ def test_writers_match_reference_on_empty_sets():
         ts = ZTileSet.make(1, outs, [])
         assert tileset_to_json(ts) == "".join(_written(ts)) == reference.tileset_json(ts)
         g = GroupTileSet(tuple(outs), 1, ts.out_maxes, ())
-        assert grouptileset_to_json(g) == "".join(_written(g)) == reference.grouptileset_json(g)
+        assert tileset_to_json(g) == "".join(_written(g)) == reference.grouptileset_json(g)
     no_outputs = ZTileSet.make(1, {}, [ZTile(0, (), atom(0), atom(1)), ZTile(1, (), tag("L", atom(0)), tup())])
     assert tileset_to_json(no_outputs) == "".join(_written(no_outputs)) == reference.tileset_json(no_outputs)
     g = GroupTileSet((), 1, (), no_outputs.tiles)
-    assert grouptileset_to_json(g) == "".join(_written(g)) == reference.grouptileset_json(g)
+    assert tileset_to_json(g) == "".join(_written(g)) == reference.grouptileset_json(g)
 
 
 def test_writer_does_not_hold_the_document(thompson_t):
@@ -473,7 +473,7 @@ def test_writer_does_not_hold_the_document(thompson_t):
 
     ac = family_tiles(pamaps.PAGroupPresentation.make([g for g in thompson_t.generators if g[0] in "ac"]))
     assert len(ac.tiles) == 3680
-    length = len(grouptileset_to_json(ac))
+    length = len(tileset_to_json(ac))
     tracemalloc.start()
     try:
         write_json(ac, lambda text: None)
@@ -558,7 +558,7 @@ def test_codec_matches_reference_on_shared_labels(pool, data):
     back = tileset_from_obj(json.loads(text))
     assert back == ts and all(u.left is t.left and u.right is t.right for u, t in zip(back.tiles, ts.tiles))
     g = GroupTileSet(("b", "a"), 1, ts.out_maxes, ts.tiles)
-    text = grouptileset_to_json(g)
+    text = tileset_to_json(g)
     assert text == reference.grouptileset_json(g)
     assert grouptileset_from_obj(json.loads(text)).tiles == g.tiles
 
@@ -568,10 +568,9 @@ def test_writer_builds_each_label_node_once_per_depth(monkeypatch, psl2z_family)
     build = tiles._label_json
     monkeypatch.setattr(tiles, "_label_json", lambda l, depth, text: calls.append((l, depth)) or build(l, depth, text))
     psl_d = pamap_tiles(presets.load_preset("psl2z").map_for("d"))
-    for ts, write, check in ((psl_d, tileset_to_json, reference.tileset_json),
-                             (psl2z_family, grouptileset_to_json, reference.grouptileset_json)):
+    for ts, check in ((psl_d, reference.tileset_json), (psl2z_family, reference.grouptileset_json)):
         calls.clear()
-        assert write(ts) == check(ts)
+        assert tileset_to_json(ts) == check(ts)
         assert len(calls) == len(set(calls))
         assert set(calls) == label_nodes((l, 3) for t in ts.tiles for l in (t.left, t.right))
         assert len(calls) < sum(len(label_nodes([(t.left, 3)])) + len(label_nodes([(t.right, 3)]))
@@ -579,7 +578,7 @@ def test_writer_builds_each_label_node_once_per_depth(monkeypatch, psl2z_family)
 
 
 def test_reader_finds_known_nodes_in_the_intern_table(monkeypatch, psl2z_family):
-    obj = json.loads(grouptileset_to_json(psl2z_family))
+    obj = json.loads(tileset_to_json(psl2z_family))
     built = []
     new = HLabel.__new__
 
@@ -671,10 +670,18 @@ MALFORMED = list(_malformed_tile_files())
 
 @pytest.mark.parametrize("case, doc, words", MALFORMED, ids=[c for c, _, _ in MALFORMED])
 def test_loaders_refuse_malformed_json(case, doc, words):
-    load = grouptileset_from_obj if isinstance(doc, dict) and "generators" in doc else tileset_from_obj
     with pytest.raises(ValueError) as info:
-        load(doc)
+        tileset_from_obj(doc)
     assert all(w in str(info.value) for w in words), str(info.value)
+
+
+def test_sets_refuse_unsorted_or_several_outputs_and_empty_products():
+    with pytest.raises(ValueError, match="^output names must be sorted$"):
+        ZTileSet(1, (("g", 1), ("f", 1)), ())
+    with pytest.raises(ValueError, match="^tile set has several outputs$"):
+        ZTileSet.make(1, {"f": 1, "g": 1}, []).single_out()
+    with pytest.raises(ValueError, match="^empty product$"):
+        product_tiles([])
 
 
 def test_loaders_name_the_tile_at_fault(kari_tiles, psl2z_family):
@@ -723,7 +730,7 @@ def test_presets_match_reference(checked_make, preset, fast_path):
     pres = presets.load_preset(preset)
     if preset != "thompson-t":
         gts = family_tiles(pres, fast_path=fast_path)
-        assert grouptileset_to_json(gts) == reference.grouptileset_json(gts)
+        assert tileset_to_json(gts) == reference.grouptileset_json(gts)
     for _, f in pres.generators:
         ts = pamap_tiles(f, fast_path=fast_path)
         assert tileset_to_json(ts) == reference.tileset_json(ts)
@@ -740,7 +747,7 @@ def test_chain_matches_reference(checked_make):
     for ts in (a, b, u, c, p, trim_tiles(p)):
         assert tileset_to_json(ts) == reference.tileset_json(ts)
     g = GroupTileSet(("h", "g"), p.in_max, p.out_maxes, p.tiles)
-    assert grouptileset_to_json(g) == reference.grouptileset_json(g)
+    assert tileset_to_json(g) == reference.grouptileset_json(g)
 
 
 def test_trim_tiles_does_not_revalidate(monkeypatch):

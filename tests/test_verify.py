@@ -36,6 +36,7 @@ from kariforge.verify import (
     InconsistentPatch,
     PatchRow,
     TransitionGraph,
+    VerifyError,
     WitnessFailure,
     build_orbit_patch,
     closed_walks,
@@ -81,6 +82,11 @@ def test_disc_rejects_negative():
 
 def test_cont_all_ones():
     assert cont_window(BitWindow(0, (1,) * 9)) == 1
+
+
+def test_cont_refuses_an_empty_window():
+    with pytest.raises(ValueError, match="empty window"):
+        cont_window(BitWindow(0, ()))
 
 
 def test_cont_disc_exact_on_period():
@@ -776,6 +782,22 @@ def test_search_base_point_skips_points_outside_a_domain():
     sp = Space(F(1), circle=False)
     half = PAMap.make(sp, [AffinePiece(Interval(F(1, 2), F(1)), F(1), F(0))])
     assert search_base_point(pamaps.PAGroupPresentation.make({"a": half}), 1) == 1
+
+
+def test_search_base_point_reports_a_domain_with_no_point():
+    # 0 and 1/50 are neighbours among the fractions of denominator <= 50,
+    # so no candidate lies in [1/52, 1/51]
+    narrow = PAMap.make(Space(F(1), circle=False), [AffinePiece(Interval(F(1, 52), F(1, 51)), F(1), F(0))])
+    with pytest.raises(VerifyError, match="^no base point found$"):
+        search_base_point(pamaps.PAGroupPresentation.make({"a": narrow}), 0)
+
+
+def test_rows_and_patches_refuse_outputs_over_different_alphabets(psl2z, psl2z_family):
+    mixed = GroupTileSet(("a", "b"), 1, (("a", 1), ("b", 2)), (), source=psl2z_family.source)
+    with pytest.raises(ValueError, match="^outputs use different alphabets$"):
+        witness_row(mixed, F(1, 5), 4)
+    with pytest.raises(ValueError, match="^outputs use different alphabets$"):
+        build_orbit_patch(psl2z, mixed, 1, 4, F(1, 5))
 
 
 def test_orbit_patch_needs_a_generation_plan(psl2z, psl2z_family):
