@@ -33,18 +33,20 @@ def _output(path, produce) -> None:
 
 
 def cmd_gen(args) -> int:
+    # the set is compiled to sorted, checked rows and written from the
+    # label table: no label object or tile is built
     fast = args.fast_path != "off"
     if args.preset:
         pres = presets.load_preset(args.preset)
         if len(pres.generators) == 1:
-            ts = tiles.pamap_tiles(pres.generators[0][1], fast_path=fast)
+            rows = tiles.pamap_rows(pres.generators[0][1], fast_path=fast)
         else:
-            ts = tiles.family_tiles(pres, fast_path=fast)
+            rows = tiles.family_rows(pres, fast_path=fast)
     else:
-        ts = tiles.pamap_tiles(pamaps.pamap_from_obj(_read_json(args.map)), fast_path=fast)
-    _output(args.out, lambda write: tiles.write_json(ts, write))
+        rows = tiles.pamap_rows(pamaps.pamap_from_obj(_read_json(args.map)), fast_path=fast)
+    _output(args.out, lambda write: tiles.write_json(rows, write))
     # the count goes to stderr when stdout carries the document
-    print(f"{len(ts.tiles)} tiles", file=sys.stdout if args.out else sys.stderr)
+    print(f"{len(rows.tiles)} tiles", file=sys.stdout if args.out else sys.stderr)
     return 0
 
 

@@ -22,8 +22,9 @@ import itertools
 import json
 import marshal
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import pamaps
@@ -72,8 +73,11 @@ class HLabel:
         return self
 
     def sort_key(self) -> tuple:
-        """The label's flat key (see `_flat_key`); labels sort by it."""
-        return _flat_key(self, {})
+        """The label's flat key (see `_LabelTable.flat_keys`); labels sort
+        by it."""
+        labels = _LabelTable()
+        i = labels.numbering()(self)
+        return labels.flat_keys([i])[i]
 
     def __repr__(self):
         if self.kind == "atom":
@@ -84,35 +88,13 @@ class HLabel:
         return "(" + ",".join(repr(l) for l in self.value) + ")"
 
 
-def _float_key(v) -> float:
+def _float_key(n: int, d: int) -> float:
+    """n / d correctly rounded, as float(Fraction(n, d)) reads it; beyond
+    the float range, an infinity of its sign."""
     try:
-        return float(v)
+        return n / d
     except OverflowError:
-        return math.inf if v > 0 else -math.inf
-
-
-def _flat_key(l: HLabel, memo: dict) -> tuple:
-    """The label's preorder with each node's arity: an atom is
-    (0, float, value), a tag (1, name, *child) and a tuple (2, len,
-    *children).  No key is a proper prefix of another, so these keys sort
-    as the nested keys (0, float, value), (1, name, child key) and (2, len,
-    child keys) do, and a comparison reads only the shared prefix.  An
-    atom's float comes first: it is correctly rounded, so it never reverses
-    the order, and a tie falls through to the exact value.  `memo` keeps
-    the key of each node reached in one call."""
-    key = memo.get(l)
-    if key is None:
-        value = l.value
-        if l.kind == "atom":
-            key = (0, _float_key(value), value)
-        elif l.kind == "tag":
-            key = (1, value[0]) + _flat_key(value[1], memo)
-        else:
-            key = (2, len(value))
-            for x in value:
-                key += _flat_key(x, memo)
-        memo[l] = key
-    return key
+        return math.inf if n > 0 else -math.inf
 
 
 def _ranks(values, key=None) -> dict:
@@ -242,27 +224,42 @@ def _mk_bottoms(d: dict[str, int]) -> tuple[tuple[str, int], ...]:
 # Plan nodes: how a tile set was generated.  Used for witness construction.
 
 
+def _plan_hash(plan) -> int:
+    """The hash of a plan node's fields, computed on first use and kept:
+    build_plan's memo looks nodes up by it, and a node's hash would
+    otherwise rehash its whole subtree.  Equality still compares fields."""
+    d = plan.__dict__
+    h = d.get("_hash")
+    if h is None:
+        h = d["_hash"] = hash(tuple([getattr(plan, f.name) for f in fields(plan)]))
+    return h
+
+
 @dataclass(frozen=True)
 class PlanAff:
     a: Fraction
     b: Fraction
+    __hash__ = _plan_hash
 
 
 @dataclass(frozen=True)
 class PlanUnion:
     first: "Plan"
     second: "Plan"
+    __hash__ = _plan_hash
 
 
 @dataclass(frozen=True)
 class PlanComp:
     first: "Plan"   # applied first
     second: "Plan"
+    __hash__ = _plan_hash
 
 
 @dataclass(frozen=True)
 class PlanProd:
     parts: tuple[tuple[str, "Plan"], ...]
+    __hash__ = _plan_hash
 
 
 Plan = object
@@ -270,10 +267,51 @@ Plan = object
 
 def _trusted(cls, **fields):
     """An instance of the frozen dataclass cls with these fields, built
-    without __post_init__: for fields whose checks have already passed."""
+    without __post_init__: for fields whose checks have already passed, or
+    for a set that is only read on its way to one that is checked."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
+
+
+def _check_rows(in_max: int, out_maxes: tuple[tuple[str, int], ...], generators: Optional[tuple[str, ...]],
+                bits: Iterable[tuple[int, tuple[tuple[str, int], ...]]]) -> None:
+    """The checks every tile set passes, as a ZTileSet, a GroupTileSet or
+    the rows `gen` writes: the outputs match the generators (of a Z x G
+    set, when `generators` is not None), the output names are sorted, and
+    each tile's (top, bottoms) pair, given by `bits` in tile order, is in
+    range and names the set's outputs.  Each distinct pair is checked once;
+    a failed check is a ValueError."""
+    names = [n for n, _ in out_maxes]
+    if generators is not None and sorted(names) != sorted(generators):
+        raise ValueError("outputs must match the generators")
+    if sorted(names) != names:
+        raise ValueError("output names must be sorted")
+    names = tuple(names)
+    checked = set()
+    for pair in bits:
+        if pair in checked:
+            continue
+        checked.add(pair)
+        top, bottoms = pair
+        if not 0 <= top <= in_max:
+            raise ValueError(f"top bit {top} out of range")
+        if tuple(n for n, _ in bottoms) != names:
+            raise ValueError("tile outputs do not match the set's outputs")
+        for (n, v), (_, mx) in zip(bottoms, out_maxes):
+            if not 0 <= v <= mx:
+                raise ValueError(f"bottom bit {v} out of range for {n}")
+
+
+def _distinct_bits(tiles: Iterable[ZTile]):
+    """(top, bottoms) of each tile, in order; a tile met twice is a
+    ValueError, raised where it is met."""
+    seen = set()
+    for t in tiles:
+        if t in seen:
+            raise ValueError(f"duplicate tile {t}")
+        seen.add(t)
+        yield t.top, t.bottoms
 
 
 @dataclass(frozen=True)
@@ -284,45 +322,18 @@ class ZTileSet:
     source: Optional[Plan] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        names = [n for n, _ in self.out_maxes]
-        if sorted(names) != names:
-            raise ValueError("output names must be sorted")
-        seen = set()
-        checked = set()  # (top, bottoms) pairs already found in range
-        for t in self.tiles:
-            if t in seen:
-                raise ValueError(f"duplicate tile {t}")
-            seen.add(t)
-            bits = (t.top, t.bottoms)
-            if bits in checked:
-                continue
-            checked.add(bits)
-            if not 0 <= t.top <= self.in_max:
-                raise ValueError(f"top bit {t.top} out of range")
-            if tuple(n for n, _ in t.bottoms) != tuple(names):
-                raise ValueError("tile outputs do not match the set's outputs")
-            for (n, v), (_, mx) in zip(t.bottoms, self.out_maxes):
-                if not 0 <= v <= mx:
-                    raise ValueError(f"bottom bit {v} out of range for {n}")
+        gens = self.generators if isinstance(self, GroupTileSet) else None
+        _check_rows(self.in_max, self.out_maxes, gens, _distinct_bits(self.tiles))
 
     @staticmethod
     def make(in_max, out_maxes: dict[str, int], tiles: Iterable[ZTile], source=None) -> "ZTileSet":
-        """Deduplicate and sort by (top, bottoms, left, right), labels in
-        `HLabel.sort_key` order.  Each field's distinct values are sorted once
-        and numbered, and the tiles are sorted by one integer built from the
-        numbers, so no tile comparison reaches a label.  The labels' flat
-        keys are built once per distinct label node."""
-        tiles = set(tiles)
-        tops = _ranks({t.top for t in tiles})
-        bottoms = _ranks({t.bottoms for t in tiles})
-        labels = {t.left for t in tiles}
-        labels.update(t.right for t in tiles)
-        memo: dict = {}
-        sides = _ranks(labels, key=lambda l: _flat_key(l, memo))
-        nb, nl = len(bottoms), len(sides)
-        order = sorted(tiles, key=lambda t: ((tops[t.top] * nb + bottoms[t.bottoms]) * nl
-                                             + sides[t.left]) * nl + sides[t.right])
-        return ZTileSet(in_max, _mk_bottoms(out_maxes), tuple(order), source)
+        """The set of these tiles, deduplicated, validated and sorted by
+        (top, bottoms, left, right), labels in `HLabel.sort_key` order: the
+        tiles are numbered into rows by `_Rows.of` and sorted by
+        `_Rows.ordered`, the order every compiled set has."""
+        unsorted = _trusted(ZTileSet, in_max=in_max, out_maxes=_mk_bottoms(out_maxes), tiles=tuple(tiles),
+                            source=source)
+        return _Rows.of(unsorted, _LabelTable()).tileset()
 
     def single_out(self) -> str:
         return _only_output(self.out_maxes)[0]
@@ -345,21 +356,7 @@ class GroupTileSet:
     source: Optional[Plan] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        self._check_outputs()
-        ZTileSet.__post_init__(self)  # the bit range and duplicate checks
-
-    def _check_outputs(self) -> None:
-        if sorted(n for n, _ in self.out_maxes) != sorted(self.generators):
-            raise ValueError("outputs must match the generators")
-
-    @staticmethod
-    def _of_validated(generators: tuple[str, ...], ts: ZTileSet) -> "GroupTileSet":
-        """The group set of a validated set's tiles: checks the outputs
-        against the generators, and skips the checks `ts` has passed."""
-        g = _trusted(GroupTileSet, generators=generators, in_max=ts.in_max, out_maxes=ts.out_maxes,
-                     tiles=ts.tiles, source=ts.source)
-        g._check_outputs()
-        return g
+        ZTileSet.__post_init__(self)  # the generator, bit range and duplicate checks
 
     def phi(self, t: ZTile, h: str) -> int:
         return t.bottom(h)
@@ -374,9 +371,10 @@ class GroupTileSet:
 # Generators
 #
 # Every generator works on plain rows (top, bottoms, left, right) whose side
-# labels are ids in a per-call label table, and makes labels, tiles and one
-# sorted, validated set only for the rows it returns.  build_plan keeps its
-# nodes as rows over one table, so only the root pays for that conversion.
+# labels are ids in a per-call label table.  build_plan keeps its nodes as
+# rows over one table; the root's rows are sorted on the table's flat keys,
+# and become labels, tiles and a validated set only when a set is asked
+# for.  `gen` writes the sorted rows as they are.
 
 
 class _LabelTable:
@@ -395,11 +393,61 @@ class _LabelTable:
 
     def intern(self, kind: str, value) -> int:
         key = (kind, value)
-        i = self.ids.get(key)
-        if i is None:
-            i = self.ids[key] = len(self.nodes)
+        n = len(self.nodes)
+        i = self.ids.setdefault(key, n)  # one hash of the key, new or not
+        if i == n:
             self.nodes.append(key)
         return i
+
+    def numbering(self) -> Callable[[HLabel], int]:
+        """id_of(l): the id of the interned label l, each distinct label
+        node numbered once per numbering."""
+        intern = self.intern
+        ids: dict[HLabel, int] = {}
+
+        def id_of(l: HLabel) -> int:
+            i = ids.get(l)
+            if i is None:
+                if l.kind == "atom":
+                    i = intern("atom", (l.value.numerator, l.value.denominator))
+                elif l.kind == "tag":
+                    i = intern("tag", (l.value[0], id_of(l.value[1])))
+                else:
+                    i = intern("tup", tuple(map(id_of, l.value)))
+                ids[l] = i
+            return i
+        return id_of
+
+    def flat_keys(self, ids: Iterable[int]) -> dict[int, tuple]:
+        """The flat key of each label in `ids` and of its descendants: the
+        label's preorder with each node's arity, an atom (0, float, value),
+        a tag (1, name, *child) and a tuple (2, len, *children).  No key is
+        a proper prefix of another, so these keys sort as the nested keys
+        (0, float, value), (1, name, child key) and (2, len, child keys) do,
+        and a comparison reads only the shared prefix.  An atom's float
+        comes first: it is correctly rounded, so it never reverses the
+        order, and a tie falls through to the exact value.  Each key is
+        built once."""
+        nodes = self.nodes
+        keys: dict[int, tuple] = {}
+
+        def key(i: int) -> tuple:
+            k = keys.get(i)
+            if k is None:
+                kind, value = nodes[i]
+                if kind == "atom":
+                    k = (0, _float_key(*value), Fraction(*value))
+                elif kind == "tag":
+                    k = (1, value[0]) + key(value[1])
+                else:
+                    k = (2, len(value))
+                    for c in value:
+                        k += key(c)
+                keys[i] = k
+            return k
+        for i in ids:
+            key(i)
+        return keys
 
     def hlabels(self, ids: Iterable[int]) -> dict[int, HLabel]:
         """The interned HLabel of each id in `ids` (and of their children),
@@ -424,16 +472,25 @@ class _LabelTable:
         return out
 
 
+def _sides(rows: Sequence[tuple]) -> set:
+    """The side labels of these rows."""
+    ids = {r[2] for r in rows}
+    ids.update(r[3] for r in rows)
+    return ids
+
+
 class _Rows:
     """A tile set as rows (top, bottoms, left, right) over a label table.
     The sides are label ids or, in the candidates of a compose or product
     node (`parts`), tuples of ids that trim_tiles turns into tuple labels
-    for the survivors.  `trimmed`: every row occurs in a bi-infinite row."""
+    for the survivors.  `trimmed`: every row occurs in a bi-infinite row.
+    `generators`: those of a set over Z x G, else None."""
 
-    __slots__ = ("in_max", "out_maxes", "tiles", "source", "labels", "parts", "trimmed")
+    __slots__ = ("in_max", "out_maxes", "tiles", "source", "labels", "parts", "trimmed", "generators")
 
     def __init__(self, in_max: int, out_maxes: tuple[tuple[str, int], ...], tiles: list[tuple],
-                 source: Optional[Plan], labels: _LabelTable, parts: bool = False, trimmed: bool = False):
+                 source: Optional[Plan], labels: _LabelTable, parts: bool = False, trimmed: bool = False,
+                 generators: Optional[tuple[str, ...]] = None):
         self.in_max = in_max
         self.out_maxes = out_maxes
         self.tiles = tiles
@@ -441,35 +498,50 @@ class _Rows:
         self.labels = labels
         self.parts = parts
         self.trimmed = trimmed
+        self.generators = generators
 
     @staticmethod
-    def of(ts: ZTileSet, labels: _LabelTable) -> "_Rows":
-        """The rows of a tile set, each distinct label node numbered once."""
-        intern = labels.intern
-        ids: dict[HLabel, int] = {}
-
-        def id_of(l: HLabel) -> int:
-            i = ids.get(l)
-            if i is None:
-                if l.kind == "atom":
-                    i = intern("atom", (l.value.numerator, l.value.denominator))
-                elif l.kind == "tag":
-                    i = intern("tag", (l.value[0], id_of(l.value[1])))
-                else:
-                    i = intern("tup", tuple(map(id_of, l.value)))
-                ids[l] = i
-            return i
+    def of(ts: ZTileSet | GroupTileSet, labels: _LabelTable) -> "_Rows":
+        """The rows of a tile set, in its order, each distinct label node
+        numbered once."""
+        id_of = labels.numbering()
         rows = [(t.top, t.bottoms, id_of(t.left), id_of(t.right)) for t in ts.tiles]
-        return _Rows(ts.in_max, ts.out_maxes, rows, ts.source, labels)
+        gens = ts.generators if isinstance(ts, GroupTileSet) else None
+        return _Rows(ts.in_max, ts.out_maxes, rows, ts.source, labels, generators=gens)
 
-    def tileset(self) -> ZTileSet:
-        """The rows as a sorted, validated ZTileSet of interned labels."""
+    def ordered(self) -> "_Rows":
+        """The distinct rows sorted by (top, bottoms, left, right), labels
+        by their flat keys.  Each field's distinct values are sorted once
+        and numbered, and the rows are sorted by one integer built from the
+        numbers, so no comparison reaches a label."""
         rows = self.tiles
-        ids = {r[2] for r in rows}
-        ids.update(r[3] for r in rows)
-        label = self.labels.hlabels(ids)
-        tiles = [ZTile(top, bottoms, label[l], label[r]) for top, bottoms, l, r in rows]
-        return ZTileSet.make(self.in_max, dict(self.out_maxes), tiles, source=self.source)
+        ids = _sides(rows)
+        sides = _ranks(ids, key=self.labels.flat_keys(ids).__getitem__)
+        tops = _ranks({r[0] for r in rows})
+        bottoms = _ranks({r[1] for r in rows})
+        nb, nl = len(bottoms), len(sides)
+        by_rank = {((tops[t] * nb + bottoms[b]) * nl + sides[l]) * nl + sides[r]: (t, b, l, r)
+                   for t, b, l, r in rows}
+        return _Rows(self.in_max, self.out_maxes, [by_rank[k] for k in sorted(by_rank)], self.source,
+                     self.labels, trimmed=self.trimmed, generators=self.generators)
+
+    def checked(self) -> "_Rows":
+        """ordered(), once its rows have passed the checks that the set
+        they stand for, `tileset()`, runs (`_check_rows`)."""
+        rows = self.ordered()
+        _check_rows(rows.in_max, rows.out_maxes, rows.generators, ((r[0], r[1]) for r in rows.tiles))
+        return rows
+
+    def tileset(self) -> ZTileSet | GroupTileSet:
+        """The rows as a sorted, validated set of interned labels: a
+        GroupTileSet when they have generators, else a ZTileSet.  Labels and
+        tiles are built for the distinct rows only."""
+        rows = self.ordered().tiles
+        label = self.labels.hlabels(_sides(rows))
+        tiles = tuple([ZTile(top, bottoms, label[l], label[r]) for top, bottoms, l, r in rows])
+        if self.generators is None:
+            return ZTileSet(self.in_max, self.out_maxes, tiles, self.source)
+        return GroupTileSet(self.generators, self.in_max, self.out_maxes, tiles, self.source)
 
 
 def _only_output(out_maxes: tuple[tuple[str, int], ...]) -> tuple[str, int]:
@@ -533,9 +605,7 @@ def _union(A: _Rows, B: _Rows) -> _Rows:
     intern = A.labels.intern
     rows: list[tuple] = []
     for name, ts in (("L", A), ("R", B)):
-        ids = {r[2] for r in ts.tiles}
-        ids.update(r[3] for r in ts.tiles)
-        tagged = {i: intern("tag", (name, i)) for i in ids}
+        tagged = {i: intern("tag", (name, i)) for i in _sides(ts.tiles)}
         rows += [(top, bottoms, tagged[l], tagged[r]) for top, bottoms, l, r in ts.tiles]
     src = PlanUnion(A.source, B.source) if A.source is not None and B.source is not None else None
     # the tags keep every bi-infinite row inside one operand
@@ -616,14 +686,14 @@ def product_tiles(components: Sequence[tuple[str, ZTileSet]]) -> ZTileSet:
 # Compiling a piecewise map
 
 
-def _label_ids(lefts: Sequence, rights: Sequence) -> tuple[int, list[int], list[int]]:
+def _label_ids(lefts: Sequence, rights: Sequence) -> tuple[list, list[int], list[int]]:
     """The label graph of tiles given by their side labels: each distinct
     label is numbered once, and tile i is an edge from label ls[i] to label
-    rs[i].  Returns (number of labels, ls, rs)."""
+    rs[i].  Returns (the distinct labels in number order, ls, rs)."""
     ids: dict = {}
     ls = [ids.setdefault(l, len(ids)) for l in lefts]
     rs = [ids.setdefault(r, len(ids)) for r in rights]
-    return len(ids), ls, rs
+    return list(ids), ls, rs
 
 
 def _live(n: int, sources: list[int], targets: list[int]) -> list[bool]:
@@ -656,14 +726,13 @@ def _live(n: int, sources: list[int], targets: list[int]) -> list[bool]:
     return live
 
 
-def _alive(lefts: Sequence, rights: Sequence) -> list[int]:
-    """The indices of the tiles, given by their side labels, that occur in a
-    bi-infinite row, in index order.  A tile is an edge from its left label
-    to its right label, and a row a walk: the tile lies on a bi-infinite
-    walk iff an infinite walk leaves its right label and one arrives at its
-    left label.  Each distinct label is numbered once, so the work is one
-    step per tile and per label."""
-    n, ls, rs = _label_ids(lefts, rights)
+def _alive(n: int, ls: list[int], rs: list[int]) -> list[int]:
+    """The indices of the edges ls[i] -> rs[i] of a graph on labels 0..n-1
+    (`_label_ids`) that lie on a bi-infinite walk, in index order.  A tile
+    is an edge from its left label to its right label, and a row a walk:
+    the tile lies on a bi-infinite walk iff an infinite walk leaves its
+    right label and one arrives at its left label, so the work is one step
+    per tile and per label."""
     ahead = _live(n, ls, rs)
     behind = _live(n, rs, ls)
     return [i for i, (l, r) in enumerate(zip(ls, rs)) if ahead[r] and behind[l]]
@@ -676,24 +745,29 @@ def trim_tiles(ts: ZTileSet | _Rows) -> ZTileSet | _Rows:
     extension in the adjacency graph (right label feeding the next left
     label), so the set of bi-infinite valid rows is preserved exactly.  A
     ZTileSet keeps its order and alphabets.  Rows give rows: candidates'
-    id tuples become tuple labels for the survivors only, and rows already
-    trimmed (a union of trimmed rows) are returned as they are.
+    id tuples become tuple labels for the survivors only, each interned
+    once from the walk's numbering of the sides, and rows already trimmed
+    (a union of trimmed rows) are returned as they are.
     """
     tiles = ts.tiles
-    if isinstance(ts, _Rows):
-        if ts.trimmed:
-            return ts
-        kept = [tiles[i] for i in _alive([r[2] for r in tiles], [r[3] for r in tiles])]
-        if ts.parts:
-            parts = {r[2] for r in kept}
-            parts.update(r[3] for r in kept)
-            intern = ts.labels.intern
-            ids = {p: intern("tup", p) for p in parts}
-            kept = [(top, bottoms, ids[l], ids[r]) for top, bottoms, l, r in kept]
-        return _Rows(ts.in_max, ts.out_maxes, kept, ts.source, ts.labels, trimmed=True)
-    kept = tuple(tiles[i] for i in _alive([t.left for t in tiles], [t.right for t in tiles]))
-    # a subset of a checked set's tiles, over its alphabets, passes its checks
-    return _trusted(ZTileSet, in_max=ts.in_max, out_maxes=ts.out_maxes, tiles=kept, source=ts.source)
+    if not isinstance(ts, _Rows):
+        sides, ls, rs = _label_ids([t.left for t in tiles], [t.right for t in tiles])
+        kept = tuple(tiles[i] for i in _alive(len(sides), ls, rs))
+        # a subset of a checked set's tiles, over its alphabets, passes its checks
+        return _trusted(ZTileSet, in_max=ts.in_max, out_maxes=ts.out_maxes, tiles=kept, source=ts.source)
+    if ts.trimmed:
+        return ts
+    sides, ls, rs = _label_ids([r[2] for r in tiles], [r[3] for r in tiles])
+    alive = _alive(len(sides), ls, rs)
+    if ts.parts:
+        intern = ts.labels.intern
+        used = {ls[i] for i in alive}
+        used.update(rs[i] for i in alive)
+        ids = {v: intern("tup", sides[v]) for v in used}
+        kept = [(tiles[i][0], tiles[i][1], ids[ls[i]], ids[rs[i]]) for i in alive]
+    else:
+        kept = [tiles[i] for i in alive]
+    return _Rows(ts.in_max, ts.out_maxes, kept, ts.source, ts.labels, trimmed=True)
 
 
 def bit_max(space: pamaps.Space) -> int:
@@ -800,9 +874,16 @@ def pamap_tiles(f: PAMap, fast_path: bool = True) -> ZTileSet:
     return build_plan(pamap_plan(f, fast_path), m, m)
 
 
-def family_tiles(pres: PAGroupPresentation, fast_path: bool = True) -> GroupTileSet:
-    """Tiles over Z x G for a presentation: the synchronized product of the
-    generators' tile sets, read with psi_h = input bit and phi_h = h's output."""
+def pamap_rows(f: PAMap, fast_path: bool = True) -> _Rows:
+    """pamap_tiles(f, fast_path) as the rows write_json writes: sorted and
+    checked as that set is, with no label or tile built."""
+    m = bit_max(f.space)
+    return build_plan(pamap_plan(f, fast_path), m, m, _LabelTable()).checked()
+
+
+def _family(pres: PAGroupPresentation, fast_path: bool) -> _Rows:
+    """The trimmed rows of the synchronized product of the generators'
+    plans, which carry the generators' names."""
     m = bit_max(pres.space)
     parts = []
     for name, mp in pres.generators:
@@ -810,8 +891,21 @@ def family_tiles(pres: PAGroupPresentation, fast_path: bool = True) -> GroupTile
             parts.append((name, pamap_plan(mp, fast_path)))
         except NotHomeo as exc:
             raise NotHomeo(f"generator {name}: {exc}") from None
-    plan = PlanProd(tuple(parts))
-    return GroupTileSet._of_validated(tuple(name for name, _ in pres.generators), build_plan(plan, m, m))
+    rows = build_plan(PlanProd(tuple(parts)), m, m, _LabelTable())
+    return _Rows(rows.in_max, rows.out_maxes, rows.tiles, rows.source, rows.labels, trimmed=True,
+                 generators=tuple(name for name, _ in parts))
+
+
+def family_tiles(pres: PAGroupPresentation, fast_path: bool = True) -> GroupTileSet:
+    """Tiles over Z x G for a presentation: the synchronized product of the
+    generators' tile sets, read with psi_h = input bit and phi_h = h's output."""
+    return _family(pres, fast_path).tileset()
+
+
+def family_rows(pres: PAGroupPresentation, fast_path: bool = True) -> _Rows:
+    """family_tiles(pres, fast_path) as the rows write_json writes: sorted
+    and checked as that set is, with no label or tile built."""
+    return _family(pres, fast_path).checked()
 
 
 # ---------------------------------------------------------------------------
@@ -899,67 +993,76 @@ def _json_text(obj, depth: int) -> str:
     return json.dumps(obj, indent=1).replace("\n", "\n" + " " * depth)
 
 
-def _label_json(l: HLabel, depth: int, text) -> str:
-    """`_json_text(label_to_obj(l), depth)`, given text(child, depth + 1)
-    for each of l's children.  A tag's name is the one string that may need
-    escaping; `json.dumps` of a plain string escapes it as the dump would."""
-    if l.kind == "atom":
-        return '"' + rat_str(l.value) + '"'
-    if l.kind == "tup" and not l.value:
+def _label_text(nodes: list[tuple], i: int, depth: int, text) -> str:
+    """`_json_text(label_to_obj(l), depth)` for the label l that is nodes[i]
+    in a label table, given text(child, depth + 1) for each of its children.
+    A tag's name is the one string that may need escaping;
+    `encode_basestring_ascii`, what `json.dumps` of a plain string calls,
+    escapes it as the dump would."""
+    kind, value = nodes[i]
+    if kind == "atom":
+        return '"' + pamaps._str(*value) + '"'
+    if kind == "tup" and not value:
         return "[]"
     inner = "\n" + " " * (depth + 1)
     close = "\n" + " " * depth
-    if l.kind == "tag":
-        name, label = l.value
-        return ("{" + inner + '"tag": ' + json.dumps(name) + "," + inner + '"label": '
-                + text(label, depth + 1) + close + "}")
-    return "[" + inner + ("," + inner).join([text(x, depth + 1) for x in l.value]) + close + "]"
+    if kind == "tag":
+        name, child = value
+        return ("{" + inner + '"tag": ' + encode_basestring_ascii(name) + "," + inner + '"label": '
+                + text(child, depth + 1) + close + "}")
+    return "[" + inner + ("," + inner).join([text(c, depth + 1) for c in value]) + close + "]"
 
 
-def _label_writer():
-    """text(l, depth): `_label_json(l, depth)`, built once per distinct
-    (label, depth), so a set's labels cost one step per distinct node."""
+def _label_texts(nodes: list[tuple]):
+    """text(i, depth): `_label_text(nodes, i, depth, text)`, built once per
+    distinct (label id, depth), so a set's labels cost one step per distinct
+    node."""
     memo: dict = {}
 
-    def text(l: HLabel, depth: int) -> str:
-        key = (l, depth)
+    def text(i: int, depth: int) -> str:
+        key = (i, depth)
         s = memo.get(key)
         if s is None:
-            s = memo[key] = _label_json(l, depth, text)
+            s = memo[key] = _label_text(nodes, i, depth, text)
         return s
     return text
 
 
-def write_json(ts: ZTileSet | GroupTileSet, write: Callable[[str], object]) -> None:
+def write_json(ts: ZTileSet | GroupTileSet | _Rows, write: Callable[[str], object]) -> None:
     """Write `json.dumps(tileset_to_obj(ts), indent=1) + "\n"` through
-    write, one tile at a time, for a ZTileSet or a GroupTileSet.  Each
-    distinct label node and (top, bottoms) pair is encoded once."""
-    if isinstance(ts, GroupTileSet):
-        gens = ts.generators
+    write, one tile at a time, for a ZTileSet or a GroupTileSet, or for the
+    rows of pamap_rows or family_rows, written as the set they stand for
+    without building it.  A set is first numbered into rows by `_Rows.of`;
+    its generators, if it has any, pick the Z x G form.  Each distinct
+    (label id, depth) and (top, bottoms) pair is encoded once."""
+    rows = ts if isinstance(ts, _Rows) else _Rows.of(ts, _LabelTable())
+    gens = rows.generators
+    if gens is not None:
         head = {"generators": list(gens)}
 
-        def around(t: ZTile) -> tuple[str, str]:
+        def around(top: int, bottoms: tuple) -> tuple[str, str]:
+            bits = dict(bottoms)
             return ('{\n   "left": ',
-                    ',\n   "psi": ' + _json_text({h: t.top for h in gens}, 3)
-                    + ',\n   "phi": ' + _json_text({h: t.bottom(h) for h in gens}, 3) + "\n  }")
+                    ',\n   "psi": ' + _json_text({h: top for h in gens}, 3)
+                    + ',\n   "phi": ' + _json_text({h: bits[h] for h in gens}, 3) + "\n  }")
     else:
         head = {}
 
-        def around(t: ZTile) -> tuple[str, str]:
-            return ('{\n   "top": ' + json.dumps(t.top) + ',\n   "bottom": '
-                    + _json_text({n: v for n, v in t.bottoms}, 3) + ',\n   "left": ', "\n  }")
-    text = json.dumps(dict(head, in_max=ts.in_max, outs={n: v for n, v in ts.out_maxes}, tiles=[]),
+        def around(top: int, bottoms: tuple) -> tuple[str, str]:
+            return ('{\n   "top": ' + json.dumps(top) + ',\n   "bottom": '
+                    + _json_text({n: v for n, v in bottoms}, 3) + ',\n   "left": ', "\n  }")
+    text = json.dumps(dict(head, in_max=rows.in_max, outs={n: v for n, v in rows.out_maxes}, tiles=[]),
                       indent=1)
-    if not ts.tiles:
+    if not rows.tiles:
         write(text + "\n")
         return
-    label = _label_writer()
+    label = _label_texts(rows.labels.nodes)
     bits: dict = {}  # (top, bottoms) -> the text around the tile's labels
     sep = text[:-len("[]\n}")] + "[\n  "
-    for t in ts.tiles:
-        key = (t.top, t.bottoms)
-        before, after = bits.get(key) or bits.setdefault(key, around(t))
-        write(sep + before + label(t.left, 3) + ',\n   "right": ' + label(t.right, 3) + after)
+    for top, bottoms, l, r in rows.tiles:
+        key = (top, bottoms)
+        before, after = bits.get(key) or bits.setdefault(key, around(top, bottoms))
+        write(sep + before + label(l, 3) + ',\n   "right": ' + label(r, 3) + after)
         sep = ",\n  "
     write("\n ]\n}\n")
 

@@ -240,8 +240,8 @@ def _label_graph(ts: ZTileSet | GroupTileSet) -> tuple[list[tuple[int, ...]], li
     """The label graph that `tiles.trim_tiles` peels: tile i is an edge from
     its left label to its right label rights[i], and outs[l] lists the tiles
     whose left label is l, in index order.  A row is a walk on it."""
-    n, lefts, rights = tiles._label_ids([t.left for t in ts.tiles], [t.right for t in ts.tiles])
-    outs: list = [[] for _ in range(n)]
+    labels, lefts, rights = tiles._label_ids([t.left for t in ts.tiles], [t.right for t in ts.tiles])
+    outs: list = [[] for _ in labels]
     for i, l in enumerate(lefts):
         outs[l].append(i)
     return list(map(tuple, outs)), rights
@@ -262,8 +262,8 @@ class TransitionGraph:
 
 def nonempty_rows(ts: ZTileSet | GroupTileSet) -> bool:
     """A bi-infinite row exists iff some label starts an infinite walk (the label graph is finite)."""
-    lefts, rights = [t.left for t in ts.tiles], [t.right for t in ts.tiles]
-    return any(tiles._live(*tiles._label_ids(lefts, rights)))
+    labels, lefts, rights = tiles._label_ids([t.left for t in ts.tiles], [t.right for t in ts.tiles])
+    return any(tiles._live(len(labels), lefts, rights))
 
 
 def _reach_masks(succ: Sequence[Sequence[int]], n: int) -> list[list[int]]:

@@ -490,6 +490,62 @@ def test_verify_builds_one_power_chain(kari_tiles_file, monkeypatch, max_k):
     assert len(calls) == max_k - 1
 
 
+# -- gen writes the compiled rows from the label table ---------------------
+
+import tiles_reference  # noqa: E402
+from kariforge import tiles  # noqa: E402
+
+
+@pytest.fixture(scope="module")
+def gen_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("gen")
+
+
+@given(circle_homeos(max_denominator=4), st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_gen_map_bytes_match_the_reference_writer(gen_dir, f, fast_path):
+    map_file, out = gen_dir / "map.json", gen_dir / "tiles.json"
+    map_file.write_text(json.dumps(pamaps.pamap_to_obj(f)))
+    argv = ["gen", "--map", str(map_file), "--out", str(out), "--fast-path", "on" if fast_path else "off"]
+    assert main(argv) == 0
+    want = tiles_reference.tileset_json(tiles.pamap_tiles(f, fast_path=fast_path))
+    assert out.read_bytes() == want.encode("utf-8")
+
+
+def test_gen_checks_its_rows_before_opening_the_file(tmp_path, monkeypatch, capsys):
+    def refuse(*args):
+        raise ValueError("top bit 9 out of range")
+
+    monkeypatch.setattr(tiles, "_check_rows", refuse)
+    out = tmp_path / "kari.json"
+    assert main(["gen", "--preset", "z-kari", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: top bit 9 out of range\n"
+    assert not out.exists()
+
+
+def test_gen_interns_no_label(tmp_path, kari_map_file):
+    """gen compiles to rows over a label table of its own and writes them,
+    so the process-wide HLabel intern table does not grow.  A fresh process
+    shows it whatever labels other tests interned."""
+    import os
+    import subprocess
+    import sys
+
+    runs = [["gen", "--map", kari_map_file, "--out", str(tmp_path / "map.json")],
+            ["gen", "--preset", "z-kari", "--out", str(tmp_path / "kari.json")],
+            ["gen", "--preset", "psl2z", "--out", str(tmp_path / "psl2z.json")]]
+    script = ("import json, sys\n"
+              "from kariforge import cli, tiles\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    before = len(tiles.HLabel._interned)\n"
+              "    assert cli.main(argv) == 0\n"
+              "    print('grew', len(tiles.HLabel._interned) - before)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tiles.__file__)))
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(runs)], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert [line for line in done.stdout.splitlines() if line.startswith("grew")] == ["grew 0"] * 3
+
+
 # -- verify's search bounds ------------------------------------------------
 
 

@@ -532,9 +532,12 @@ def shared_labels(draw):
 @given(shared_labels(), st.integers(0, 4))
 @settings(max_examples=300, deadline=None)
 def test_label_writer_matches_reference(pool, depth):
-    text = tiles._label_writer()
-    for l in pool:
-        assert text(l, depth) == reference.label_json(l).replace("\n", "\n" + " " * depth)
+    labels = tiles._LabelTable()
+    id_of = labels.numbering()
+    ids = [id_of(l) for l in pool]
+    text = tiles._label_texts(labels.nodes)
+    for l, i in zip(pool, ids):
+        assert text(i, depth) == reference.label_json(l).replace("\n", "\n" + " " * depth)
 
 
 @given(shared_labels())
@@ -563,18 +566,34 @@ def test_codec_matches_reference_on_shared_labels(pool, data):
     assert grouptileset_from_obj(json.loads(text)).tiles == g.tiles
 
 
+def table_label(nodes, i) -> HLabel:
+    """The label that nodes[i] of a label table stands for."""
+    kind, value = nodes[i]
+    if kind == "atom":
+        return atom(F(*value))
+    if kind == "tag":
+        return tag(value[0], table_label(nodes, value[1]))
+    return tup(*(table_label(nodes, c) for c in value))
+
+
 def test_writer_builds_each_label_node_once_per_depth(monkeypatch, psl2z_family):
+    """Each distinct (label, depth) is built once, whether the writer is
+    given a set or the rows gen compiles."""
     calls = []
-    build = tiles._label_json
-    monkeypatch.setattr(tiles, "_label_json", lambda l, depth, text: calls.append((l, depth)) or build(l, depth, text))
-    psl_d = pamap_tiles(presets.load_preset("psl2z").map_for("d"))
-    for ts, check in ((psl_d, reference.tileset_json), (psl2z_family, reference.grouptileset_json)):
-        calls.clear()
-        assert tileset_to_json(ts) == check(ts)
-        assert len(calls) == len(set(calls))
-        assert set(calls) == label_nodes((l, 3) for t in ts.tiles for l in (t.left, t.right))
-        assert len(calls) < sum(len(label_nodes([(t.left, 3)])) + len(label_nodes([(t.right, 3)]))
-                                for t in ts.tiles)
+    build = tiles._label_text
+    monkeypatch.setattr(tiles, "_label_text", lambda nodes, i, depth, text:
+                        calls.append((table_label(nodes, i), depth)) or build(nodes, i, depth, text))
+    psl2z = presets.load_preset("psl2z")
+    psl_d = pamap_tiles(psl2z.map_for("d"))
+    for ts, rows, check in ((psl_d, tiles.pamap_rows(psl2z.map_for("d")), reference.tileset_json),
+                            (psl2z_family, tiles.family_rows(psl2z), reference.grouptileset_json)):
+        for source in (ts, rows):
+            calls.clear()
+            assert "".join(_written(source)) == check(ts)
+            assert len(calls) == len(set(calls))
+            assert set(calls) == label_nodes((l, 3) for t in ts.tiles for l in (t.left, t.right))
+            assert len(calls) < sum(len(label_nodes([(t.left, 3)])) + len(label_nodes([(t.right, 3)]))
+                                    for t in ts.tiles)
 
 
 def test_reader_finds_known_nodes_in_the_intern_table(monkeypatch, psl2z_family):
@@ -705,19 +724,23 @@ def test_loaders_name_the_tile_at_fault(kari_tiles, psl2z_family):
 
 @pytest.fixture
 def checked_make(monkeypatch):
-    """ZTileSet.make, compared with the reference order on every call; the
-    list holds the size of each set made."""
+    """_Rows.ordered, the one order of every set that ZTileSet.make or a
+    compile makes, compared on every call with the reference make of the
+    same tiles; the list holds the size of each set ordered."""
     sizes = []
-    fast = ZTileSet.make
+    fast = tiles._Rows.ordered
 
-    def make(in_max, out_maxes, tiles, source=None):
-        tiles = list(tiles)
-        got = fast(in_max, out_maxes, tiles, source)
-        assert got.tiles == reference.make(in_max, out_maxes, tiles).tiles
+    def ordered(rows):
+        got = fast(rows)
+        label = rows.labels.hlabels(tiles._sides(rows.tiles))
+
+        def as_tiles(rs):
+            return tuple(ZTile(top, bottoms, label[l], label[r]) for top, bottoms, l, r in rs)
+        assert as_tiles(got.tiles) == reference.make(rows.in_max, dict(rows.out_maxes), as_tiles(rows.tiles)).tiles
         sizes.append(len(got.tiles))
         return got
 
-    monkeypatch.setattr(ZTileSet, "make", staticmethod(make))
+    monkeypatch.setattr(tiles._Rows, "ordered", ordered)
     return sizes
 
 
@@ -786,6 +809,26 @@ def _bad_tile_sets():
 def test_constructors_still_validate(message, build):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+def test_compiled_rows_run_the_set_checks():
+    """The rows gen writes pass the checks a ZTileSet or GroupTileSet runs
+    (`_check_rows`), with the same messages."""
+    labels = tiles._LabelTable()
+    a = labels.intern("atom", (0, 1))
+
+    def rows(*cells, generators=None):
+        return tiles._Rows(1, (("f", 1),), [(top, ((name, bit),), a, a) for top, name, bit in cells], None,
+                           labels, generators=generators)
+
+    cases = [("top bit 2", rows((0, "f", 0), (2, "f", 0))),
+             ("bottom bit 2", rows((0, "f", 2))),
+             ("outputs do not match", rows((0, "g", 0))),
+             ("outputs must match the generators", rows((0, "f", 0), generators=("g",)))]
+    for message, bad in cases:
+        with pytest.raises(ValueError, match=message):
+            bad.checked()
+    assert len(rows((1, "f", 1), (0, "f", 0), generators=("f",)).checked().tiles) == 2
 
 
 def test_group_set_runs_the_z_checks_on_itself(monkeypatch):
@@ -1009,8 +1052,12 @@ def test_family_tiles_validates_its_root_once(monkeypatch, psl2z):
     assert GroupTileSet(gts.generators, gts.in_max, gts.out_maxes, gts.tiles) == gts
     assert grouptileset_from_obj(grouptileset_to_obj(gts)) == gts
     assert calls == [len(gts.tiles)] * 2
+    # the rows gen writes pass the same check
+    rows = build_plan(gts.source, gts.in_max, gts.in_max, tiles._LabelTable())
+    few = tiles._Rows(rows.in_max, rows.out_maxes, rows.tiles, rows.source, rows.labels,
+                      generators=gts.generators[:1])
     with pytest.raises(ValueError, match="outputs must match the generators"):
-        GroupTileSet._of_validated(gts.generators[:1], build_plan(gts.source, gts.in_max, gts.in_max))
+        few.checked()
 
 
 def test_union_nodes_skip_the_trim_walk(monkeypatch, kari, psl2z):
@@ -1018,7 +1065,7 @@ def test_union_nodes_skip_the_trim_walk(monkeypatch, kari, psl2z):
     while every other node's trim runs one."""
     walks = []
     alive = tiles._alive
-    monkeypatch.setattr(tiles, "_alive", lambda lefts, rights: walks.append(len(lefts)) or alive(lefts, rights))
+    monkeypatch.setattr(tiles, "_alive", lambda n, ls, rs: walks.append(len(ls)) or alive(n, ls, rs))
     trims = []
     trim = tiles.trim_tiles
 
@@ -1059,11 +1106,19 @@ def label_multigraphs(draw):
     return edges
 
 
+def alive(lefts, rights) -> list[int]:
+    """tiles._alive on the label graph tiles._label_ids numbers."""
+    sides, ls, rs = tiles._label_ids(lefts, rights)
+    assert [sides[v] for v in ls] == list(lefts) and [sides[v] for v in rs] == list(rights)
+    assert len(set(sides)) == len(sides)
+    return tiles._alive(len(sides), ls, rs)
+
+
 @given(label_multigraphs())
 @settings(max_examples=400, deadline=None)
 def test_alive_matches_the_tile_graph_reference(edges):
     lefts, rights = [l for l, _ in edges], [r for _, r in edges]
-    assert tiles._alive(lefts, rights) == reference.alive(lefts, rights)
+    assert alive(lefts, rights) == reference.alive(lefts, rights)
 
 
 def test_alive_needs_both_sides_live():
@@ -1072,8 +1127,8 @@ def test_alive_needs_both_sides_live():
     edges = [("s", "a"), ("a", "b"), ("b", "c"), ("c", "b"), ("c", "b"), ("c", "d"), ("d", "z"),
              ("e", "e"), ((0, 1), (0, 1)), ((0, 1), "b")]
     lefts, rights = [l for l, _ in edges], [r for _, r in edges]
-    assert tiles._alive(lefts, rights) == reference.alive(lefts, rights) == [2, 3, 4, 7, 8, 9]
-    assert tiles._alive([], []) == []
+    assert alive(lefts, rights) == reference.alive(lefts, rights) == [2, 3, 4, 7, 8, 9]
+    assert alive([], []) == []
 
 
 SMALL_FRACTIONS = st.builds(F, st.integers(-9, 9), st.integers(1, 4))
@@ -1144,9 +1199,15 @@ def label_pools(draw):
 
 
 def assert_flat_order(pool):
-    """Flat keys order every pair as the nested reference keys do, and only
-    a label's own key equals it."""
-    keys = [(l, l.sort_key(), reference.label_key(l)) for l in pool]
+    """Flat keys, built once per id of one label table, order every pair as
+    the nested reference keys do, and only a label's own key equals it;
+    `HLabel.sort_key` reads the same key off a table of its own."""
+    labels = tiles._LabelTable()
+    id_of = labels.numbering()
+    ids = [id_of(l) for l in pool]
+    flat = labels.flat_keys(ids)
+    keys = [(l, flat[i], reference.label_key(l)) for l, i in zip(pool, ids)]
+    assert all(l.sort_key() == k for l, k, _ in keys)
     for x, kx, rx in keys:
         for y, ky, ry in keys:
             assert (kx < ky) == (rx < ry), (x, y)
