@@ -22,7 +22,7 @@ import itertools
 import json
 import marshal
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Optional, Sequence
@@ -231,7 +231,8 @@ def _plan_hash(plan) -> int:
     d = plan.__dict__
     h = d.get("_hash")
     if h is None:
-        h = d["_hash"] = hash(tuple([getattr(plan, f.name) for f in fields(plan)]))
+        # before `_hash` is stored, the frozen node's dict holds its fields in order
+        h = d["_hash"] = hash(tuple(d.values()))
     return h
 
 
