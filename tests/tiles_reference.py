@@ -5,9 +5,9 @@ arithmetic; `make` sorts the deduplicated tiles by nested label keys that
 compare carries as Fractions, tile by tile; the writers dump the `*_to_obj`
 forms with the generic encoder, and `label_from_obj` rebuilds every node of
 every label through `tag`/`tup`.  The library solves for the right carry in
-integers, ranks each distinct label once, writes each distinct (label node,
-depth) once and looks decoded nodes up in the intern table; the differential
-tests require equal outputs.
+integers, ranks each label id of a label table once, writes each distinct
+(label id, depth) once and looks decoded nodes up in the intern table; the
+differential tests require equal outputs.
 
 `compose_tiles` and `product_tiles` make every candidate tile, dead or not,
 `trim_tiles` builds explicit predecessor lists, and `build_plan` trims after
