@@ -493,9 +493,6 @@ class PAMap:
         L = self.space.length
         return _domain(self._core) == [(0, 1, L.numerator, L.denominator)]
 
-    def __call__(self, x: RatLike) -> Fraction:
-        return apply(self, rat(x))
-
     def __eq__(self, other):
         if other.__class__ is not PAMap:
             return NotImplemented
@@ -779,7 +776,21 @@ def word_apply(pres: PAGroupPresentation, word: Word) -> PAMap:
 
 
 def is_identity_word(pres: PAGroupPresentation, word: Word) -> bool:
-    """The word's composite is the identity on the whole space."""
+    """The word's composite is the identity on the whole space.  That map
+    fixes every point, so the word first runs on the probe points 0 and L/2,
+    rightmost letter first: a probe that moves, or that leaves a letter's
+    domain, refutes the word without composing.  A word that fixes both
+    probes is folded, and its composite compared with the one identity row."""
+    maps = [pres.letters[pres.letter(n, s)] for n, s in word]
+    Ln, Ld = pres.space.length.numerator, pres.space.length.denominator
+    for x in ((0, 1), (Ln // 2, Ld) if Ln % 2 == 0 else (Ln, 2 * Ld)):
+        y = x
+        for f in reversed(maps):
+            y = _value(f, *y)
+            if y is None:
+                return False
+        if y != x:
+            return False
     return word_apply(pres, word)._core == (_identity_row(pres.space),)
 
 
@@ -911,10 +922,7 @@ def nontriviality_witness(pres: PAGroupPresentation, word: Word, budget: int) ->
         checked = common
         for t in _candidate_points(_intervals(common)):
             for f in tried:
-                try:
-                    s = apply(f, t)
-                except OutOfDomain:
-                    continue
+                s = apply(f, t)  # t lies in common, inside every tried map's domain
                 moves = moved.get(s)
                 if moves is None:
                     try:

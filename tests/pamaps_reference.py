@@ -4,9 +4,10 @@ These are the `Interval`/`AffinePiece` forms of `compose`, `invert` and
 canonicalization: every intermediate piece is a checked object, each piece is
 range-checked against an `Interval` of the whole space, `word_apply` inverts
 a letter at each occurrence, `periodic_points` rebuilds f^k for every k and
-`intersect_interval_sets` intersects every pair of intervals, and
+`intersect_interval_sets` intersects every pair of intervals,
 `nontriviality_witness` rebuilds the ball from the identity for every depth
-up to its budget.  The library runs
+up to its budget, and `is_identity_word` folds every word it is given, with
+no probe point to refute it first.  The library runs
 the same algebra on plain (lo, hi, slope, offset) tuples; the differential
 tests require identical canonical pieces and identical exceptions.  The
 library holds each rational as a (numerator, denominator) int pair; here every
@@ -244,6 +245,12 @@ def word_apply(pres: PAGroupPresentation, word: Word) -> PAMap:
             m = invert(m)
         acc = compose(acc, m)
     return acc
+
+
+def is_identity_word(pres: PAGroupPresentation, word: Word) -> bool:
+    """The library's word fold alone, compared with the one identity row:
+    no probe point refutes the word first."""
+    return pamaps.word_apply(pres, word)._core == (pamaps._identity_row(pres.space),)
 
 
 def periodic_points(f: PAMap, k: int) -> tuple[Interval, ...]:

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction as F
 from unittest import mock
 
@@ -1027,6 +1028,22 @@ def test_witness_matches_reference(name, data):
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
 @given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_witness_candidates_lie_in_every_domain_tried(name, data):
+    """Each candidate point comes from the common domain of every map
+    composed so far, so applying a map to it never leaves a domain.  A word
+    followed by its inverse moves no point where it is defined, so the search
+    applies every map of the ball to every candidate; the empty word does so
+    on thompson-v too."""
+    pres = PRESETS[name]
+    word = data.draw(short_words(name, 3))
+    word = () if data.draw(st.booleans()) else word + inverse_word(word)
+    budget = data.draw(st.integers(1, 3))
+    assert nontriviality_witness(pres, word, budget) is None
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+@given(data=st.data())
 @settings(max_examples=30, deadline=None)
 def test_is_identity_word_agrees_with_pa_oracle(name, data):
     pres = PRESETS[name]
@@ -1049,6 +1066,87 @@ def test_word_fold_matches_composites(name, data):
     m, total = kernel.composites(pres)(tuple(pres.letter(n, s) for n, s in word))
     assert word_apply(pres, word) == m
     assert is_identity_word(pres, word) == ((m, total) == (identity(pres.space), True))
+
+
+# -- is_identity_word: probe points first, then the fold ---------------------
+
+# identity words that are not freely trivial: psl2z's relators (d^3 = e^2 = 1)
+# and thompson-t's c^3, (ac)^2 and aBcBC, whose reverse moves 1/2
+RELATORS = {"psl2z": ("ddd", "ee", "dddee"), "thompson-t": ("ccc", "acac", "aBcBC")}
+
+
+@st.composite
+def decided_words(draw):
+    """A preset and one of its words: a random word of length <= 10, a word
+    followed by its inverse, or a relator conjugated by a word."""
+    name = draw(st.sampled_from(PRESET_NAMES))
+    pres = PRESETS[name]
+    word = draw(short_words(name, 10))
+    shape = draw(st.sampled_from(("word", "trivial", "relator")[:3 if name in RELATORS else 2]))
+    if shape == "trivial":
+        return name, word + inverse_word(word)
+    if shape == "relator":
+        u = word[:4]
+        return name, u + parse_word(pres, draw(st.sampled_from(RELATORS[name]))) + inverse_word(u)
+    return name, word
+
+
+@given(decided_words())
+@settings(max_examples=300, deadline=None)
+def test_is_identity_word_matches_the_fold(case):
+    name, word = case
+    pres = PRESETS[name]
+    assert is_identity_word(pres, word) == reference.is_identity_word(pres, word)
+
+
+@pytest.mark.parametrize("name", sorted(RELATORS))
+def test_relators_are_identity_words(name):
+    pres = PRESETS[name]
+    for text in RELATORS[name]:
+        word = parse_word(pres, text)
+        assert is_identity_word(pres, word) and reference.is_identity_word(pres, word), text
+
+
+def test_a_word_a_probe_refutes_composes_nothing(monkeypatch):
+    # dEdEdE moves 0, thompson-v's aA leaves a's image at 1/2, and
+    # thompson-t's abA moves a probe that its reverse Aba fixes
+    calls = count_calls(monkeypatch, kernel, "compose")
+    for name, text in (("psl2z", "dEdEdE"), ("thompson-v", "aA"), ("thompson-t", "abA")):
+        pres = PRESETS[name]
+        assert not is_identity_word(pres, parse_word(pres, text)), text
+    assert calls == []
+    psl2z = PRESETS["psl2z"]
+    assert is_identity_word(psl2z, parse_word(psl2z, "dddee"))
+    assert len(calls) == 4  # an identity word is still folded
+
+
+# thompson-t's nontrivial words of length <= 4 that fix 0, 1/2 and 41/58
+PROBES_FIXED = ("Aba", "ABa", "aaBA", "abAA", "Abba", "ABBa")
+
+
+def fixes(m, x):
+    try:
+        return apply(m, x) == x
+    except OutOfDomain:
+        return False
+
+
+def test_words_that_fix_the_probes_reach_the_fold(thompson_t, monkeypatch):
+    composite = kernel.composites(thompson_t)
+    letters = [(n, s) for n in thompson_t.names() for s in (1, -1)]
+    one = identity(thompson_t.space)
+    fixing = []
+    for k in range(5):
+        for word in itertools.product(letters, repeat=k):
+            m, total = composite(tuple(thompson_t.letter(n, s) for n, s in word))
+            if not (total and m == one) and all(fixes(m, x) for x in (F(0), F(1, 2), F(41, 58))):
+                fixing.append(word)
+    assert fixing == [parse_word(thompson_t, text) for text in PROBES_FIXED]
+    calls = count_calls(monkeypatch, kernel, "compose")
+    for word in fixing:
+        before = len(calls)
+        assert not is_identity_word(thompson_t, word)
+        assert len(calls) - before == len(word) - 1
 
 
 def test_word_apply_keeps_no_intermediate_composites(psl2z):

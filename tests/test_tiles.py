@@ -322,6 +322,13 @@ def test_family_with_unsorted_generator_names(psl2z):
     assert gts.psi(t, "a") == t.top
 
 
+def test_tiles_refuse_generators_they_do_not_carry(psl2z_family):
+    t = psl2z_family.tiles[0]
+    for read in (t.bottom, lambda h: psl2z_family.phi(t, h), lambda h: psl2z_family.psi(t, h)):
+        with pytest.raises(KeyError, match="^'z'$"):
+            read("z")
+
+
 # -- family tiles --------------------------------------------------------
 
 
@@ -914,6 +921,13 @@ def built(build, *args):
 def test_build_plan_matches_reference_on_maps(f, fast_path):
     plan, m = pamap_plan(f, fast_path), tiles.bit_max(f.space)
     assert built(build_plan, plan, m, m) == built(reference.build_plan, plan, m, m)
+
+
+def test_build_plan_refuses_what_is_not_a_plan():
+    with pytest.raises(TypeError, match="^not a plan: 'x'$"):
+        build_plan("x", 1, 1)
+    with pytest.raises(TypeError, match="^not a plan: 'x'$"):
+        build_plan(PlanUnion(PlanAff(F(1), F(0)), "x"), 1, 1)
 
 
 AFFINE_MENU = [PlanAff(a, b) for a, b in ((F(1), F(0)), (F(2, 3), F(-1, 3)), (F(4, 3), F(1, 3)),

@@ -20,6 +20,7 @@ from kariforge.freegroup import (
 from kariforge.pamaps import AffinePiece, Interval, PAMap, Space
 from kariforge.tiles import (
     GroupTileSet,
+    PlanAff,
     PlanComp,
     PlanProd,
     ZTile,
@@ -707,6 +708,16 @@ def test_patch_refuses_a_tile_outside_the_set(psl2z_family):
     assert not patch_check(psl2z_family, {(): PatchRow(0, (outside,))}, free_oracle)
 
 
+def test_patch_refuses_neighbours_whose_rows_disagree(psl2z, psl2z_family):
+    # d's row comes from the orbit patch of 1/7, the others from 1/5's: each
+    # row passes alone, but d's bottom bits do not match its neighbours' top bits
+    oracle = pa_oracle(psl2z)
+    patch = dict(build_orbit_patch(psl2z, psl2z_family, 1, 8, F(1, 5)))
+    patch[(1,)] = build_orbit_patch(psl2z, psl2z_family, 1, 8, F(1, 7))[(1,)]
+    assert all(patch_check(psl2z_family, {w: row}, oracle) for w, row in patch.items())
+    assert not patch_check(psl2z_family, patch, oracle)
+
+
 def test_patch_subpatch_monotone(psl2z, psl2z_family):
     patch = build_orbit_patch(psl2z, psl2z_family, 2, 12, F(1, 5))
     keys = sorted(patch)[:4]
@@ -770,6 +781,16 @@ def test_patch_check_normal_form_matches_pairwise(psl2z, psl2z_family, psl2z_pat
     assert via_nf == outcome(lambda w: oracle(w))
     if name == "psl2z" and consistent and not corrupt:
         assert via_nf == ("ok", True)
+
+
+def test_plan_row_refuses_what_it_cannot_encode():
+    # a product part with outputs of its own passes no one value on
+    ident = PlanAff(F(1), F(0))
+    nested = PlanProd((("g", PlanProd((("a", ident), ("b", ident)))),))
+    with pytest.raises(ValueError, match="^tile has several outputs; name one$"):
+        plan_row(nested, F(1, 2), 0, 3, 1, 1)
+    with pytest.raises(TypeError, match="^not a plan: 'x'$"):
+        plan_row("x", F(1, 2), 0, 3, 1, 1)
 
 
 def test_search_base_point(psl2z):
