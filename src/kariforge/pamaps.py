@@ -783,7 +783,7 @@ def is_identity_word(pres: PAGroupPresentation, word: Word) -> bool:
     probes is folded, and its composite compared with the one identity row."""
     maps = [pres.letters[pres.letter(n, s)] for n, s in word]
     Ln, Ld = pres.space.length.numerator, pres.space.length.denominator
-    for x in ((0, 1), (Ln // 2, Ld) if Ln % 2 == 0 else (Ln, 2 * Ld)):
+    for x in ((0, 1), (Ln // 2, Ld) if Ln % 2 == 0 else (Ln, 2 * Ld)):  # 0 and L/2, reduced
         y = x
         for f in reversed(maps):
             y = _value(f, *y)

@@ -1031,10 +1031,10 @@ def test_witness_matches_reference(name, data):
 @settings(max_examples=10, deadline=None)
 def test_witness_candidates_lie_in_every_domain_tried(name, data):
     """Each candidate point comes from the common domain of every map
-    composed so far, so applying a map to it never leaves a domain.  A word
-    followed by its inverse moves no point where it is defined, so the search
-    applies every map of the ball to every candidate; the empty word does so
-    on thompson-v too."""
+    composed so far, so applying a map to it never leaves a domain.  The
+    empty word, and a word followed by its inverse, move no point where they
+    are defined, so the search applies every map of the ball to every
+    candidate and finds no witness."""
     pres = PRESETS[name]
     word = data.draw(short_words(name, 3))
     word = () if data.draw(st.booleans()) else word + inverse_word(word)
