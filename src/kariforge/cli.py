@@ -56,8 +56,7 @@ def cmd_verify(args) -> int:
             raise ValueError(f"{flag} must be >= 1, got {bound}")
     ts = tiles.tileset_from_obj(_read_json(args.tiles))
     if isinstance(ts, tiles.GroupTileSet):
-        print("verify expects a tile set over Z, not a group tile set", file=sys.stderr)
-        return 1
+        raise ValueError("verify expects a tile set over Z, not a group tile set")
     report: dict = {"nonempty": verify.nonempty_rows(ts)}
     sums = verify.RowSums.of(ts, args.max_n)  # one walk search for both checks
     periodic = verify.stacked_periodic_scan(ts, args.max_n, args.max_k, sums)

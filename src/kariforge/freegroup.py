@@ -232,7 +232,10 @@ def empty_finite(problem: PatternProblem, budget: int = DEFAULT_BUDGET) -> bool:
 
     Exhausts all colorings of the union of supports; any coloring that fails
     to fully agree with some pattern extends to a surviving configuration.
+    A budget below 1 is a ValueError: it would refuse every problem.
     """
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
     support = sorted({w for pat in problem.patterns for w in pat.support()})
     index = {w: i for i, w in enumerate(support)}
     total = problem.alphabet_size ** len(support)

@@ -113,13 +113,32 @@ def tup(*labels: HLabel) -> HLabel:
     return HLabel("tup", tuple(labels))
 
 
+def _label_objs() -> Callable[[HLabel], object]:
+    """obj(l): the JSON form of the interned label l, built once per
+    distinct label node for as long as obj lives: an atom's string, a tag's
+    {"tag", "label"} dict or a tuple's list, a tag or tuple taking its
+    children from the memo.  Equal labels get one shared object, so editing
+    it in place edits every occurrence."""
+    memo: dict[HLabel, object] = {}
+
+    def obj(l: HLabel):
+        o = memo.get(l)
+        if o is None:
+            if l.kind == "atom":
+                o = rat_str(l.value)
+            elif l.kind == "tag":
+                name, inner = l.value
+                o = {"tag": name, "label": obj(inner)}
+            else:
+                o = [obj(x) for x in l.value]
+            memo[l] = o
+        return o
+    return obj
+
+
 def label_to_obj(l: HLabel):
-    if l.kind == "atom":
-        return rat_str(l.value)
-    if l.kind == "tag":
-        name, inner = l.value
-        return {"tag": name, "label": label_to_obj(inner)}
-    return [label_to_obj(x) for x in l.value]
+    """The JSON form of l; a label that repeats inside l is one object."""
+    return _label_objs()(l)
 
 
 def _label_reader():
@@ -331,10 +350,14 @@ class ZTileSet:
         """The set of these tiles, deduplicated, validated and sorted by
         (top, bottoms, left, right), labels in `HLabel.sort_key` order: the
         tiles are numbered into rows by `_Rows.of` and sorted by
-        `_Rows.ordered`, the order every compiled set has."""
+        `_Rows.ordered`, the order every compiled set has.  The set holds
+        the given tiles; no label or tile is built."""
         unsorted = _trusted(ZTileSet, in_max=in_max, out_maxes=_mk_bottoms(out_maxes), tiles=tuple(tiles),
                             source=source)
-        return _Rows.of(unsorted, _LabelTable()).tileset()
+        rows = _Rows.of(unsorted, _LabelTable())
+        given = dict(zip(rows.tiles, unsorted.tiles))  # equal rows are equal tiles
+        return ZTileSet(unsorted.in_max, unsorted.out_maxes, tuple([given[r] for r in rows.ordered().tiles]),
+                        source)
 
     def single_out(self) -> str:
         return _only_output(self.out_maxes)[0]
@@ -971,20 +994,23 @@ def _read_tile(obj, read, bits: dict, names: tuple[str, str], read_top) -> ZTile
 def tileset_to_obj(ts: ZTileSet | GroupTileSet) -> dict:
     """The JSON form of ts, which `json.loads(tileset_to_json(ts))` equals.
     A GroupTileSet's form leads with its generators, and its tiles carry
-    psi and phi colors in place of the top and bottom bits."""
+    psi and phi colors in place of the top and bottom bits.  Each distinct
+    label node's object is built once, so equal labels in the form are one
+    shared object; tile dicts and their bit dicts are fresh per tile."""
+    label = _label_objs()
     if isinstance(ts, GroupTileSet):
         gens = ts.generators
         head = {"generators": list(gens)}
 
         def tile(t: ZTile) -> dict:
-            return {"left": label_to_obj(t.left), "right": label_to_obj(t.right),
+            return {"left": label(t.left), "right": label(t.right),
                     "psi": {h: t.top for h in gens}, "phi": {h: t.bottom(h) for h in gens}}
     else:
         head = {}
 
         def tile(t: ZTile) -> dict:
             return {"top": t.top, "bottom": {n: v for n, v in t.bottoms},
-                    "left": label_to_obj(t.left), "right": label_to_obj(t.right)}
+                    "left": label(t.left), "right": label(t.right)}
     return dict(head, in_max=ts.in_max, outs={n: v for n, v in ts.out_maxes},
                 tiles=[tile(t) for t in ts.tiles])
 

@@ -145,6 +145,23 @@ def test_python_m_kariforge_runs_the_cli():
     assert "the following arguments are required: --tiles" in done.stderr
 
 
+@pytest.mark.parametrize("module", ["kariforge", "kariforge.cli"])
+def test_main_guards_run_the_cli_in_process(module, monkeypatch, capsys):
+    """`python -m kariforge` and `python -m kariforge.cli`, run in this
+    process, so a line tracer sees their `__main__` code."""
+    import runpy
+    import sys
+    import warnings
+
+    monkeypatch.setattr(sys, "argv", [module, "group", "--preset", "psl2z", "--word", "ddd", "--is-identity"])
+    with warnings.catch_warnings(), pytest.raises(SystemExit) as exit_:
+        # running an imported module again as __main__ is what -m does
+        warnings.simplefilter("ignore", RuntimeWarning)
+        runpy.run_module(module, run_name="__main__")
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out == "true\n"
+
+
 @pytest.mark.parametrize("argv", [["verify", "--max-n", "3"],  # no --tiles
                                   [],
                                   ["nope"],
@@ -371,7 +388,12 @@ def test_render_group_cli(tmp_path):
 def test_verify_rejects_group_tiles(tmp_path, capsys):
     tiles_file = tmp_path / "psl.json"
     main(["gen", "--preset", "psl2z", "--out", str(tiles_file)])
-    assert main(["verify", "--tiles", str(tiles_file)]) == 1
+    capsys.readouterr()
+    assert main(["verify", "--tiles", str(tiles_file), "--out", str(tmp_path / "report.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: verify expects a tile set over Z, not a group tile set\n"
+    assert not (tmp_path / "report.json").exists()
 
 
 def _kari_tiles_edited(tmp_path, edit) -> str:
@@ -415,6 +437,16 @@ def test_malformed_tile_file_is_an_error(tmp_path, kari_map_file, capsys, comman
     err = capsys.readouterr().err
     assert err == f"error: {words}\n" or (err.startswith(f"error: {words}") and err.count("\n") == 1)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_freegroup_refuses_budget_below_one(budget, tmp_path, capsys):
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps({"alphabet": 2, "patterns": [{"cells": [{"word": "x1", "letter": 0}]}]}))
+    assert main(["freegroup", "--problem", str(path), "--budget", budget]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: budget must be >= 1, got {budget}\n"
 
 
 @pytest.mark.parametrize("budget", ["0", "-1"])

@@ -125,6 +125,13 @@ def test_empty_finite_budget():
         empty_finite(big, budget=2)
 
 
+@pytest.mark.parametrize("budget", [0, -1])
+def test_empty_finite_refuses_budget_below_one(budget):
+    # even a problem with one coloring: a budget below 1 would refuse it
+    with pytest.raises(ValueError, match=f"^budget must be >= 1, got {budget}$"):
+        empty_finite(PatternProblem(2, ()), budget=budget)
+
+
 def test_empty_semi():
     assert empty_semi(3, (Pattern.make({(): a}) for a in range(3)), 10) == 3
     assert empty_semi(2, itertools.repeat(Pattern.make({(): 0})), 6) is None

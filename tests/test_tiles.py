@@ -404,6 +404,93 @@ def test_object_form_is_the_text_form(kari_tiles, psl2z_family, thompson_t):
         assert tileset_from_obj(obj) == ts
 
 
+def _label_nodes(ts) -> set:
+    """The tag and tuple labels of ts's sides and of their descendants."""
+    nodes: set = set()
+    todo = [l for t in ts.tiles for l in (t.left, t.right)]
+    while todo:
+        l = todo.pop()
+        if l.kind != "atom" and l not in nodes:
+            nodes.add(l)
+            todo.extend([l.value[1]] if l.kind == "tag" else l.value)
+    return nodes
+
+
+def _label_containers(obj) -> set:
+    """The ids of the tag dicts and tuple lists in the side labels of a
+    tile set's object form."""
+    ids: set = set()
+    todo = [o for t in obj["tiles"] for o in (t["left"], t["right"])]
+    while todo:
+        o = todo.pop()
+        if type(o) is not str and id(o) not in ids:
+            ids.add(id(o))
+            todo.extend([o["label"]] if type(o) is dict else o)
+    return ids
+
+
+def test_object_form_shares_equal_labels(psl2z_family):
+    """Equal labels in tileset_to_obj's form are one object: each side label
+    has one object, and the form holds one container per distinct tag and
+    tuple node, children included.  Tiles and their bit dicts stay fresh."""
+    a = affine_tiles(F(2, 3), F(-1, 3), 1, 1)
+    b = affine_tiles(F(4, 3), F(1, 3), 1, 1)
+    c = compose_tiles(union_tiles(a, b), a)
+    product = product_tiles([("g", c), ("h", union_tiles(c, b))])
+    for ts, bits in ((psl2z_family, ("psi", "phi")), (product, ("bottom",))):
+        obj = tileset_to_obj(ts)
+        seen: dict = {}
+        for t, o in zip(ts.tiles, obj["tiles"]):
+            assert seen.setdefault(t.left, o["left"]) is o["left"]
+            assert seen.setdefault(t.right, o["right"]) is o["right"]
+        assert len(seen) < len(ts.tiles)  # labels repeat, so the sharing is tested
+        assert len(_label_containers(obj)) == len(_label_nodes(ts))
+        fresh = [id(t) for t in obj["tiles"]] + [id(t[k]) for t in obj["tiles"] for k in bits]
+        assert len(set(fresh)) == len(fresh)
+
+
+@pytest.fixture(scope="module")
+def thompson_t_bc(thompson_t):
+    """The thompson-t family over b and c: 10,940 tiles."""
+    gts = family_tiles(pamaps.PAGroupPresentation.make([g for g in thompson_t.generators if g[0] in "bc"]))
+    assert len(gts.tiles) == 10940
+    return gts
+
+
+def test_object_form_of_bc_family_is_small(thompson_t_bc):
+    """The {b,c} family's object form allocates one object per distinct
+    label node (about 6.4 MiB traced); built per label occurrence it took
+    63 MiB."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        obj = tileset_to_obj(thompson_t_bc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
+    assert tileset_from_obj(obj) == thompson_t_bc
+
+
+def test_make_keeps_the_given_tiles(kari_tiles, monkeypatch):
+    """ZTileSet.make sorts and deduplicates the tiles it is given and holds
+    those objects: it builds no label and no tile."""
+    given = [ZTile(t.top, t.bottoms, t.left, t.right) for t in reversed(kari_tiles.tiles)]
+    made = []
+    new = HLabel.__new__
+
+    def counting(cls, kind, value):
+        made.append((kind, value))
+        return new(cls, kind, value)
+
+    monkeypatch.setattr(HLabel, "__new__", counting)
+    ts = ZTileSet.make(kari_tiles.in_max, dict(kari_tiles.out_maxes), given + given[:3])
+    assert made == []
+    assert ts == kari_tiles
+    assert {id(t) for t in ts.tiles} <= {id(t) for t in given}
+
+
 # -- label-rank order and the JSON writers against tests/tiles_reference.py
 
 # atoms whose floats tie (all read 1.0) or overflow, beside ordinary carries
@@ -761,9 +848,11 @@ def test_presets_match_reference(checked_make, preset, fast_path):
     if preset != "thompson-t":
         gts = family_tiles(pres, fast_path=fast_path)
         assert tileset_to_json(gts) == reference.grouptileset_json(gts)
+        assert json.dumps(tileset_to_obj(gts), indent=1) + "\n" == tileset_to_json(gts)
     for _, f in pres.generators:
         ts = pamap_tiles(f, fast_path=fast_path)
         assert tileset_to_json(ts) == reference.tileset_json(ts)
+        assert json.dumps(tileset_to_obj(ts), indent=1) + "\n" == tileset_to_json(ts)
     assert checked_make
 
 
@@ -774,10 +863,11 @@ def test_chain_matches_reference(checked_make):
     c = compose_tiles(u, a)
     p = product_tiles([("g", trim_tiles(c)), ("h", union_tiles(c, b))])
     assert len(checked_make) == 6
-    for ts in (a, b, u, c, p, trim_tiles(p)):
-        assert tileset_to_json(ts) == reference.tileset_json(ts)
     g = GroupTileSet(("h", "g"), p.in_max, p.out_maxes, p.tiles)
-    assert tileset_to_json(g) == reference.grouptileset_json(g)
+    for ts in (a, b, u, c, p, trim_tiles(p), g):
+        want = (reference.grouptileset_json if ts is g else reference.tileset_json)(ts)
+        assert tileset_to_json(ts) == want
+        assert json.dumps(tileset_to_obj(ts), indent=1) + "\n" == want
 
 
 def test_trim_tiles_does_not_revalidate(monkeypatch):

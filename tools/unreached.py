@@ -5,10 +5,10 @@
 Runs pytest in this process under a `sys.settrace` line tracer that traces
 only frames of files in src/kariforge, then prints, per module, the
 executable lines (the line numbers of its code objects' `co_lines`) that
-no test reached.  Code that the tests run in a subprocess, such as
-`python -m kariforge`, is not traced and shows as unreached.  Exits with
-pytest's exit code.  Standard library and pytest only; a traced run takes
-about twice as long as an untraced one.
+no test reached.  Code that the tests run in a subprocess is not traced
+and shows as unreached.  Exits with pytest's exit code when the tests fail,
+else with 1 when it lists a line and 0 when it lists none.  Standard library
+and pytest only; a traced run takes about twice as long as an untraced one.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ def main(argv: list[str]) -> int:
         if missed:
             print(f"{name[:-3]}: {len(missed)} unreached: {spans(missed)}")
     print(f"{total} executable lines of src/kariforge unreached")
-    return int(code)
+    return int(code) or int(total > 0)
 
 
 if __name__ == "__main__":
