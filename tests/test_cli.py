@@ -155,7 +155,8 @@ def test_main_guards_run_the_cli_in_process(module, monkeypatch, capsys):
 
     monkeypatch.setattr(sys, "argv", [module, "group", "--preset", "psl2z", "--word", "ddd", "--is-identity"])
     with warnings.catch_warnings(), pytest.raises(SystemExit) as exit_:
-        # running an imported module again as __main__ is what -m does
+        # runpy warns that kariforge.cli is already imported, as the test
+        # module imported it; `python -m` starts from a fresh process
         warnings.simplefilter("ignore", RuntimeWarning)
         runpy.run_module(module, run_name="__main__")
     assert exit_.value.code == 0
