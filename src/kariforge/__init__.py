@@ -21,7 +21,6 @@ from .pamaps import (
 )
 from .presets import PRESETS, load_preset
 from .tiles import (
-    GroupTileSet,
     ZTile,
     ZTileSet,
     affine_tiles,

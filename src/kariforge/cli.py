@@ -55,7 +55,7 @@ def cmd_verify(args) -> int:
         if bound < 1:  # a bound below 1 searches nothing and would report clean
             raise ValueError(f"{flag} must be >= 1, got {bound}")
     ts = tiles.tileset_from_obj(_read_json(args.tiles))
-    if isinstance(ts, tiles.GroupTileSet):
+    if ts.generators is not None:
         raise ValueError("verify expects a tile set over Z, not a group tile set")
     report: dict = {"nonempty": verify.nonempty_rows(ts)}
     sums = verify.RowSums.of(ts, args.max_n)  # one walk search for both checks

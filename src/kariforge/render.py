@@ -2,13 +2,13 @@
 
 Each tile is a square quartered by its diagonals: west carries the left
 (incoming) side label, east the right (outgoing) one, north the input bit,
-south the output bit(s).  Group tile sets split the north field per
+south the output bit(s).  Sets over Z x G split the north field per
 generator and add a caption block naming the matching rules.
 """
 
 from __future__ import annotations
 
-from .tiles import GroupTileSet, HLabel, ZTile, ZTileSet
+from .tiles import HLabel, ZTile, ZTileSet
 
 MAX_TILES = 500
 CELL = 84
@@ -98,15 +98,15 @@ def _document(body: list[str], width: int, height: int) -> str:
     return "\n".join([head] + body + ["</svg>"]) + "\n"
 
 
-def render_tileset(ts: ZTileSet | GroupTileSet) -> str:
-    """The picture of ts, a ZTileSet or a GroupTileSet; the set's type picks
-    each tile's north and south fields and the caption."""
+def render_tileset(ts: ZTileSet) -> str:
+    """The picture of ts; the set's generators pick each tile's north and
+    south fields and the caption."""
     check_size(len(ts.tiles))
     cols, rows = _grid(len(ts.tiles))
     width = PAD + cols * (CELL + PAD)
     height = PAD + rows * (CELL + PAD)
-    if isinstance(ts, GroupTileSet):
-        gens = ts.generators
+    gens = ts.generators
+    if gens is not None:
 
         def fields(t: ZTile) -> tuple[list[str], list[str]]:
             return [f"{h}:{t.bottom(h)}" for h in gens], [str(t.top)]

@@ -228,7 +228,7 @@ class ZTile:
     def bottom(self, name: Optional[str] = None) -> int:
         if name is None:
             if len(self.bottoms) != 1:
-                raise ValueError("tile has several outputs; name one")
+                raise ValueError("tile has several outputs; name one" if self.bottoms else "tile has no output")
             return self.bottoms[0][1]
         for n, v in self.bottoms:
             if n == name:
@@ -296,10 +296,9 @@ def _trusted(cls, **fields):
 
 def _check_rows(in_max: int, out_maxes: tuple[tuple[str, int], ...], generators: Optional[tuple[str, ...]],
                 bits: Iterable[tuple[int, tuple[tuple[str, int], ...]]]) -> None:
-    """The checks every tile set passes, as a ZTileSet, a GroupTileSet or
-    the rows `gen` writes: the outputs match the generators (of a Z x G
-    set, when `generators` is not None), the output names are sorted, and
-    each tile's (top, bottoms) pair, given by `bits` in tile order, is in
+    """The checks every tile set passes, as a ZTileSet or as the rows `gen`
+    writes: the outputs match the generators (of a Z x G set, when
+    `generators` is not None), the output names are sorted, and each tile's (top, bottoms) pair, given by `bits` in tile order, is in
     range and names the set's outputs.  Each distinct pair is checked once;
     a failed check is a ValueError."""
     names = [n for n, _ in out_maxes]
@@ -336,14 +335,19 @@ def _distinct_bits(tiles: Iterable[ZTile]):
 
 @dataclass(frozen=True)
 class ZTileSet:
+    """Wang tiles over Z, or over Z x G when `generators` is not None: a
+    tile over Z x G has one output per generator h, and reads with colors
+    psi_h = its input bit and phi_h = its h output bit.  `()` is a set over
+    Z x G with no generators."""
+
     in_max: int
     out_maxes: tuple[tuple[str, int], ...]
     tiles: tuple[ZTile, ...]
     source: Optional[Plan] = field(default=None, compare=False, repr=False)
+    generators: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
-        gens = self.generators if isinstance(self, GroupTileSet) else None
-        _check_rows(self.in_max, self.out_maxes, gens, _distinct_bits(self.tiles))
+        _check_rows(self.in_max, self.out_maxes, self.generators, _distinct_bits(self.tiles))
 
     @staticmethod
     def make(in_max, out_maxes: dict[str, int], tiles: Iterable[ZTile], source=None) -> "ZTileSet":
@@ -366,29 +370,6 @@ class ZTileSet:
         if name is None:
             name = self.single_out()
         return dict(self.out_maxes)[name]
-
-
-@dataclass(frozen=True)
-class GroupTileSet:
-    """Wang tiles over Z x G: Z-direction side labels plus, for each generator
-    h, colors psi_h = shared input bit and phi_h = the h output bit."""
-
-    generators: tuple[str, ...]
-    in_max: int
-    out_maxes: tuple[tuple[str, int], ...]
-    tiles: tuple[ZTile, ...]
-    source: Optional[Plan] = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        ZTileSet.__post_init__(self)  # the generator, bit range and duplicate checks
-
-    def phi(self, t: ZTile, h: str) -> int:
-        return t.bottom(h)
-
-    def psi(self, t: ZTile, h: str) -> int:
-        if h not in self.generators:
-            raise KeyError(h)
-        return t.top
 
 
 # ---------------------------------------------------------------------------
@@ -525,13 +506,12 @@ class _Rows:
         self.generators = generators
 
     @staticmethod
-    def of(ts: ZTileSet | GroupTileSet, labels: _LabelTable) -> "_Rows":
+    def of(ts: ZTileSet, labels: _LabelTable) -> "_Rows":
         """The rows of a tile set, in its order, each distinct label node
         numbered once."""
         id_of = labels.numbering()
         rows = [(t.top, t.bottoms, id_of(t.left), id_of(t.right)) for t in ts.tiles]
-        gens = ts.generators if isinstance(ts, GroupTileSet) else None
-        return _Rows(ts.in_max, ts.out_maxes, rows, ts.source, labels, generators=gens)
+        return _Rows(ts.in_max, ts.out_maxes, rows, ts.source, labels, generators=ts.generators)
 
     def ordered(self) -> "_Rows":
         """The distinct rows sorted by (top, bottoms, left, right), labels
@@ -556,21 +536,19 @@ class _Rows:
         _check_rows(rows.in_max, rows.out_maxes, rows.generators, ((r[0], r[1]) for r in rows.tiles))
         return rows
 
-    def tileset(self) -> ZTileSet | GroupTileSet:
-        """The rows as a sorted, validated set of interned labels: a
-        GroupTileSet when they have generators, else a ZTileSet.  Labels and
-        tiles are built for the distinct rows only."""
+    def tileset(self) -> ZTileSet:
+        """The rows as a sorted, validated set of interned labels, with the
+        rows' generators.  Labels and tiles are built for the distinct rows
+        only."""
         rows = self.ordered().tiles
         label = self.labels.hlabels(_sides(rows))
         tiles = tuple([ZTile(top, bottoms, label[l], label[r]) for top, bottoms, l, r in rows])
-        if self.generators is None:
-            return ZTileSet(self.in_max, self.out_maxes, tiles, self.source)
-        return GroupTileSet(self.generators, self.in_max, self.out_maxes, tiles, self.source)
+        return ZTileSet(self.in_max, self.out_maxes, tiles, self.source, self.generators)
 
 
 def _only_output(out_maxes: tuple[tuple[str, int], ...]) -> tuple[str, int]:
     if len(out_maxes) != 1:
-        raise ValueError("tile set has several outputs")
+        raise ValueError("tile set has several outputs" if out_maxes else "tile set has no output")
     return out_maxes[0]
 
 
@@ -768,17 +746,18 @@ def trim_tiles(ts: ZTileSet | _Rows) -> ZTileSet | _Rows:
     A tile survives iff it has an infinite forward and an infinite backward
     extension in the adjacency graph (right label feeding the next left
     label), so the set of bi-infinite valid rows is preserved exactly.  A
-    ZTileSet keeps its order and alphabets.  Rows give rows: candidates'
-    id tuples become tuple labels for the survivors only, each interned
-    once from the walk's numbering of the sides, and rows already trimmed
-    (a union of trimmed rows) are returned as they are.
+    ZTileSet keeps its order, alphabets and generators.  Rows give rows:
+    candidates' id tuples become tuple labels for the survivors only, each
+    interned once from the walk's numbering of the sides, and rows already
+    trimmed (a union of trimmed rows) are returned as they are.
     """
     tiles = ts.tiles
     if not isinstance(ts, _Rows):
         sides, ls, rs = _label_ids([t.left for t in tiles], [t.right for t in tiles])
         kept = tuple(tiles[i] for i in _alive(len(sides), ls, rs))
         # a subset of a checked set's tiles, over its alphabets, passes its checks
-        return _trusted(ZTileSet, in_max=ts.in_max, out_maxes=ts.out_maxes, tiles=kept, source=ts.source)
+        return _trusted(ZTileSet, in_max=ts.in_max, out_maxes=ts.out_maxes, tiles=kept, source=ts.source,
+                        generators=ts.generators)
     if ts.trimmed:
         return ts
     sides, ls, rs = _label_ids([r[2] for r in tiles], [r[3] for r in tiles])
@@ -920,7 +899,7 @@ def _family(pres: PAGroupPresentation, fast_path: bool) -> _Rows:
                  generators=tuple(name for name, _ in parts))
 
 
-def family_tiles(pres: PAGroupPresentation, fast_path: bool = True) -> GroupTileSet:
+def family_tiles(pres: PAGroupPresentation, fast_path: bool = True) -> ZTileSet:
     """Tiles over Z x G for a presentation: the synchronized product of the
     generators' tile sets, read with psi_h = input bit and phi_h = h's output."""
     return _family(pres, fast_path).tileset()
@@ -991,15 +970,15 @@ def _read_tile(obj, read, bits: dict, names: tuple[str, str], read_top) -> ZTile
     return ZTile(top, bottoms, left, right)
 
 
-def tileset_to_obj(ts: ZTileSet | GroupTileSet) -> dict:
+def tileset_to_obj(ts: ZTileSet) -> dict:
     """The JSON form of ts, which `json.loads(tileset_to_json(ts))` equals.
-    A GroupTileSet's form leads with its generators, and its tiles carry
-    psi and phi colors in place of the top and bottom bits.  Each distinct
+    The form of a set over Z x G leads with its generators, and its tiles
+    carry psi and phi colors in place of the top and bottom bits.  Each distinct
     label node's object is built once, so equal labels in the form are one
     shared object; tile dicts and their bit dicts are fresh per tile."""
     label = _label_objs()
-    if isinstance(ts, GroupTileSet):
-        gens = ts.generators
+    gens = ts.generators
+    if gens is not None:
         head = {"generators": list(gens)}
 
         def tile(t: ZTile) -> dict:
@@ -1055,12 +1034,12 @@ def _label_texts(nodes: list[tuple]):
     return text
 
 
-def write_json(ts: ZTileSet | GroupTileSet | _Rows, write: Callable[[str], object]) -> None:
+def write_json(ts: ZTileSet | _Rows, write: Callable[[str], object]) -> None:
     """Write `json.dumps(tileset_to_obj(ts), indent=1) + "\n"` through
-    write, one tile at a time, for a ZTileSet or a GroupTileSet, or for the
-    rows of pamap_rows or family_rows, written as the set they stand for
-    without building it.  A set is first numbered into rows by `_Rows.of`;
-    its generators, if it has any, pick the Z x G form.  Each distinct
+    write, one tile at a time, for a ZTileSet or for the rows of pamap_rows
+    or family_rows, written as the set they stand for without building it.
+    A set is first numbered into rows by `_Rows.of`; its generators, when
+    not None, pick the Z x G form.  Each distinct
     (label id, depth) and (top, bottoms) pair is encoded once."""
     rows = ts if isinstance(ts, _Rows) else _Rows.of(ts, _LabelTable())
     gens = rows.generators
@@ -1094,34 +1073,33 @@ def write_json(ts: ZTileSet | GroupTileSet | _Rows, write: Callable[[str], objec
     write("\n ]\n}\n")
 
 
-def tileset_to_json(ts: ZTileSet | GroupTileSet) -> str:
-    """The text write_json writes for ts, a ZTileSet or a GroupTileSet."""
+def tileset_to_json(ts: ZTileSet) -> str:
+    """The text write_json writes for ts."""
     chunks: list[str] = []
     write_json(ts, chunks.append)
     return "".join(chunks)
 
 
-def tileset_from_obj(obj: dict) -> ZTileSet | GroupTileSet:
-    """Inverse of tileset_to_obj: a GroupTileSet when the document has
-    generators, else a ZTileSet.  One label walker, run once per distinct
+def tileset_from_obj(obj: dict) -> ZTileSet:
+    """Inverse of tileset_to_obj: a set over Z x G when the document has
+    generators, else over Z.  One label walker, run once per distinct
     side label, and one bits memo serve the whole load; malformed input is a
     ValueError naming the tile and the field."""
     if type(obj) is not dict:
         raise ValueError(f"a tile set is a JSON object, not {_shown(obj)}")
-    group = "generators" in obj
     bits: dict = {}
-    fields = []
+    generators = None
     try:
-        if group:
+        if "generators" in obj:
             field = "generators"
             gens = obj[field]
             if type(gens) is not list or any(type(h) is not str for h in gens):
                 raise ValueError(f"not a JSON list of strings: {_shown(gens)}")
-            fields.append(tuple(gens))
+            generators = tuple(gens)
         field = "in_max"
-        fields.append(_int(obj[field]))
+        in_max = _int(obj[field])
         field = "outs"
-        fields.append(_bits(obj[field], {}))
+        outs = _bits(obj[field], {})
         field = "tiles"
         items = obj[field]
         if type(items) is not list:
@@ -1130,9 +1108,9 @@ def tileset_from_obj(obj: dict) -> ZTileSet | GroupTileSet:
         raise ValueError(f"tile set has no {field!r} field") from None
     except ValueError as exc:
         raise ValueError(f"{field}: {exc}") from None
-    if group:
+    if generators is not None:
         names = ("psi", "phi")
-        gens = sorted(gens)
+        gens = sorted(generators)
 
         def read_top(psi) -> int:
             return _psi_top(psi, bits, gens)
@@ -1146,10 +1124,10 @@ def tileset_from_obj(obj: dict) -> ZTileSet | GroupTileSet:
             tiles.append(_read_tile(t, read, bits, names, read_top))
         except ValueError as exc:
             raise ValueError(f"tile {i}: {exc}") from None
-    return (GroupTileSet if group else ZTileSet)(*fields, tuple(tiles))
+    return ZTileSet(in_max, outs, tuple(tiles), generators=generators)
 
 
 # The benchmark harness (bench/workloads.py) calls the writer and the reader
-# by these names.
+# by these names, from when a set over Z x G was a GroupTileSet.
 grouptileset_to_obj = tileset_to_obj
 grouptileset_from_obj = tileset_from_obj

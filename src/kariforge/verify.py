@@ -24,7 +24,6 @@ from typing import Callable, Iterator, Optional, Sequence
 from . import freegroup, pamaps, tiles
 from .pamaps import OutOfDomain, PAGroupPresentation, PAMap, rat
 from .tiles import (
-    GroupTileSet,
     Plan,
     PlanAff,
     PlanComp,
@@ -215,7 +214,7 @@ def _check_row(tiles: Sequence[ZTile], known: frozenset[ZTile]) -> None:
             raise WitnessFailure("witness row is not connected")
 
 
-def _out_max(ts: ZTileSet | GroupTileSet) -> int:
+def _out_max(ts: ZTileSet) -> int:
     """The bound of the one output alphabet that plan_row's rows use."""
     out_max = ts.out_maxes[0][1]
     if any(m != out_max for _, m in ts.out_maxes):
@@ -223,7 +222,7 @@ def _out_max(ts: ZTileSet | GroupTileSet) -> int:
     return out_max
 
 
-def witness_row(ts: ZTileSet | GroupTileSet, x, N: int) -> list[ZTile]:
+def witness_row(ts: ZTileSet, x, N: int) -> list[ZTile]:
     """Row of 2N+1 tiles encoding x (positions -N..N); asserts membership."""
     if ts.source is None:
         raise ValueError("tile set carries no generation plan")
@@ -236,7 +235,7 @@ def witness_row(ts: ZTileSet | GroupTileSet, x, N: int) -> list[ZTile]:
 # Transition graph and periodic rows
 
 
-def _label_graph(ts: ZTileSet | GroupTileSet) -> tuple[list[tuple[int, ...]], list[int]]:
+def _label_graph(ts: ZTileSet) -> tuple[list[tuple[int, ...]], list[int]]:
     """The label graph that `tiles.trim_tiles` peels: tile i is an edge from
     its left label to its right label rights[i], and outs[l] lists the tiles
     whose left label is l, in index order.  A row is a walk on it."""
@@ -255,12 +254,12 @@ class TransitionGraph:
     succ: tuple[tuple[int, ...], ...]
 
     @staticmethod
-    def of(ts: ZTileSet | GroupTileSet) -> "TransitionGraph":
+    def of(ts: ZTileSet) -> "TransitionGraph":
         outs, rights = _label_graph(ts)
         return TransitionGraph(tuple(outs[r] for r in rights))
 
 
-def nonempty_rows(ts: ZTileSet | GroupTileSet) -> bool:
+def nonempty_rows(ts: ZTileSet) -> bool:
     """A bi-infinite row exists iff some label starts an infinite walk (the label graph is finite)."""
     labels, lefts, rights = tiles._label_ids([t.left for t in ts.tiles], [t.right for t in ts.tiles])
     return any(tiles._live(len(labels), lefts, rights))
@@ -525,15 +524,18 @@ FGWord = tuple[int, ...]
 BASE_POINT_MAX_DEN = 50  # search_base_point tries denominators 1..BASE_POINT_MAX_DEN
 
 
-def patch_check(gts: GroupTileSet, patch: dict[FGWord, PatchRow],
+def patch_check(gts: ZTileSet, patch: dict[FGWord, PatchRow],
                 is_identity: Callable[[FGWord], bool]) -> bool:
     """Check a finite patch: keyed by group words, one row window per element.
 
     Validates key consistency (two words equal in the group must carry equal
     rows), each element's row as `witness_row` checks one (tile membership
     and connectivity), and for every pair of patch elements v = w * h^-1 the
-    generator constraint phi_h(w) = psi_h(v) pointwise on the shared window.
+    generator constraint phi_h(w) = psi_h(v) pointwise on the shared window:
+    w's h output bit is v's input bit.  A set over Z is a ValueError.
     """
+    if gts.generators is None:
+        raise ValueError("patch_check expects a tile set over Z x G, not over Z")
     known = frozenset(gts.tiles)
     nf = freegroup.word_problem(is_identity).nf
     rep_of: dict = {}
@@ -557,7 +559,7 @@ def patch_check(gts: GroupTileSet, patch: dict[FGWord, PatchRow],
             for n in range(lo, hi):
                 tw = rw.tiles[n - rw.offset]
                 tv = rv.tiles[n - rv.offset]
-                if gts.phi(tw, h) != gts.psi(tv, h):
+                if tw.bottom(h) != tv.top:
                     return False
     return True
 
@@ -579,10 +581,13 @@ def search_base_point(pres: PAGroupPresentation, radius: int) -> Fraction:
     raise VerifyError("no base point found")
 
 
-def build_orbit_patch(pres: PAGroupPresentation, gts: GroupTileSet, radius: int,
+def build_orbit_patch(pres: PAGroupPresentation, gts: ZTileSet, radius: int,
                       N: int, z0=None) -> dict[FGWord, PatchRow]:
     """Witness patch on the radius ball: position w carries the row encoding
-    z_w = f_{w^-1}(z0), so that moving in the h direction applies f_h."""
+    z_w = f_{w^-1}(z0), so that moving in the h direction applies f_h.  A
+    set over Z is a ValueError."""
+    if gts.generators is None:
+        raise ValueError("build_orbit_patch expects a tile set over Z x G, not over Z")
     if gts.source is None:
         raise ValueError("group tile set carries no generation plan")
     out_max = _out_max(gts)

@@ -20,10 +20,10 @@ from typing import Iterator, Optional, Sequence
 
 from kariforge import pamaps
 from kariforge.pamaps import OutOfDomain, PAMap
-from kariforge.tiles import GroupTileSet, ZTileSet
+from kariforge.tiles import ZTileSet
 
 
-def successors(ts: ZTileSet | GroupTileSet) -> tuple[tuple[int, ...], ...]:
+def successors(ts: ZTileSet) -> tuple[tuple[int, ...], ...]:
     """succ[i]: the tiles j whose left label is tile i's right label, in
     index order, one tuple per tile."""
     return tuple(tuple(j for j, u in enumerate(ts.tiles) if u.left == t.right) for t in ts.tiles)

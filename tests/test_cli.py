@@ -389,12 +389,36 @@ def test_render_group_cli(tmp_path):
 def test_verify_rejects_group_tiles(tmp_path, capsys):
     tiles_file = tmp_path / "psl.json"
     main(["gen", "--preset", "psl2z", "--out", str(tiles_file)])
-    capsys.readouterr()
-    assert main(["verify", "--tiles", str(tiles_file), "--out", str(tmp_path / "report.json")]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: verify expects a tile set over Z, not a group tile set\n"
-    assert not (tmp_path / "report.json").exists()
+    # a set over Z x G with no generators is still one
+    no_generators = tmp_path / "none.json"
+    no_generators.write_text(json.dumps({"generators": [], "in_max": 1, "outs": {}, "tiles": []}))
+    for path in (tiles_file, no_generators):
+        capsys.readouterr()
+        assert main(["verify", "--tiles", str(path), "--out", str(tmp_path / "report.json")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: verify expects a tile set over Z, not a group tile set\n"
+        assert not (tmp_path / "report.json").exists()
+
+
+def _no_output_tiles(tmp_path) -> str:
+    """A tile file over Z whose set and tile have no output."""
+    path = tmp_path / "none.json"
+    path.write_text(json.dumps({"in_max": 1, "outs": {}, "tiles": [{"top": 0, "bottom": {}, "left": "0",
+                                                                    "right": "0"}]}))
+    return str(path)
+
+
+def test_render_says_a_tile_has_no_output(tmp_path, capsys):
+    assert main(["render", "--tiles", _no_output_tiles(tmp_path), "--out", str(tmp_path / "o.svg")]) == 1
+    assert capsys.readouterr().err == "error: tile has no output\n"
+    assert not (tmp_path / "o.svg").exists()
+
+
+def test_verify_says_a_set_has_no_output(tmp_path, capsys):
+    assert main(["verify", "--tiles", _no_output_tiles(tmp_path), "--out", str(tmp_path / "r.json")]) == 1
+    assert capsys.readouterr().err == "error: tile set has no output\n"
+    assert not (tmp_path / "r.json").exists()
 
 
 def _kari_tiles_edited(tmp_path, edit) -> str:

@@ -5,7 +5,7 @@ import pytest
 from kariforge import pamaps, render
 from kariforge.pamaps import Space
 from kariforge.render import TooLarge, render_tileset
-from kariforge.tiles import GroupTileSet, ZTile, ZTileSet, atom, family_tiles, pamap_tiles, tag, tup
+from kariforge.tiles import ZTile, ZTileSet, atom, family_tiles, pamap_tiles, tag, tup
 
 
 def test_identity_svg():
@@ -32,9 +32,9 @@ def test_group_tileset_render(kari):
 
 
 def test_one_renderer_for_both_kinds(kari_tiles):
-    # the set's type picks the caption: a group set with no generators has one
+    # the set's generators pick the caption: a set over Z x G with no generators has one
     caption = "tile x at (n,g):"
-    empty_group = render_tileset(GroupTileSet((), 0, (), ()))
+    empty_group = render_tileset(ZTileSet(0, (), (), generators=()))
     assert caption in empty_group and "<rect" not in empty_group
     assert caption not in render_tileset(ZTileSet.make(0, {}, []))
     assert caption not in render_tileset(kari_tiles)
@@ -83,5 +83,5 @@ def test_label_text_escapes_tag_names():
         for l in (t.left, t.right):
             assert texts[l] == render._esc(repr(l))
     assert texts[inner] == "a&lt;&amp;&gt;b:(-1/3,&amp;lt;:0)"
-    for svg in (render_tileset(ts), render_tileset(GroupTileSet(("f",), 1, ts.out_maxes, ts.tiles))):
+    for svg in (render_tileset(ts), render_tileset(ZTileSet(1, ts.out_maxes, ts.tiles, generators=("f",)))):
         assert "&amp;lt;" in svg and "<&" not in svg

@@ -13,7 +13,6 @@ from kariforge.pamaps import Space
 from kariforge.tiles import (
     AlphabetMismatch,
     EmptyTileSetError,
-    GroupTileSet,
     HLabel,
     NotHomeo,
     ZTile,
@@ -317,16 +316,13 @@ def test_family_with_unsorted_generator_names(psl2z):
         [("z", psl2z.map_for("d")), ("a", psl2z.map_for("e"))])
     gts = family_tiles(renamed)
     assert gts.generators == ("z", "a")
-    t = gts.tiles[0]
-    assert gts.phi(t, "z") == t.bottom("z")
-    assert gts.psi(t, "a") == t.top
+    assert gts.out_maxes == (("a", 2), ("z", 2))
 
 
 def test_tiles_refuse_generators_they_do_not_carry(psl2z_family):
     t = psl2z_family.tiles[0]
-    for read in (t.bottom, lambda h: psl2z_family.phi(t, h), lambda h: psl2z_family.psi(t, h)):
-        with pytest.raises(KeyError, match="^'z'$"):
-            read("z")
+    with pytest.raises(KeyError, match="^'z'$"):
+        t.bottom("z")
 
 
 # -- family tiles --------------------------------------------------------
@@ -334,7 +330,6 @@ def test_tiles_refuse_generators_they_do_not_carry(psl2z_family):
 
 def test_family_single_generator_is_kari_22(kari):
     gts = family_tiles(pamaps.PAGroupPresentation.make({"f": kari}))
-    assert isinstance(gts, GroupTileSet)
     assert len(gts.tiles) == 22
     assert gts.generators == ("f",)
 
@@ -344,7 +339,7 @@ def test_family_psl2z_valid(psl2z_family):
     assert gts.generators == ("d", "e")
     assert len(gts.tiles) > 0
     for t in gts.tiles:
-        assert gts.psi(t, "d") == gts.psi(t, "e") == t.top
+        assert [n for n, _ in t.bottoms] == ["d", "e"]
 
 
 def test_family_empty_presentation():
@@ -394,13 +389,13 @@ def test_object_form_is_the_text_form(kari_tiles, psl2z_family, thompson_t):
     assert grouptileset_from_obj is tileset_from_obj
     ac = family_tiles(pamaps.PAGroupPresentation.make([g for g in thompson_t.generators if g[0] in "ac"]))
     for ts in (kari_tiles, psl2z_family, ac, ZTileSet.make(1, {"f": 1}, []),
-               GroupTileSet(("a", "b"), 1, (("a", 1), ("b", 1)), ())):
+               ZTileSet(1, (("a", 1), ("b", 1)), (), generators=("a", "b")), ZTileSet(1, (), (), generators=())):
         obj = tileset_to_obj(ts)
         text = tileset_to_json(ts)
         assert obj == json.loads(text)
         assert json.dumps(obj, indent=1) + "\n" == text
-        group = isinstance(ts, GroupTileSet)
-        assert ("generators" in obj) == group
+        # a set over Z writes no generators key; one over Z x G writes its list, [] included
+        assert obj.get("generators") == (None if ts.generators is None else list(ts.generators))
         assert tileset_from_obj(obj) == ts
 
 
@@ -536,7 +531,7 @@ def test_make_and_writers_match_reference(case, reverse_generators):
     ts = ZTileSet.make(2, outs, tiles)
     assert ts.tiles == reference.make(2, outs, tiles).tiles
     assert tileset_to_json(ts) == "".join(_written(ts)) == reference.tileset_json(ts)
-    g = GroupTileSet(names[::-1] if reverse_generators else names, 2, ts.out_maxes, ts.tiles)
+    g = ZTileSet(2, ts.out_maxes, ts.tiles, generators=names[::-1] if reverse_generators else names)
     assert tileset_to_json(g) == "".join(_written(g)) == reference.grouptileset_json(g)
 
 
@@ -550,11 +545,11 @@ def test_writers_match_reference_on_empty_sets():
     for outs in ({"f": 1}, {}):
         ts = ZTileSet.make(1, outs, [])
         assert tileset_to_json(ts) == "".join(_written(ts)) == reference.tileset_json(ts)
-        g = GroupTileSet(tuple(outs), 1, ts.out_maxes, ())
+        g = ZTileSet(1, ts.out_maxes, (), generators=tuple(outs))
         assert tileset_to_json(g) == "".join(_written(g)) == reference.grouptileset_json(g)
     no_outputs = ZTileSet.make(1, {}, [ZTile(0, (), atom(0), atom(1)), ZTile(1, (), tag("L", atom(0)), tup())])
     assert tileset_to_json(no_outputs) == "".join(_written(no_outputs)) == reference.tileset_json(no_outputs)
-    g = GroupTileSet((), 1, (), no_outputs.tiles)
+    g = ZTileSet(1, (), no_outputs.tiles, generators=())
     assert tileset_to_json(g) == "".join(_written(g)) == reference.grouptileset_json(g)
 
 
@@ -654,7 +649,7 @@ def test_codec_matches_reference_on_shared_labels(pool, data):
     assert text == reference.tileset_json(ts)
     back = tileset_from_obj(json.loads(text))
     assert back == ts and all(u.left is t.left and u.right is t.right for u, t in zip(back.tiles, ts.tiles))
-    g = GroupTileSet(("b", "a"), 1, ts.out_maxes, ts.tiles)
+    g = ZTileSet(1, ts.out_maxes, ts.tiles, generators=("b", "a"))
     text = tileset_to_json(g)
     assert text == reference.grouptileset_json(g)
     assert grouptileset_from_obj(json.loads(text)).tiles == g.tiles
@@ -731,8 +726,8 @@ def test_reader_builds_a_new_node_once(monkeypatch):
 def _malformed_tile_files():
     """(case, JSON document, words the ValueError must contain)."""
     z = tileset_to_obj(ZTileSet.make(1, {"f": 1}, [ZTile(0, (("f", 1),), atom(0), tag("L", atom(F(1, 3))))]))
-    g = grouptileset_to_obj(GroupTileSet(("a", "b"), 1, (("a", 1), ("b", 1)),
-                                         (ZTile(1, (("a", 0), ("b", 1)), atom(0), atom(0)),)))
+    g = grouptileset_to_obj(ZTileSet(1, (("a", 1), ("b", 1)), (ZTile(1, (("a", 0), ("b", 1)), atom(0), atom(0)),),
+                                     generators=("a", "b")))
 
     def edit(doc, path, value):
         doc = json.loads(json.dumps(doc))
@@ -776,6 +771,9 @@ def _malformed_tile_files():
     yield "group label null", edit(g, ("tiles", 0, "left"), None), ["tile 0", "left", "not a label: null"]
     yield "generators string", edit(g, ("generators",), "ab"), ["generators", "not a JSON list of strings"]
     yield "generators 1", edit(g, ("generators",), [1, "b"]), ["generators", "not a JSON list of strings"]
+    # no generators: the document is still over Z x G, and its tiles carry no psi color for the input bit
+    none = {"generators": [], "in_max": 1, "outs": {}, "tiles": [{"left": "0", "right": "0", "psi": {}, "phi": {}}]}
+    yield "psi of no generators", none, ["tile 0", "psi"]
 
 
 MALFORMED = list(_malformed_tile_files())
@@ -863,7 +861,7 @@ def test_chain_matches_reference(checked_make):
     c = compose_tiles(u, a)
     p = product_tiles([("g", trim_tiles(c)), ("h", union_tiles(c, b))])
     assert len(checked_make) == 6
-    g = GroupTileSet(("h", "g"), p.in_max, p.out_maxes, p.tiles)
+    g = ZTileSet(p.in_max, p.out_maxes, p.tiles, generators=("h", "g"))
     for ts in (a, b, u, c, p, trim_tiles(p), g):
         want = (reference.grouptileset_json if ts is g else reference.tileset_json)(ts)
         assert tileset_to_json(ts) == want
@@ -899,7 +897,8 @@ def _bad_tile_sets():
     obj = tileset_to_obj(ZTileSet.make(1, {"f": 1}, [ok]))
     obj["tiles"] *= 2
     yield "duplicate tile", lambda: tileset_from_obj(obj)
-    yield "bottom bit 3", lambda: GroupTileSet(("f",), 1, (("f", 1),), (ok, ZTile(1, (("f", 3),), atom(0), atom(0))))
+    yield "bottom bit 3", lambda: ZTileSet(1, (("f", 1),), (ok, ZTile(1, (("f", 3),), atom(0), atom(0))),
+                                           generators=("f",))
 
 
 @pytest.mark.parametrize("message, build", list(_bad_tile_sets()))
@@ -909,7 +908,7 @@ def test_constructors_still_validate(message, build):
 
 
 def test_compiled_rows_run_the_set_checks():
-    """The rows gen writes pass the checks a ZTileSet or GroupTileSet runs
+    """The rows gen writes pass the checks a ZTileSet over Z or Z x G runs
     (`_check_rows`), with the same messages."""
     labels = tiles._LabelTable()
     a = labels.intern("atom", (0, 1))
@@ -928,22 +927,19 @@ def test_compiled_rows_run_the_set_checks():
     assert len(rows((1, "f", 1), (0, "f", 0), generators=("f",)).checked().tiles) == 2
 
 
-def test_group_set_runs_the_z_checks_on_itself(monkeypatch):
-    """GroupTileSet checks its own fields with ZTileSet's checks, whose
-    texts it keeps, and builds no ZTileSet to do so."""
-    built = []
-    init = ZTileSet.__init__
-    monkeypatch.setattr(ZTileSet, "__init__", lambda self, *a, **k: built.append(a) or init(self, *a, **k))
+def test_group_set_runs_the_z_checks_on_itself():
+    """A set over Z x G runs the checks of a set over Z, with their texts,
+    and checks that its outputs are its generators: `()` names none."""
     ok = ZTile(0, (("f", 0),), atom(0), atom(0))
     for message, tiles in (("duplicate tile", (ok, ok)),
                            ("top bit 2 out of range", (ZTile(2, (("f", 0),), atom(0), atom(0)),)),
                            ("tile outputs do not match", (ZTile(0, (), atom(0), atom(0)),))):
         with pytest.raises(ValueError, match=message):
-            GroupTileSet(("f",), 1, (("f", 1),), tiles)
-    with pytest.raises(ValueError, match="outputs must match the generators"):
-        GroupTileSet(("g",), 1, (("f", 1),), (ok,))
-    assert GroupTileSet(("f",), 1, (("f", 1),), (ok,)).tiles == (ok,)
-    assert built == []
+            ZTileSet(1, (("f", 1),), tiles, generators=("f",))
+    for gens in (("g",), ()):
+        with pytest.raises(ValueError, match="outputs must match the generators"):
+            ZTileSet(1, (("f", 1),), (ok,), generators=gens)
+    assert ZTileSet(1, (("f", 1),), (ok,), generators=("f",)).tiles == (ok,)
 
 
 # -- witness-based completeness property ----------------------------------
@@ -1153,7 +1149,7 @@ def test_family_tiles_validates_its_root_once(monkeypatch, psl2z):
     assert calls == [len(gts.tiles)]
     # a set built directly or loaded is still checked in full
     calls.clear()
-    assert GroupTileSet(gts.generators, gts.in_max, gts.out_maxes, gts.tiles) == gts
+    assert ZTileSet(gts.in_max, gts.out_maxes, gts.tiles, generators=gts.generators) == gts
     assert grouptileset_from_obj(grouptileset_to_obj(gts)) == gts
     assert calls == [len(gts.tiles)] * 2
     # the rows gen writes pass the same check

@@ -19,7 +19,6 @@ from kariforge.freegroup import (
 )
 from kariforge.pamaps import AffinePiece, Interval, PAMap, Space
 from kariforge.tiles import (
-    GroupTileSet,
     PlanAff,
     PlanComp,
     PlanProd,
@@ -292,20 +291,23 @@ def test_empty_single_mismatched_tile():
 @st.composite
 def small_tilesets(draw):
     """Z and Z x G sets of up to 10 tiles on up to 5 atom labels, empty ones
-    included: dead ends, self-loops and cycles with tails."""
-    names = draw(st.sampled_from([("f",), ("a", "b")]))
+    included: dead ends, self-loops and cycles with tails.  `()` draws sets
+    with no output, over Z or over Z x G with no generators."""
+    names = draw(st.sampled_from([(), ("f",), ("a", "b")]))
     side = st.integers(0, draw(st.integers(0, 4))).map(atom)
     bits = st.tuples(*[st.integers(0, 1) for _ in names])
     tiles = draw(st.lists(st.builds(lambda top, bs, l, r: ZTile(top, tuple(zip(names, bs)), l, r),
                                     st.integers(0, 1), bits, side, side), max_size=10))
     ts = ZTileSet.make(1, {n: 1 for n in names}, tiles)
-    return GroupTileSet(names, 1, ts.out_maxes, ts.tiles) if draw(st.booleans()) else ts
+    return ZTileSet(1, ts.out_maxes, ts.tiles, generators=names) if draw(st.booleans()) else ts
 
 
 @given(small_tilesets())
 @settings(max_examples=300, deadline=None)
 def test_nonempty_rows_is_a_nonempty_trim(ts):
-    assert nonempty_rows(ts) == bool(trim_tiles(ts).tiles)
+    trimmed = trim_tiles(ts)
+    assert nonempty_rows(ts) == bool(trimmed.tiles)
+    assert trimmed.generators == ts.generators
 
 
 # -- periodic rows ----------------------------------------------------------
@@ -678,6 +680,14 @@ def test_periodic_checks_need_a_length(n_max):
 
 def test_patch_empty_is_valid(psl2z, psl2z_family):
     assert patch_check(psl2z_family, {}, pa_oracle(psl2z))
+    assert patch_check(ZTileSet(0, (), (), generators=()), {}, pa_oracle(psl2z))
+
+
+def test_patches_refuse_a_set_over_z(psl2z, kari_tiles):
+    with pytest.raises(ValueError, match="^patch_check expects a tile set over Z x G, not over Z$"):
+        patch_check(kari_tiles, {}, pa_oracle(psl2z))
+    with pytest.raises(ValueError, match="^build_orbit_patch expects a tile set over Z x G, not over Z$"):
+        build_orbit_patch(psl2z, kari_tiles, 1, 8, F(1, 5))
 
 
 def test_orbit_patch_radius2(psl2z, psl2z_family):
@@ -814,7 +824,7 @@ def test_search_base_point_reports_a_domain_with_no_point():
 
 
 def test_rows_and_patches_refuse_outputs_over_different_alphabets(psl2z, psl2z_family):
-    mixed = GroupTileSet(("a", "b"), 1, (("a", 1), ("b", 2)), (), source=psl2z_family.source)
+    mixed = ZTileSet(1, (("a", 1), ("b", 2)), (), source=psl2z_family.source, generators=("a", "b"))
     with pytest.raises(ValueError, match="^outputs use different alphabets$"):
         witness_row(mixed, F(1, 5), 4)
     with pytest.raises(ValueError, match="^outputs use different alphabets$"):
@@ -826,8 +836,10 @@ def test_orbit_patch_needs_a_generation_plan(psl2z, psl2z_family):
 
     loaded = grouptileset_from_obj(tileset_to_obj(psl2z_family))
     assert loaded == psl2z_family and loaded.source is None
-    with pytest.raises(ValueError, match="^group tile set carries no generation plan$"):
-        build_orbit_patch(psl2z, loaded, 1, 8, F(1, 5))
+    # a set over Z x G with no generators passes the generators check
+    for ts in (loaded, ZTileSet(0, (), (), generators=())):
+        with pytest.raises(ValueError, match="^group tile set carries no generation plan$"):
+            build_orbit_patch(psl2z, ts, 1, 8, F(1, 5))
 
 
 @st.composite

@@ -39,7 +39,6 @@ from kariforge.pamaps import AffinePiece, Interval, rat
 from kariforge.tiles import (
     AlphabetMismatch,
     EmptyTileSetError,
-    GroupTileSet,
     HLabel,
     PlanAff,
     PlanComp,
@@ -107,7 +106,7 @@ def tileset_json(ts: ZTileSet) -> str:
     return json.dumps(tileset_to_obj(ts), indent=1) + "\n"
 
 
-def grouptileset_json(g: GroupTileSet) -> str:
+def grouptileset_json(g: ZTileSet) -> str:
     return json.dumps(grouptileset_to_obj(g), indent=1) + "\n"
 
 
