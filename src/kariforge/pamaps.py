@@ -79,10 +79,6 @@ def rat(x: RatLike) -> Fraction:
     raise TypeError(f"exact rational expected, got {type(x).__name__}")
 
 
-def rat_str(q: Fraction) -> str:
-    return str(q)
-
-
 # ---------------------------------------------------------------------------
 # Rationals as reduced int pairs.  Comparisons cross-multiply, which is exact
 # because denominators are positive.
@@ -940,7 +936,7 @@ def nontriviality_witness(pres: PAGroupPresentation, word: Word, budget: int) ->
 
 def pamap_to_obj(f: PAMap) -> dict:
     return {
-        "space": {"length": rat_str(f.space.length), "circle": f.space.circle},
+        "space": {"length": str(f.space.length), "circle": f.space.circle},
         "pieces": [
             {"dom": [_str(lon, lod), _str(hin, hid)], "a": _str(an, ad), "b": _str(bn, bd)}
             for lon, lod, hin, hid, an, ad, bn, bd in f._core

@@ -8,7 +8,7 @@ generator and add a caption block naming the matching rules.
 
 from __future__ import annotations
 
-from .tiles import HLabel, ZTile, ZTileSet
+from .tiles import ZTile, ZTileSet, _label_reprs
 
 MAX_TILES = 500
 CELL = 84
@@ -27,38 +27,6 @@ def check_size(n: int) -> None:
 
 def _esc(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-
-
-def _node_text(l: HLabel, text) -> str:
-    """repr(l) escaped for SVG, given text(child) for each of l's children.
-    Escaping maps each character on its own, so the escaped texts of the
-    children join into the escaped text of the node."""
-    if l.kind == "atom":
-        return repr(l)  # digits, "-" and "/": nothing to escape
-    if l.kind == "tag":
-        name, inner = l.value
-        return f"{_esc(name)}:{text(inner)}"
-    return "(" + ",".join([text(x) for x in l.value]) + ")"
-
-
-def _label_texts(tiles) -> dict[HLabel, str]:
-    """repr of each side label, escaped for SVG and keyed by label;
-    the text of each distinct label node is built once, so shared subtrees
-    cost one step."""
-    texts: dict[HLabel, str] = {}
-
-    def text(l: HLabel) -> str:
-        s = texts.get(l)
-        if s is None:
-            s = texts[l] = _node_text(l, text)
-        return s
-
-    for t in tiles:
-        if t.left not in texts:
-            text(t.left)
-        if t.right not in texts:
-            text(t.right)
-    return texts
 
 
 def _text(x, y, s, size=9, anchor="middle") -> str:
@@ -120,10 +88,11 @@ def render_tileset(ts: ZTileSet) -> str:
             souths = [f"{n}:{v}" for n, v in t.bottoms] if len(t.bottoms) > 1 else [str(t.bottom())]
             return [str(t.top)], souths
         caption = []
-    texts = _label_texts(ts.tiles)
+    # escaping maps each character on its own, and only tag names hold characters to escape
+    text = _label_reprs(_esc)
     body: list[str] = []
     for i, t in enumerate(ts.tiles):
         x0 = PAD + (i % cols) * (CELL + PAD)
         y0 = PAD + (i // cols) * (CELL + PAD)
-        body.extend(_tile_cell(x0, y0, texts[t.left], texts[t.right], *fields(t)))
+        body.extend(_tile_cell(x0, y0, text(t.left), text(t.right), *fields(t)))
     return _document(body + caption, width, height)

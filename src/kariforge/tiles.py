@@ -22,13 +22,14 @@ import itertools
 import json
 import marshal
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import pamaps
-from .pamaps import PAGroupPresentation, PAMap, _shown, rat, rat_str
+from .pamaps import PAGroupPresentation, PAMap, _shown, rat
 
 
 class TileSetError(Exception):
@@ -72,16 +73,9 @@ class HLabel:
         cls._interned[(kind, value)] = self
         return self
 
-    def sort_key(self) -> tuple:
-        """The label's flat key (see `_LabelTable.flat_keys`); labels sort
-        by it."""
-        labels = _LabelTable()
-        i = labels.numbering()(self)
-        return labels.flat_keys([i])[i]
-
     def __repr__(self):
         if self.kind == "atom":
-            return rat_str(self.value)
+            return str(self.value)
         if self.kind == "tag":
             name, inner = self.value
             return f"{name}:{inner!r}"
@@ -113,27 +107,45 @@ def tup(*labels: HLabel) -> HLabel:
     return HLabel("tup", tuple(labels))
 
 
-def _label_objs() -> Callable[[HLabel], object]:
-    """obj(l): the JSON form of the interned label l, built once per
-    distinct label node for as long as obj lives: an atom's string, a tag's
-    {"tag", "label"} dict or a tuple's list, a tag or tuple taking its
-    children from the memo.  Equal labels get one shared object, so editing
-    it in place edits every occurrence."""
-    memo: dict[HLabel, object] = {}
+def _fold(node: Callable, atom_of: Callable, tag_of: Callable, tup_of: Callable) -> Callable:
+    """f(x): the value of label x built bottom up, where node(x) is x's
+    (kind, value): atom_of(value) for an atom, tag_of(name, f(child)) for a
+    tag and tup_of([f(c) for c in children]) for a tuple.  Each distinct
+    node is built once for as long as f lives, so a shared subtree costs one
+    step and equal labels get one value."""
+    memo: dict = {}
 
-    def obj(l: HLabel):
-        o = memo.get(l)
-        if o is None:
-            if l.kind == "atom":
-                o = rat_str(l.value)
-            elif l.kind == "tag":
-                name, inner = l.value
-                o = {"tag": name, "label": obj(inner)}
+    def f(x):
+        v = memo.get(x)
+        if v is None:
+            kind, value = node(x)
+            if kind == "atom":
+                v = atom_of(value)
+            elif kind == "tag":
+                v = tag_of(value[0], f(value[1]))
             else:
-                o = [obj(x) for x in l.value]
-            memo[l] = o
-        return o
-    return obj
+                v = tup_of([f(c) for c in value])
+            memo[x] = v
+        return v
+    return f
+
+
+# node(l) of an interned label, for _fold
+_hnode = operator.attrgetter("kind", "value")
+
+
+def _label_objs() -> Callable[[HLabel], object]:
+    """obj(l): the JSON form of the interned label l, an atom's string, a
+    tag's {"tag", "label"} dict or a tuple's list.  Equal labels get one
+    shared object (`_fold`), so editing it in place edits every
+    occurrence."""
+    return _fold(_hnode, str, lambda name, o: {"tag": name, "label": o}, lambda os: os)
+
+
+def _label_reprs(esc: Callable[[str], str]) -> Callable[[HLabel], str]:
+    """text(l): repr(l) with each tag name passed through esc, built once
+    per distinct label node (`_fold`)."""
+    return _fold(_hnode, str, lambda name, s: esc(name) + ":" + s, lambda ss: "(" + ",".join(ss) + ")")
 
 
 def label_to_obj(l: HLabel):
@@ -294,13 +306,20 @@ def _trusted(cls, **fields):
     return obj
 
 
+# A tile over Z x G stores its input bit only as its psi colors, one per
+# generator, so with no generators it has nowhere to store it.
+_NO_GENERATORS = "a set over Z x G with no generators has no tiles: a tile's input bit is stored only as psi colors"
+
+
 def _check_rows(in_max: int, out_maxes: tuple[tuple[str, int], ...], generators: Optional[tuple[str, ...]],
                 bits: Iterable[tuple[int, tuple[tuple[str, int], ...]]]) -> None:
     """The checks every tile set passes, as a ZTileSet or as the rows `gen`
     writes: the outputs match the generators (of a Z x G set, when
-    `generators` is not None), the output names are sorted, and each tile's (top, bottoms) pair, given by `bits` in tile order, is in
-    range and names the set's outputs.  Each distinct pair is checked once;
-    a failed check is a ValueError."""
+    `generators` is not None), the output names are sorted, a set over
+    Z x G with no generators has no tiles, and each tile's (top, bottoms)
+    pair, given by `bits` in tile order, is in range and names the set's
+    outputs.  Each distinct pair is checked once; a failed check is a
+    ValueError."""
     names = [n for n, _ in out_maxes]
     if generators is not None and sorted(names) != sorted(generators):
         raise ValueError("outputs must match the generators")
@@ -312,6 +331,8 @@ def _check_rows(in_max: int, out_maxes: tuple[tuple[str, int], ...], generators:
         if pair in checked:
             continue
         checked.add(pair)
+        if generators == ():
+            raise ValueError(_NO_GENERATORS)
         top, bottoms = pair
         if not 0 <= top <= in_max:
             raise ValueError(f"top bit {top} out of range")
@@ -352,10 +373,11 @@ class ZTileSet:
     @staticmethod
     def make(in_max, out_maxes: dict[str, int], tiles: Iterable[ZTile], source=None) -> "ZTileSet":
         """The set of these tiles, deduplicated, validated and sorted by
-        (top, bottoms, left, right), labels in `HLabel.sort_key` order: the
-        tiles are numbered into rows by `_Rows.of` and sorted by
-        `_Rows.ordered`, the order every compiled set has.  The set holds
-        the given tiles; no label or tile is built."""
+        (top, bottoms, left, right), labels by their flat keys
+        (`_LabelTable.flat_keys`): the tiles are numbered into rows by
+        `_Rows.of` and sorted by `_Rows.ordered`, the order every compiled
+        set has.  The set holds the given tiles; no label or tile is
+        built."""
         unsorted = _trusted(ZTileSet, in_max=in_max, out_maxes=_mk_bottoms(out_maxes), tiles=tuple(tiles),
                             source=source)
         rows = _Rows.of(unsorted, _LabelTable())
@@ -408,73 +430,25 @@ class _LabelTable:
         """id_of(l): the id of the interned label l, each distinct label
         node numbered once per numbering."""
         intern = self.intern
-        ids: dict[HLabel, int] = {}
+        return _fold(_hnode, lambda q: intern("atom", (q.numerator, q.denominator)),
+                     lambda name, i: intern("tag", (name, i)), lambda ids: intern("tup", tuple(ids)))
 
-        def id_of(l: HLabel) -> int:
-            i = ids.get(l)
-            if i is None:
-                if l.kind == "atom":
-                    i = intern("atom", (l.value.numerator, l.value.denominator))
-                elif l.kind == "tag":
-                    i = intern("tag", (l.value[0], id_of(l.value[1])))
-                else:
-                    i = intern("tup", tuple(map(id_of, l.value)))
-                ids[l] = i
-            return i
-        return id_of
+    def flat_keys(self) -> Callable[[int], tuple]:
+        """key(i): the flat key of label i, the label's preorder with each
+        node's arity, an atom (0, float, value), a tag (1, name, *child) and
+        a tuple (2, len, *children).  No key is a proper prefix of another,
+        so these keys sort as the nested keys (0, float, value), (1, name,
+        child key) and (2, len, child keys) do, and a comparison reads only
+        the shared prefix.  An atom's float comes first: it is correctly
+        rounded, so it never reverses the order, and a tie falls through to
+        the exact value.  Each key is built once per key function."""
+        return _fold(self.nodes.__getitem__, lambda v: (0, _float_key(*v), Fraction(*v)),
+                     lambda name, k: (1, name) + k, lambda ks: sum(ks, (2, len(ks))))
 
-    def flat_keys(self, ids: Iterable[int]) -> dict[int, tuple]:
-        """The flat key of each label in `ids` and of its descendants: the
-        label's preorder with each node's arity, an atom (0, float, value),
-        a tag (1, name, *child) and a tuple (2, len, *children).  No key is
-        a proper prefix of another, so these keys sort as the nested keys
-        (0, float, value), (1, name, child key) and (2, len, child keys) do,
-        and a comparison reads only the shared prefix.  An atom's float
-        comes first: it is correctly rounded, so it never reverses the
-        order, and a tie falls through to the exact value.  Each key is
-        built once."""
-        nodes = self.nodes
-        keys: dict[int, tuple] = {}
-
-        def key(i: int) -> tuple:
-            k = keys.get(i)
-            if k is None:
-                kind, value = nodes[i]
-                if kind == "atom":
-                    k = (0, _float_key(*value), Fraction(*value))
-                elif kind == "tag":
-                    k = (1, value[0]) + key(value[1])
-                else:
-                    k = (2, len(value))
-                    for c in value:
-                        k += key(c)
-                keys[i] = k
-            return k
-        for i in ids:
-            key(i)
-        return keys
-
-    def hlabels(self, ids: Iterable[int]) -> dict[int, HLabel]:
-        """The interned HLabel of each id in `ids` (and of their children),
-        each built once through atom, tag and tup."""
-        nodes = self.nodes
-        out: dict[int, HLabel] = {}
-
-        def build(i: int) -> HLabel:
-            l = out.get(i)
-            if l is None:
-                kind, value = nodes[i]
-                if kind == "atom":
-                    l = atom(Fraction(*value))
-                elif kind == "tag":
-                    l = tag(value[0], build(value[1]))
-                else:
-                    l = tup(*map(build, value))
-                out[i] = l
-            return l
-        for i in ids:
-            build(i)
-        return out
+    def hlabels(self) -> Callable[[int], HLabel]:
+        """label(i): the interned HLabel of id i, each built once per label
+        function through atom, tag and tup."""
+        return _fold(self.nodes.__getitem__, lambda v: atom(Fraction(*v)), tag, lambda ls: tup(*ls))
 
 
 def _sides(rows: Sequence[tuple]) -> set:
@@ -520,7 +494,7 @@ class _Rows:
         numbers, so no comparison reaches a label."""
         rows = self.tiles
         ids = _sides(rows)
-        sides = _ranks(ids, key=self.labels.flat_keys(ids).__getitem__)
+        sides = _ranks(ids, key=self.labels.flat_keys())
         tops = _ranks({r[0] for r in rows})
         bottoms = _ranks({r[1] for r in rows})
         nb, nl = len(bottoms), len(sides)
@@ -540,9 +514,8 @@ class _Rows:
         """The rows as a sorted, validated set of interned labels, with the
         rows' generators.  Labels and tiles are built for the distinct rows
         only."""
-        rows = self.ordered().tiles
-        label = self.labels.hlabels(_sides(rows))
-        tiles = tuple([ZTile(top, bottoms, label[l], label[r]) for top, bottoms, l, r in rows])
+        label = self.labels.hlabels()
+        tiles = tuple([ZTile(top, bottoms, label(l), label(r)) for top, bottoms, l, r in self.ordered().tiles])
         return ZTileSet(self.in_max, self.out_maxes, tiles, self.source, self.generators)
 
 
@@ -939,6 +912,8 @@ def _bits(obj, memo: dict) -> tuple[tuple[str, int], ...]:
 def _psi_top(obj, memo: dict, gens: list[str]) -> int:
     """The input bit of a group tile: its psi colors, one for each of the
     sorted generators `gens`, which must agree."""
+    if not gens:
+        raise ValueError(_NO_GENERATORS)
     bits = _bits(obj, memo)
     if [n for n, _ in bits] != gens:
         raise ValueError(f"names {[n for n, _ in bits]} are not the generators {gens}")

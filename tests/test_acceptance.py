@@ -7,7 +7,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction as F
 
-from kariforge import pamaps
+from kariforge import pamaps, tiles
 from kariforge.cli import main
 from kariforge.freegroup import (
     Pattern,
@@ -104,7 +104,9 @@ def _single_tile_mutants(ts):
     for t in ts.tiles:
         pools.setdefault(t.left.value[0], set()).add(t.left)
         pools.setdefault(t.right.value[0], set()).add(t.right)
-    pools = {k: sorted(v, key=lambda l: l.sort_key()) for k, v in pools.items()}
+    labels = tiles._LabelTable()
+    id_of, key = labels.numbering(), labels.flat_keys()
+    pools = {k: sorted(v, key=lambda l: key(id_of(l))) for k, v in pools.items()}
     mutants = []
     for i, t in enumerate(ts.tiles):
         candidates = []

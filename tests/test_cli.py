@@ -112,6 +112,10 @@ def test_gen_map_golden_bytes(tmp_path, capsys):
     assert main(["gen", "--map", str(src), "--out", str(out)]) == 0
     assert capsys.readouterr().out == "450 tiles\n"
     assert _sha256(out) == "6beb64546e1a0bf86edf2fac130146773db4ce0a0ce86231628eb929e56989ae"
+    # its compose and union labels nest deeper than psl2z's
+    svg = tmp_path / "b.svg"
+    assert main(["render", "--tiles", str(out), "--out", str(svg)]) == 0
+    assert _sha256(svg) == "81401ca77170bcd75d778f0e72f5718ab236babda263449b5be189b35424cec7"
 
 
 def test_gen_to_stdout_writes_only_the_document(tmp_path, capsys):

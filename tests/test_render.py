@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from kariforge import pamaps, render
+from kariforge import pamaps, render, tiles
 from kariforge.pamaps import Space
 from kariforge.render import TooLarge, render_tileset
 from kariforge.tiles import ZTile, ZTileSet, atom, family_tiles, pamap_tiles, tag, tup
@@ -62,26 +62,26 @@ def test_label_text_once_per_distinct_label(monkeypatch, kari_tiles, psl2z_famil
     # each distinct label node's text is built once per drawing, shared
     # subtrees included, and each side label reads as its repr
     calls = []
-    build = render._node_text
-    monkeypatch.setattr(render, "_node_text", lambda l, text: calls.append(l) or build(l, text))
+    fold = tiles._fold
+    monkeypatch.setattr(tiles, "_fold", lambda node, *specs: fold(lambda l: calls.append(l) or node(l), *specs))
     for ts in (kari_tiles, psl2z_family):
         sides = {t.left for t in ts.tiles} | {t.right for t in ts.tiles}
         calls.clear()
         svg = render_tileset(ts)
         assert sorted(calls, key=id) == sorted(label_nodes(sides), key=id)
         assert len(calls) > len(sides)
-        texts = render._label_texts(ts.tiles)
-        assert all(texts[l] == render._esc(repr(l)) and texts[l] in svg for l in sides)
+        text = tiles._label_reprs(render._esc)
+        assert all(text(l) == render._esc(repr(l)) and text(l) in svg for l in sides)
 
 
 def test_label_text_escapes_tag_names():
     inner = tag("a<&>b", tup(atom(F(-1, 3)), tag("&lt;", atom(0))))
-    tiles = [ZTile(0, (("f", 0),), inner, tup(inner, inner, tup())), ZTile(1, (("f", 1),), tag("x>", inner), inner)]
-    ts = ZTileSet.make(1, {"f": 1}, tiles)
-    texts = render._label_texts(ts.tiles)
+    given = [ZTile(0, (("f", 0),), inner, tup(inner, inner, tup())), ZTile(1, (("f", 1),), tag("x>", inner), inner)]
+    ts = ZTileSet.make(1, {"f": 1}, given)
+    text = tiles._label_reprs(render._esc)
     for t in ts.tiles:
         for l in (t.left, t.right):
-            assert texts[l] == render._esc(repr(l))
-    assert texts[inner] == "a&lt;&amp;&gt;b:(-1/3,&amp;lt;:0)"
+            assert text(l) == render._esc(repr(l))
+    assert text(inner) == "a&lt;&amp;&gt;b:(-1/3,&amp;lt;:0)"
     for svg in (render_tileset(ts), render_tileset(ZTileSet(1, ts.out_maxes, ts.tiles, generators=("f",)))):
         assert "&amp;lt;" in svg and "<&" not in svg

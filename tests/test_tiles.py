@@ -549,8 +549,9 @@ def test_writers_match_reference_on_empty_sets():
         assert tileset_to_json(g) == "".join(_written(g)) == reference.grouptileset_json(g)
     no_outputs = ZTileSet.make(1, {}, [ZTile(0, (), atom(0), atom(1)), ZTile(1, (), tag("L", atom(0)), tup())])
     assert tileset_to_json(no_outputs) == "".join(_written(no_outputs)) == reference.tileset_json(no_outputs)
-    g = ZTileSet(1, (), no_outputs.tiles, generators=())
-    assert tileset_to_json(g) == "".join(_written(g)) == reference.grouptileset_json(g)
+    # over Z x G with no generators, a tile has no psi color to store its input bit in
+    with pytest.raises(ValueError, match="no generators has no tiles"):
+        ZTileSet(1, (), no_outputs.tiles, generators=())
 
 
 def test_writer_does_not_hold_the_document(thompson_t):
@@ -616,6 +617,31 @@ def shared_labels(draw):
         if label_depth(node) <= MAX_DEPTH:
             pool.append(node)
     return pool
+
+
+@given(shared_labels())
+@settings(max_examples=200, deadline=None)
+def test_fold_builds_each_distinct_node_once(pool):
+    """_fold calls one spec once per distinct node reachable from the labels
+    it is asked for, over HLabels and over label ids alike, and a second
+    call builds nothing."""
+    reachable = sorted({l for l, _ in label_nodes((l, 0) for l in pool)}, key=id)
+    labels = tiles._LabelTable()
+    ids = list(map(labels.numbering(), pool))
+    label_of = labels.hlabels()
+    for node, xs, as_label in ((tiles._hnode, pool, lambda l: l), (labels.nodes.__getitem__, ids, label_of)):
+        visited, specs = [], []
+
+        def spec(kind):
+            return lambda *args: specs.append(kind) or kind
+
+        f = tiles._fold(lambda x: visited.append(x) or node(x), spec("atom"), spec("tag"), spec("tup"))
+        for _ in range(2):
+            assert [f(x) for x in xs] == [l.kind for l in pool]
+            assert sorted(map(as_label, visited), key=id) == reachable
+            assert sorted(specs) == sorted(as_label(x).kind for x in visited)
+    rebuilt = tiles._fold(tiles._hnode, atom, tag, lambda ls: tup(*ls))
+    assert all(rebuilt(l) is l for l in pool)
 
 
 @given(shared_labels(), st.integers(0, 4))
@@ -773,7 +799,7 @@ def _malformed_tile_files():
     yield "generators 1", edit(g, ("generators",), [1, "b"]), ["generators", "not a JSON list of strings"]
     # no generators: the document is still over Z x G, and its tiles carry no psi color for the input bit
     none = {"generators": [], "in_max": 1, "outs": {}, "tiles": [{"left": "0", "right": "0", "psi": {}, "phi": {}}]}
-    yield "psi of no generators", none, ["tile 0", "psi"]
+    yield "psi of no generators", none, ["tile 0", "psi", "no generators has no tiles", "input bit"]
 
 
 MALFORMED = list(_malformed_tile_files())
@@ -824,10 +850,10 @@ def checked_make(monkeypatch):
 
     def ordered(rows):
         got = fast(rows)
-        label = rows.labels.hlabels(tiles._sides(rows.tiles))
+        label = rows.labels.hlabels()
 
         def as_tiles(rs):
-            return tuple(ZTile(top, bottoms, label[l], label[r]) for top, bottoms, l, r in rs)
+            return tuple(ZTile(top, bottoms, label(l), label(r)) for top, bottoms, l, r in rs)
         assert as_tiles(got.tiles) == reference.make(rows.in_max, dict(rows.out_maxes), as_tiles(rows.tiles)).tiles
         sizes.append(len(got.tiles))
         return got
@@ -1300,14 +1326,10 @@ def label_pools(draw):
 
 def assert_flat_order(pool):
     """Flat keys, built once per id of one label table, order every pair as
-    the nested reference keys do, and only a label's own key equals it;
-    `HLabel.sort_key` reads the same key off a table of its own."""
+    the nested reference keys do, and only a label's own key equals it."""
     labels = tiles._LabelTable()
-    id_of = labels.numbering()
-    ids = [id_of(l) for l in pool]
-    flat = labels.flat_keys(ids)
-    keys = [(l, flat[i], reference.label_key(l)) for l, i in zip(pool, ids)]
-    assert all(l.sort_key() == k for l, k, _ in keys)
+    id_of, flat = labels.numbering(), labels.flat_keys()
+    keys = [(l, flat(id_of(l)), reference.label_key(l)) for l in pool]
     for x, kx, rx in keys:
         for y, ky, ry in keys:
             assert (kx < ky) == (rx < ry), (x, y)

@@ -299,7 +299,9 @@ def small_tilesets(draw):
     tiles = draw(st.lists(st.builds(lambda top, bs, l, r: ZTile(top, tuple(zip(names, bs)), l, r),
                                     st.integers(0, 1), bits, side, side), max_size=10))
     ts = ZTileSet.make(1, {n: 1 for n in names}, tiles)
-    return ZTileSet(1, ts.out_maxes, ts.tiles, generators=names) if draw(st.booleans()) else ts
+    # a set over Z x G with no generators has no tiles
+    group = draw(st.booleans()) and bool(names or not ts.tiles)
+    return ZTileSet(1, ts.out_maxes, ts.tiles, generators=names) if group else ts
 
 
 @given(small_tilesets())
