@@ -228,6 +228,10 @@ def main(argv=None) -> int:
             ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RecursionError:
+        # a document or a label nested deeper than the reader's stack allows
+        print("error: input nested too deeply", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -107,16 +107,19 @@ def tup(*labels: HLabel) -> HLabel:
     return HLabel("tup", tuple(labels))
 
 
-def _fold(node: Callable, atom_of: Callable, tag_of: Callable, tup_of: Callable) -> Callable:
+def _fold(node: Callable, atom_of: Callable, tag_of: Callable, tup_of: Callable,
+          key: Optional[Callable] = None) -> Callable:
     """f(x): the value of label x built bottom up, where node(x) is x's
     (kind, value): atom_of(value) for an atom, tag_of(name, f(child)) for a
     tag and tup_of([f(c) for c in children]) for a tuple.  Each distinct
-    node is built once for as long as f lives, so a shared subtree costs one
-    step and equal labels get one value."""
+    node, told apart by key(x) (by x itself when key is None), is built once
+    for as long as f lives, so a shared subtree costs one step and equal
+    labels get one value."""
     memo: dict = {}
 
     def f(x):
-        v = memo.get(x)
+        k = x if key is None else key(x)
+        v = memo.get(k)
         if v is None:
             kind, value = node(x)
             if kind == "atom":
@@ -125,7 +128,7 @@ def _fold(node: Callable, atom_of: Callable, tag_of: Callable, tup_of: Callable)
                 v = tag_of(value[0], f(value[1]))
             else:
                 v = tup_of([f(c) for c in value])
-            memo[x] = v
+            memo[k] = v
         return v
     return f
 
@@ -153,51 +156,40 @@ def label_to_obj(l: HLabel):
     return _label_objs()(l)
 
 
-def _label_reader():
-    """read(obj): the label that label_to_obj wrote as obj.  One walker
-    serves a whole load: each distinct carry string is parsed once, and a
-    tag or tuple node is looked up in the intern table by its key and built
-    only when new.  Anything label_to_obj does not write is a ValueError."""
-    interned = HLabel._interned
-    atoms: dict[str, HLabel] = {}
-
-    def read(obj) -> HLabel:
-        kind = type(obj)
-        if kind is str:
-            label = atoms.get(obj)
-            if label is None:
-                label = atoms[obj] = atom(obj)
-            return label
-        if kind is list:
-            key = ("tup", tuple(map(read, obj)))
-        elif kind is dict and type(obj.get("tag")) is str and len(obj) == 2 and "label" in obj:
-            key = ("tag", (obj["tag"], read(obj["label"])))
-        else:
-            raise ValueError(f"not a label: {_shown(obj)}")
-        label = interned.get(key)
-        return HLabel(*key) if label is None else label
-    return read
+def _json_node(obj) -> tuple[str, object]:
+    """node(obj) of a label's JSON form, for _fold: a string is an atom, a
+    list a tuple and a {"tag", "label"} dict a tag.  Anything label_to_obj
+    does not write is a ValueError."""
+    kind = type(obj)
+    if kind is str:
+        return "atom", obj
+    if kind is list:
+        return "tup", obj
+    if kind is dict and type(obj.get("tag")) is str and len(obj) == 2 and "label" in obj:
+        return "tag", (obj["tag"], obj["label"])
+    raise ValueError(f"not a label: {_shown(obj)}")
 
 
-def _side_reader(read):
-    """side(obj): read(obj), run once per distinct JSON value.  Values are
-    keyed by their marshal bytes: equal bytes mean equal values, and true,
-    1 and 1.0 marshal apart, so a repeated side label costs one C call.  A
-    malformed label raises before it is stored, and a value marshal refuses
-    is no JSON value and goes to read as it is."""
-    sides: dict[bytes, HLabel] = {}
-    dumps = marshal.dumps
+def _json_key(obj):
+    """The memo key of a JSON value, its marshal bytes: equal bytes mean
+    equal values, and true, 1 and 1.0 marshal apart, so a repeated value
+    costs one C call.  The bytes mark objects held more than once, so equal
+    values that share objects differently may be read twice, never read
+    wrong; in a parsed document no value is shared.  A value marshal
+    refuses is no JSON value; it is keyed by identity, and _json_node
+    refuses it or the part at fault."""
+    try:
+        return marshal.dumps(obj)
+    except ValueError:
+        return id(obj)
 
-    def side(obj) -> HLabel:
-        try:
-            key = dumps(obj)
-        except ValueError:
-            return read(obj)
-        label = sides.get(key)
-        if label is None:
-            label = sides[key] = read(obj)
-        return label
-    return side
+
+def _label_reader() -> Callable[[object], HLabel]:
+    """read(obj): the label that label_to_obj wrote as obj.  One reader
+    serves a whole load: each distinct JSON value is read once (`_fold`),
+    a carry string parsed and a tag or tuple found in the intern table or
+    built.  A malformed label is a ValueError."""
+    return _fold(_json_node, atom, tag, lambda ls: tup(*ls), key=_json_key)
 
 
 def label_from_obj(obj) -> HLabel:
@@ -671,6 +663,12 @@ def _label_ids(lefts: Sequence, rights: Sequence) -> tuple[list, list[int], list
     return list(ids), ls, rs
 
 
+def _tile_label_ids(ts: ZTileSet) -> tuple[list, list[int], list[int]]:
+    """_label_ids of the set's tiles: tile i is the edge from its left label
+    to its right label."""
+    return _label_ids([t.left for t in ts.tiles], [t.right for t in ts.tiles])
+
+
 def _live(n: int, sources: list[int], targets: list[int]) -> list[bool]:
     """live[v]: an infinite walk leaves label v along the edges
     sources[e] -> targets[e] of a graph on labels 0..n-1.  Peels off the
@@ -726,7 +724,7 @@ def trim_tiles(ts: ZTileSet | _Rows) -> ZTileSet | _Rows:
     """
     tiles = ts.tiles
     if not isinstance(ts, _Rows):
-        sides, ls, rs = _label_ids([t.left for t in tiles], [t.right for t in tiles])
+        sides, ls, rs = _tile_label_ids(ts)
         kept = tuple(tiles[i] for i in _alive(len(sides), ls, rs))
         # a subset of a checked set's tiles, over its alphabets, passes its checks
         return _trusted(ZTileSet, in_max=ts.in_max, out_maxes=ts.out_maxes, tiles=kept, source=ts.source,
@@ -974,39 +972,22 @@ def _json_text(obj, depth: int) -> str:
     return json.dumps(obj, indent=1).replace("\n", "\n" + " " * depth)
 
 
-def _label_text(nodes: list[tuple], i: int, depth: int, text) -> str:
-    """`_json_text(label_to_obj(l), depth)` for the label l that is nodes[i]
-    in a label table, given text(child, depth + 1) for each of its children.
-    A tag's name is the one string that may need escaping;
-    `encode_basestring_ascii`, what `json.dumps` of a plain string calls,
-    escapes it as the dump would."""
-    kind, value = nodes[i]
-    if kind == "atom":
-        return '"' + pamaps._str(*value) + '"'
-    if kind == "tup" and not value:
-        return "[]"
-    inner = "\n" + " " * (depth + 1)
+def _label_texts(nodes: list[tuple], depth: int) -> Callable[[int], str]:
+    """text(i): `_json_text(label_to_obj(l), depth)` for the label l that is
+    nodes[i] in a label table, built once per distinct node (`_fold`).  A
+    child's text at `depth` reads one level deeper with one more space
+    after each newline.  A tag's name is the one string that may need
+    escaping; `encode_basestring_ascii`, what `json.dumps` of a plain string
+    calls, escapes it as the dump would."""
     close = "\n" + " " * depth
-    if kind == "tag":
-        name, child = value
-        return ("{" + inner + '"tag": ' + encode_basestring_ascii(name) + "," + inner + '"label": '
-                + text(child, depth + 1) + close + "}")
-    return "[" + inner + ("," + inner).join([text(c, depth + 1) for c in value]) + close + "]"
 
+    def block(opening: str, items: list[str], closing: str) -> str:
+        # one item per line, one level deeper than the brackets
+        return (opening + close + ("," + close).join(items)).replace("\n", "\n ") + close + closing
 
-def _label_texts(nodes: list[tuple]):
-    """text(i, depth): `_label_text(nodes, i, depth, text)`, built once per
-    distinct (label id, depth), so a set's labels cost one step per distinct
-    node."""
-    memo: dict = {}
-
-    def text(i: int, depth: int) -> str:
-        key = (i, depth)
-        s = memo.get(key)
-        if s is None:
-            s = memo[key] = _label_text(nodes, i, depth, text)
-        return s
-    return text
+    return _fold(nodes.__getitem__, lambda v: '"' + pamaps._str(*v) + '"',
+                 lambda name, s: block("{", ['"tag": ' + encode_basestring_ascii(name), '"label": ' + s], "}"),
+                 lambda ss: block("[", ss, "]") if ss else "[]")
 
 
 def write_json(ts: ZTileSet | _Rows, write: Callable[[str], object]) -> None:
@@ -1014,8 +995,8 @@ def write_json(ts: ZTileSet | _Rows, write: Callable[[str], object]) -> None:
     write, one tile at a time, for a ZTileSet or for the rows of pamap_rows
     or family_rows, written as the set they stand for without building it.
     A set is first numbered into rows by `_Rows.of`; its generators, when
-    not None, pick the Z x G form.  Each distinct
-    (label id, depth) and (top, bottoms) pair is encoded once."""
+    not None, pick the Z x G form.  Each distinct label node and
+    (top, bottoms) pair is encoded once."""
     rows = ts if isinstance(ts, _Rows) else _Rows.of(ts, _LabelTable())
     gens = rows.generators
     if gens is not None:
@@ -1037,13 +1018,13 @@ def write_json(ts: ZTileSet | _Rows, write: Callable[[str], object]) -> None:
     if not rows.tiles:
         write(text + "\n")
         return
-    label = _label_texts(rows.labels.nodes)
+    label = _label_texts(rows.labels.nodes, 3)
     bits: dict = {}  # (top, bottoms) -> the text around the tile's labels
     sep = text[:-len("[]\n}")] + "[\n  "
     for top, bottoms, l, r in rows.tiles:
         key = (top, bottoms)
         before, after = bits.get(key) or bits.setdefault(key, around(top, bottoms))
-        write(sep + before + label(l, 3) + ',\n   "right": ' + label(r, 3) + after)
+        write(sep + before + label(l) + ',\n   "right": ' + label(r) + after)
         sep = ",\n  "
     write("\n ]\n}\n")
 
@@ -1057,9 +1038,9 @@ def tileset_to_json(ts: ZTileSet) -> str:
 
 def tileset_from_obj(obj: dict) -> ZTileSet:
     """Inverse of tileset_to_obj: a set over Z x G when the document has
-    generators, else over Z.  One label walker, run once per distinct
-    side label, and one bits memo serve the whole load; malformed input is a
-    ValueError naming the tile and the field."""
+    generators, else over Z.  One label reader, which reads each distinct
+    JSON value once, and one bits memo serve the whole load; malformed
+    input is a ValueError naming the tile and the field."""
     if type(obj) is not dict:
         raise ValueError(f"a tile set is a JSON object, not {_shown(obj)}")
     bits: dict = {}
@@ -1092,7 +1073,7 @@ def tileset_from_obj(obj: dict) -> ZTileSet:
     else:
         names = ("top", "bottom")
         read_top = _int
-    read = _side_reader(_label_reader())
+    read = _label_reader()
     tiles = []
     for i, t in enumerate(items):
         try:

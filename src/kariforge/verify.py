@@ -239,7 +239,7 @@ def _label_graph(ts: ZTileSet) -> tuple[list[tuple[int, ...]], list[int]]:
     """The label graph that `tiles.trim_tiles` peels: tile i is an edge from
     its left label to its right label rights[i], and outs[l] lists the tiles
     whose left label is l, in index order.  A row is a walk on it."""
-    labels, lefts, rights = tiles._label_ids([t.left for t in ts.tiles], [t.right for t in ts.tiles])
+    labels, lefts, rights = tiles._tile_label_ids(ts)
     outs: list = [[] for _ in labels]
     for i, l in enumerate(lefts):
         outs[l].append(i)
@@ -261,7 +261,7 @@ class TransitionGraph:
 
 def nonempty_rows(ts: ZTileSet) -> bool:
     """A bi-infinite row exists iff some label starts an infinite walk (the label graph is finite)."""
-    labels, lefts, rights = tiles._label_ids([t.left for t in ts.tiles], [t.right for t in ts.tiles])
+    labels, lefts, rights = tiles._tile_label_ids(ts)
     return any(tiles._live(len(labels), lefts, rights))
 
 

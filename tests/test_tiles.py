@@ -650,9 +650,9 @@ def test_label_writer_matches_reference(pool, depth):
     labels = tiles._LabelTable()
     id_of = labels.numbering()
     ids = [id_of(l) for l in pool]
-    text = tiles._label_texts(labels.nodes)
+    text = tiles._label_texts(labels.nodes, depth)
     for l, i in zip(pool, ids):
-        assert text(i, depth) == reference.label_json(l).replace("\n", "\n" + " " * depth)
+        assert text(i) == reference.label_json(l).replace("\n", "\n" + " " * depth)
 
 
 @given(shared_labels())
@@ -691,59 +691,90 @@ def table_label(nodes, i) -> HLabel:
     return tup(*(table_label(nodes, c) for c in value))
 
 
+def fold_visits(monkeypatch) -> list[tuple]:
+    """(node, x) for each node visit, in order, of every `tiles._fold` made
+    after this call: a fold builds one value per visit."""
+    visits: list[tuple] = []
+    fold = tiles._fold
+    monkeypatch.setattr(tiles, "_fold", lambda node, *specs, **kw:
+                        fold(lambda x: visits.append((node, x)) or node(x), *specs, **kw))
+    return visits
+
+
+def distinct_nodes(ts) -> set:
+    """The distinct label nodes reachable from the sides of ts's tiles."""
+    return {l for t in ts.tiles for l, _ in label_nodes([(t.left, 0), (t.right, 0)])}
+
+
 def test_writer_builds_each_label_node_once_per_depth(monkeypatch, psl2z_family):
-    """Each distinct (label, depth) is built once, whether the writer is
-    given a set or the rows gen compiles."""
-    calls = []
-    build = tiles._label_text
-    monkeypatch.setattr(tiles, "_label_text", lambda nodes, i, depth, text:
-                        calls.append((table_label(nodes, i), depth)) or build(nodes, i, depth, text))
+    """The writer builds each distinct label node's text once, at the one
+    depth its sides are written at, whether it is given a set or the rows
+    gen compiles."""
     psl2z = presets.load_preset("psl2z")
     psl_d = pamap_tiles(psl2z.map_for("d"))
-    for ts, rows, check in ((psl_d, tiles.pamap_rows(psl2z.map_for("d")), reference.tileset_json),
-                            (psl2z_family, tiles.family_rows(psl2z), reference.grouptileset_json)):
+    cases = ((psl_d, tiles.pamap_rows(psl2z.map_for("d")), reference.tileset_json),
+             (psl2z_family, tiles.family_rows(psl2z), reference.grouptileset_json))
+    visits = fold_visits(monkeypatch)
+    for ts, rows, check in cases:
         for source in (ts, rows):
-            calls.clear()
+            visits.clear()
             assert "".join(_written(source)) == check(ts)
-            assert len(calls) == len(set(calls))
-            assert set(calls) == label_nodes((l, 3) for t in ts.tiles for l in (t.left, t.right))
-            assert len(calls) < sum(len(label_nodes([(t.left, 3)])) + len(label_nodes([(t.right, 3)]))
+            # a set is first numbered by a fold over its HLabels; the text
+            # fold reads label ids
+            built = [table_label(node.__self__, i) for node, i in visits if type(i) is int]
+            assert len(built) == len(set(built))
+            assert set(built) == distinct_nodes(ts)
+            assert len(built) < sum(len(label_nodes([(t.left, 0)])) + len(label_nodes([(t.right, 0)]))
                                     for t in ts.tiles)
 
 
 def test_reader_finds_known_nodes_in_the_intern_table(monkeypatch, psl2z_family):
+    """A document whose labels are all interned interns nothing, and each
+    distinct label node is read once."""
     obj = json.loads(tileset_to_json(psl2z_family))
-    built = []
-    new = HLabel.__new__
-
-    def counting(cls, kind, value):
-        built.append(kind)
-        return new(cls, kind, value)
-
-    def refuse(*args):
-        raise AssertionError("the reader builds no node through tag() or tup()")
-
-    monkeypatch.setattr(HLabel, "__new__", counting)
-    monkeypatch.setattr(tiles, "tag", refuse)
-    monkeypatch.setattr(tiles, "tup", refuse)
+    visits = fold_visits(monkeypatch)
+    known = len(HLabel._interned)
     back = grouptileset_from_obj(obj)
     assert back == psl2z_family
-    assert set(built) <= {"atom"}  # one per distinct carry string; tags and tuples are found
-    assert len(built) == len({l for t in back.tiles for l, _ in label_nodes([(t.left, 0), (t.right, 0)])
-                              if l.kind == "atom"})
+    assert len(HLabel._interned) == known
+    assert len(visits) == len(distinct_nodes(back))
 
 
 def test_reader_builds_a_new_node_once(monkeypatch):
     fresh = tag("never-seen-\u00e9", tup(atom(F(5, 7)), tup()))
     obj = json.loads(json.dumps(label_to_obj(fresh)).replace("never-seen", "also-new"))
-    built = []
-    new = HLabel.__new__
-    monkeypatch.setattr(HLabel, "__new__", lambda cls, kind, value: built.append(kind) or new(cls, kind, value))
-    l = label_from_obj([obj, obj, [obj]])
-    # the inner tuples are interned with `fresh`; the new tag, the two new
-    # tuples and the carry string are built once each, whatever their count
-    assert sorted(built) == ["atom", "tag", "tup", "tup"]
-    assert l is tup(l.value[0], l.value[0], tup(l.value[0]))
+    doc = json.loads(json.dumps([obj, obj, [obj]]))
+    visits = fold_visits(monkeypatch)
+    known = set(HLabel._interned)
+    l = label_from_obj(doc)
+    # each distinct value of the parsed document is read once, whatever its
+    # count; the inner tuples are interned with `fresh`, so the new tag and
+    # the two new tuples are all the reader adds to the intern table
+    read = [x for _, x in visits]
+    assert read == [doc, obj, obj["label"], "5/7", [], [obj]]
+    assert read[1] is doc[0] and read[5] is doc[2]
+    new = l.value[0]
+    assert set(HLabel._interned) - known == {("tag", new.value), ("tup", l.value), ("tup", (new,))}
+    assert l is tup(new, new, tup(new))
+
+
+def test_reader_refuses_what_marshal_refuses():
+    """A value marshal refuses is keyed by identity, so the reader still
+    names the part at fault."""
+    for obj in (F(1, 3), ["0", [F(1, 3)]], {"tag": "L", "label": F(1, 3)}):
+        with pytest.raises(ValueError, match=r'^not a label: "Fraction\(1, 3\)"$'):
+            label_from_obj(obj)
+
+
+def test_loading_a_family_reads_each_label_node_once(monkeypatch, thompson_t_bc):
+    """The parsed {b,c} document's 10,940 tiles hold 4,666 distinct label
+    nodes, and the load reads each once (a reader memoized per side label
+    only made 96,412 node reads)."""
+    obj = json.loads(tileset_to_json(thompson_t_bc))
+    visits = fold_visits(monkeypatch)
+    back = tileset_from_obj(obj)
+    assert back == thompson_t_bc
+    assert len(visits) == len(distinct_nodes(back)) == 4666
 
 
 # -- malformed tile JSON ---------------------------------------------------

@@ -64,6 +64,12 @@ def main(argv: list[str]) -> int:
         reached.setdefault(filename, set()).add(frame.f_lineno)
         return local
 
+    class Retrace:
+        # CPython drops a trace function that raises, as the tracer does when
+        # a test overflows the stack inside it, so each test starts traced
+        def pytest_runtest_setup(self, item):
+            sys.settrace(call)
+
     src = os.path.join(ROOT, "src")
     sys.path.insert(0, src)
     # the tests that run `python -m kariforge` import it from src too
@@ -72,7 +78,7 @@ def main(argv: list[str]) -> int:
     sys.settrace(call)
     try:
         code = pytest.main(["-q", "--continue-on-collection-errors", "-p", "no:cacheprovider",
-                            os.path.join(ROOT, "tests")] + argv)
+                            os.path.join(ROOT, "tests")] + argv, plugins=[Retrace()])
     finally:
         sys.settrace(None)
         threading.settrace(None)
