@@ -229,8 +229,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RecursionError:
-        # a document or a label nested deeper than the reader's stack allows
-        print("error: input nested too deeply", file=sys.stderr)
+        # a document or a label nested deeper than the Python stack allows;
+        # the type is named, as a recursion bug lands here too
+        print("error: nesting too deep for the reader (RecursionError)", file=sys.stderr)
         return 1
 
 

@@ -111,7 +111,7 @@ def _fold(node: Callable, atom_of: Callable, tag_of: Callable, tup_of: Callable,
           key: Optional[Callable] = None) -> Callable:
     """f(x): the value of label x built bottom up, where node(x) is x's
     (kind, value): atom_of(value) for an atom, tag_of(name, f(child)) for a
-    tag and tup_of([f(c) for c in children]) for a tuple.  Each distinct
+    tag and tup_of(list(map(f, children))) for a tuple.  Each distinct
     node, told apart by key(x) (by x itself when key is None), is built once
     for as long as f lives, so a shared subtree costs one step and equal
     labels get one value."""
@@ -127,7 +127,8 @@ def _fold(node: Callable, atom_of: Callable, tag_of: Callable, tup_of: Callable,
             elif kind == "tag":
                 v = tag_of(value[0], f(value[1]))
             else:
-                v = tup_of([f(c) for c in value])
+                # map, not a comprehension: one frame per nesting level
+                v = tup_of(list(map(f, value)))
             memo[k] = v
         return v
     return f

@@ -20,5 +20,5 @@ def test_a_comment_only_mutant_survives(capsys):
                              "# an edited comment", ("tests/test_cli.py::test_help_exits_0",))
     assert mutants.run(comment) == "survived"
     assert mutants.run(comment._replace(old="# no such comment")) == "stale"
-    assert mutants.main([], [comment]) == 1
+    assert mutants.main([comment]) == 1
     assert capsys.readouterr().out == "survived comment\n0 of 1 mutants killed\n"

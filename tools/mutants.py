@@ -1,10 +1,10 @@
 """Run the mutation table: each mutant edits one file of src/kariforge in a
 temporary copy of src/, and the tests named for it must then fail.
 
-    python tools/mutants.py [mutant name ...]
+    python tools/mutants.py
 
-With no names it runs every mutant in MUTANTS.  The named tests first run
-on an unmutated copy, where they must pass.  Each mutant then runs its own
+It runs every mutant in MUTANTS.  Their tests first run on an unmutated
+copy, where they must pass.  Each mutant then runs its own
 tests (`pytest -x`) against its copy under a per-mutant timeout; a failed
 test or a timeout kills it.  Prints one line per mutant and exits 1 when a
 mutant survives, when its old text does not occur exactly once in its
@@ -100,6 +100,10 @@ MUTANTS = [
     # one memoized fold builds every label form
     Mutant("fold memo", "tiles.py", "            memo[k] = v\n", "",
            ("tests/test_tiles.py::test_fold_builds_each_distinct_node_once",)),
+    # a comprehension is a frame of its own on CPython 3.11
+    Mutant("fold two frames per level", "tiles.py", "tup_of(list(map(f, value)))",
+           "tup_of([f(c) for c in value])",
+           ("tests/test_cli.py::test_tile_file_nested_700_deep_is_read",)),
     Mutant("reader key by identity", "tiles.py", "        return marshal.dumps(obj)\n",
            "        return id(obj)\n",
            ("tests/test_tiles.py::test_loading_a_family_reads_each_label_node_once",)),
@@ -155,26 +159,21 @@ def run(m: Mutant) -> str:
     return {"passed": "survived", "failed": "killed", "timeout": "killed"}.get(result, "error")
 
 
-def main(argv: list[str], table: list[Mutant] = MUTANTS) -> int:
-    chosen = [m for m in table if not argv or m.name in argv]
-    unknown = set(argv) - {m.name for m in table}
-    if unknown:
-        print(f"no mutant named {', '.join(sorted(unknown))}")
-        return 1
-    tests = tuple(dict.fromkeys(t for m in chosen for t in m.tests))
+def main(table: list[Mutant] = MUTANTS) -> int:
+    tests = tuple(dict.fromkeys(t for m in table for t in m.tests))
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
-        clean = _pytest(_copy_src(tmp), tests, TIMEOUT_S * len(chosen))
+        clean = _pytest(_copy_src(tmp), tests, TIMEOUT_S * len(table))
     if clean != "passed":
         print(f"the mutants' tests do not pass on the unmutated source: {clean}")
         return 1
     bad = 0
-    for m in chosen:
+    for m in table:
         result = run(m)
         bad += result != "killed"
         print(f"{result:8} {m.name}")
-    print(f"{len(chosen) - bad} of {len(chosen)} mutants killed")
+    print(f"{len(table) - bad} of {len(table)} mutants killed")
     return int(bad > 0)
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
