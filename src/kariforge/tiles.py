@@ -185,7 +185,7 @@ def _json_key(obj):
         return id(obj)
 
 
-def _label_reader() -> Callable[[object], HLabel]:
+def _obj_labels() -> Callable[[object], HLabel]:
     """read(obj): the label that label_to_obj wrote as obj.  One reader
     serves a whole load: each distinct JSON value is read once (`_fold`),
     a carry string parsed and a tag or tuple found in the intern table or
@@ -195,7 +195,7 @@ def _label_reader() -> Callable[[object], HLabel]:
 
 def label_from_obj(obj) -> HLabel:
     """Inverse of label_to_obj."""
-    return _label_reader()(obj)
+    return _obj_labels()(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -1074,7 +1074,7 @@ def tileset_from_obj(obj: dict) -> ZTileSet:
     else:
         names = ("top", "bottom")
         read_top = _int
-    read = _label_reader()
+    read = _obj_labels()
     tiles = []
     for i, t in enumerate(items):
         try:
