@@ -26,7 +26,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from . import pamaps
 from .pamaps import PAGroupPresentation, PAMap, _shown, rat
@@ -74,12 +74,7 @@ class HLabel:
         return self
 
     def __repr__(self):
-        if self.kind == "atom":
-            return str(self.value)
-        if self.kind == "tag":
-            name, inner = self.value
-            return f"{name}:{inner!r}"
-        return "(" + ",".join(repr(l) for l in self.value) + ")"
+        return _label_reprs(str)(self)
 
 
 def _float_key(n: int, d: int) -> float:
@@ -202,33 +197,13 @@ def label_from_obj(obj) -> HLabel:
 # Tiles and tile sets
 
 
-class ZTile:
+class ZTile(NamedTuple):
     """One Wang tile: input bit, named output bits, left/right side labels."""
 
-    __slots__ = ("top", "bottoms", "left", "right", "_hash")
-
-    def __init__(self, top: int, bottoms: tuple[tuple[str, int], ...], left: HLabel, right: HLabel):
-        self.top = top
-        self.bottoms = bottoms
-        self.left = left
-        self.right = right
-        self._hash = hash((top, bottoms, left, right))
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return (self is other) or (
-            isinstance(other, ZTile)
-            and self._hash == other._hash
-            and self.top == other.top
-            and self.bottoms == other.bottoms
-            and self.left is other.left
-            and self.right is other.right
-        )
-
-    def __repr__(self):
-        return f"ZTile(top={self.top}, bottoms={self.bottoms}, left={self.left!r}, right={self.right!r})"
+    top: int
+    bottoms: tuple[tuple[str, int], ...]
+    left: HLabel
+    right: HLabel
 
     def bottom(self, name: Optional[str] = None) -> int:
         if name is None:
@@ -451,6 +426,7 @@ def _sides(rows: Sequence[tuple]) -> set:
     return ids
 
 
+@dataclass(slots=True, eq=False)
 class _Rows:
     """A tile set as rows (top, bottoms, left, right) over a label table.
     The sides are label ids or, in the candidates of a compose or product
@@ -458,19 +434,14 @@ class _Rows:
     for the survivors.  `trimmed`: every row occurs in a bi-infinite row.
     `generators`: those of a set over Z x G, else None."""
 
-    __slots__ = ("in_max", "out_maxes", "tiles", "source", "labels", "parts", "trimmed", "generators")
-
-    def __init__(self, in_max: int, out_maxes: tuple[tuple[str, int], ...], tiles: list[tuple],
-                 source: Optional[Plan], labels: _LabelTable, parts: bool = False, trimmed: bool = False,
-                 generators: Optional[tuple[str, ...]] = None):
-        self.in_max = in_max
-        self.out_maxes = out_maxes
-        self.tiles = tiles
-        self.source = source
-        self.labels = labels
-        self.parts = parts
-        self.trimmed = trimmed
-        self.generators = generators
+    in_max: int
+    out_maxes: tuple[tuple[str, int], ...]
+    tiles: list[tuple]
+    source: Optional[Plan]
+    labels: _LabelTable
+    parts: bool = False
+    trimmed: bool = False
+    generators: Optional[tuple[str, ...]] = None
 
     @staticmethod
     def of(ts: ZTileSet, labels: _LabelTable) -> "_Rows":
@@ -944,6 +915,21 @@ def _read_tile(obj, read, bits: dict, names: tuple[str, str], read_top) -> ZTile
     return ZTile(top, bottoms, left, right)
 
 
+def _head(gens: Optional[tuple[str, ...]]) -> dict:
+    """The keys a tile set's JSON form leads with: the generators of a set
+    over Z x G, none for a set over Z."""
+    return {} if gens is None else {"generators": list(gens)}
+
+
+def _tile_obj(gens: Optional[tuple[str, ...]], top: int, bottoms: tuple[tuple[str, int], ...], left, right) -> dict:
+    """A tile's JSON object, given its labels' forms: over Z its top and
+    bottom bits, over Z x G its psi and phi colors, one per generator."""
+    if gens is None:
+        return {"top": top, "bottom": dict(bottoms), "left": left, "right": right}
+    bits = dict(bottoms)
+    return {"left": left, "right": right, "psi": {h: top for h in gens}, "phi": {h: bits[h] for h in gens}}
+
+
 def tileset_to_obj(ts: ZTileSet) -> dict:
     """The JSON form of ts, which `json.loads(tileset_to_json(ts))` equals.
     The form of a set over Z x G leads with its generators, and its tiles
@@ -952,20 +938,8 @@ def tileset_to_obj(ts: ZTileSet) -> dict:
     shared object; tile dicts and their bit dicts are fresh per tile."""
     label = _label_objs()
     gens = ts.generators
-    if gens is not None:
-        head = {"generators": list(gens)}
-
-        def tile(t: ZTile) -> dict:
-            return {"left": label(t.left), "right": label(t.right),
-                    "psi": {h: t.top for h in gens}, "phi": {h: t.bottom(h) for h in gens}}
-    else:
-        head = {}
-
-        def tile(t: ZTile) -> dict:
-            return {"top": t.top, "bottom": {n: v for n, v in t.bottoms},
-                    "left": label(t.left), "right": label(t.right)}
-    return dict(head, in_max=ts.in_max, outs={n: v for n, v in ts.out_maxes},
-                tiles=[tile(t) for t in ts.tiles])
+    return dict(_head(gens), in_max=ts.in_max, outs=dict(ts.out_maxes),
+                tiles=[_tile_obj(gens, t.top, t.bottoms, label(t.left), label(t.right)) for t in ts.tiles])
 
 
 def _json_text(obj, depth: int) -> str:
@@ -1000,32 +974,23 @@ def write_json(ts: ZTileSet | _Rows, write: Callable[[str], object]) -> None:
     (top, bottoms) pair is encoded once."""
     rows = ts if isinstance(ts, _Rows) else _Rows.of(ts, _LabelTable())
     gens = rows.generators
-    if gens is not None:
-        head = {"generators": list(gens)}
-
-        def around(top: int, bottoms: tuple) -> tuple[str, str]:
-            bits = dict(bottoms)
-            return ('{\n   "left": ',
-                    ',\n   "psi": ' + _json_text({h: top for h in gens}, 3)
-                    + ',\n   "phi": ' + _json_text({h: bits[h] for h in gens}, 3) + "\n  }")
-    else:
-        head = {}
-
-        def around(top: int, bottoms: tuple) -> tuple[str, str]:
-            return ('{\n   "top": ' + json.dumps(top) + ',\n   "bottom": '
-                    + _json_text({n: v for n, v in bottoms}, 3) + ',\n   "left": ', "\n  }")
-    text = json.dumps(dict(head, in_max=rows.in_max, outs={n: v for n, v in rows.out_maxes}, tiles=[]),
-                      indent=1)
+    text = json.dumps(dict(_head(gens), in_max=rows.in_max, outs=dict(rows.out_maxes), tiles=[]), indent=1)
     if not rows.tiles:
         write(text + "\n")
         return
     label = _label_texts(rows.labels.nodes, 3)
-    bits: dict = {}  # (top, bottoms) -> the text around the tile's labels
+    cuts: dict = {}  # (top, bottoms) -> the texts before, between and after the tile's labels
     sep = text[:-len("[]\n}")] + "[\n  "
     for top, bottoms, l, r in rows.tiles:
         key = (top, bottoms)
-        before, after = bits.get(key) or bits.setdefault(key, around(top, bottoms))
-        write(sep + before + label(l) + ',\n   "right": ' + label(r) + after)
+        cut = cuts.get(key)
+        if cut is None:
+            # a tile's labels are its only JSON nulls
+            before, _, rest = _json_text(_tile_obj(gens, top, bottoms, None, None), 2).partition('"left": null')
+            between, _, after = rest.partition('"right": null')
+            cut = cuts[key] = (before + '"left": ', between + '"right": ', after)
+        before, between, after = cut
+        write(sep + before + label(l) + between + label(r) + after)
         sep = ",\n  "
     write("\n ]\n}\n")
 

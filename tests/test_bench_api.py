@@ -39,8 +39,9 @@ def test_every_name_the_harness_calls_exists():
 
 def test_sets_carry_the_fields_the_harness_reads(kari, kari_tiles, psl2z, psl2z_family):
     """bench/workloads.py reads these fields of the sets pamap_tiles and
-    family_tiles return, and gives them a plan with `dataclasses.replace`,
-    so a renamed field fails here as well as in the benchmark."""
+    family_tiles return and of their tiles, and gives the sets a plan with
+    `dataclasses.replace`, so a renamed field fails here as well as in the
+    benchmark."""
     from kariforge import tiles
 
     f_plan = tiles.pamap_plan(kari)
@@ -48,6 +49,8 @@ def test_sets_carry_the_fields_the_harness_reads(kari, kari_tiles, psl2z, psl2z_
     for ts, plan in ((kari_tiles, f_plan), (psl2z_family, g_plan)):
         for name in ("generators", "in_max", "out_maxes", "tiles", "source"):
             assert hasattr(ts, name), name
+        for name in ("top", "bottoms", "left", "right", "bottom"):
+            assert hasattr(ts.tiles[0], name), name
         planned = dataclasses.replace(ts, source=plan)
         assert planned == ts and planned.source is plan and planned.generators == ts.generators
     assert kari_tiles.generators is None and psl2z_family.generators == ("d", "e")

@@ -468,13 +468,13 @@ def test_malformed_tile_file_is_an_error(tmp_path, kari_map_file, capsys, comman
     assert not (tmp_path / "out").exists()
 
 
-def _deep_tile_file(tmp_path, depth: int) -> str:
-    """A one-tile set whose side labels nest `depth` lists deep, written as
-    text, as json.dumps refuses such depths."""
+def _deep_tile_file(tmp_path, depth: int, copies: int = 1) -> str:
+    """A set holding `copies` copies of one tile whose side labels nest
+    `depth` lists deep, written as text, as json.dumps refuses such depths."""
     label = "[" * depth + '"0"' + "]" * depth
+    tile = '{"top": 0, "bottom": {"f": 0}, "left": ' + label + ', "right": ' + label + "}"
     path = tmp_path / "deep.json"
-    path.write_text('{"in_max": 1, "outs": {"f": 1}, "tiles": [{"top": 0, "bottom": {"f": 0}, "left": '
-                    + label + ', "right": ' + label + "}]}")
+    path.write_text('{"in_max": 1, "outs": {"f": 1}, "tiles": [' + ", ".join([tile] * copies) + "]}")
     return str(path)
 
 
@@ -486,6 +486,17 @@ def test_tile_file_nested_700_deep_is_read(tmp_path, capsys, command, code):
     assert main([command, "--tiles", _deep_tile_file(tmp_path, 700), "--out", str(out)]) == code
     assert capsys.readouterr().err == ""
     assert out.exists()
+
+
+@pytest.mark.parametrize("command", ["render", "verify"])
+def test_duplicate_tile_nested_700_deep_is_named(tmp_path, capsys, command):
+    """A tile given twice is refused by name, however deep its labels: the
+    refusal formats the tile, and a label's repr takes one frame per
+    nesting level, as the reader does."""
+    out = tmp_path / "out"
+    assert main([command, "--tiles", _deep_tile_file(tmp_path, 700, copies=2), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: duplicate tile ZTile(top=0")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["render", "verify"])

@@ -388,7 +388,14 @@ def test_object_form_is_the_text_form(kari_tiles, psl2z_family, thompson_t):
     assert grouptileset_to_obj is tileset_to_obj
     assert grouptileset_from_obj is tileset_from_obj
     ac = family_tiles(pamaps.PAGroupPresentation.make([g for g in thompson_t.generators if g[0] in "ac"]))
-    for ts in (kari_tiles, psl2z_family, ac, ZTileSet.make(1, {"f": 1}, []),
+    # generator names that read like the tile's own keys, a null, a quote or non-ASCII text
+    gens = ("left", "null", 'q"', "right", "\u00e9")
+    odd = ZTileSet(1, tuple((h, 1) for h in sorted(gens)),
+                   (ZTile(0, tuple((h, 0) for h in sorted(gens)), atom(0), tup(atom(1), tag("null", atom(0)))),
+                    ZTile(1, tuple((h, i % 2) for i, h in enumerate(sorted(gens))), tag('q"', atom(1)), atom(0))),
+                   generators=gens)
+    null_out = ZTileSet.make(1, {"null": 1}, [ZTile(0, (("null", 1),), atom(0), atom(1))])
+    for ts in (kari_tiles, psl2z_family, ac, odd, null_out, ZTileSet.make(1, {"f": 1}, []),
                ZTileSet(1, (("a", 1), ("b", 1)), (), generators=("a", "b")), ZTileSet(1, (), (), generators=())):
         obj = tileset_to_obj(ts)
         text = tileset_to_json(ts)

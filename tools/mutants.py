@@ -40,6 +40,8 @@ def _gens(name: str, path: str, old: str, new: str, *tests: str) -> Mutant:
 
 # Each Z or Z x G decision tests `generators is None`; a set over Z x G with
 # no generators is `()`, so a truthiness test at any site reads it as over Z.
+# `tiles._tile_obj`'s test has no entry: a `()` set holds no tiles, so no
+# test can tell its truthiness mutant from the source.
 MUTANTS = [
     _gens("_check_rows", "tiles.py",
           "if generators is not None and sorted(names) != sorted(generators):",
@@ -57,13 +59,9 @@ MUTANTS = [
           "source=ts.source,\n                        generators=ts.generators)",
           "source=ts.source,\n                        generators=ts.generators or None)",
           "tests/test_verify.py::test_nonempty_rows_is_a_nonempty_trim"),
-    _gens("tileset_to_obj", "tiles.py",
-          'if gens is not None:\n        head = {"generators": list(gens)}\n\n        def tile(t: ZTile) -> dict:',
-          'if gens:\n        head = {"generators": list(gens)}\n\n        def tile(t: ZTile) -> dict:',
-          "tests/test_tiles.py::test_object_form_is_the_text_form"),
-    _gens("write_json", "tiles.py",
-          'if gens is not None:\n        head = {"generators": list(gens)}\n\n        def around(',
-          'if gens:\n        head = {"generators": list(gens)}\n\n        def around(',
+    _gens("_head", "tiles.py",
+          'return {} if gens is None else {"generators": list(gens)}',
+          'return {} if not gens else {"generators": list(gens)}',
           "tests/test_tiles.py::test_object_form_is_the_text_form"),
     _gens("tileset_from_obj", "tiles.py",
           "    if generators is not None:\n        names = (\"psi\", \"phi\")",
@@ -110,6 +108,16 @@ MUTANTS = [
     Mutant("reader key refused", "tiles.py", "    except ValueError:\n        return id(obj)\n",
            "    except ValueError:\n        raise\n",
            ("tests/test_tiles.py::test_reader_refuses_what_marshal_refuses",)),
+    Mutant("writer label slots swapped", "tiles.py",
+           "write(sep + before + label(l) + between + label(r) + after)",
+           "write(sep + before + label(r) + between + label(l) + after)",
+           ("tests/test_tiles.py::test_object_form_is_the_text_form",)),
+    # a generator expression is a frame of its own, as a comprehension is
+    Mutant("repr two frames per level", "tiles.py", "        return _label_reprs(str)(self)\n",
+           '        if self.kind == "tup":\n'
+           '            return "(" + ",".join(repr(l) for l in self.value) + ")"\n'
+           "        return _label_reprs(str)(self)\n",
+           ("tests/test_cli.py::test_duplicate_tile_nested_700_deep_is_named",)),
     Mutant("writer re-indent", "tiles.py", '.replace("\\n", "\\n ") + close + closing',
            " + close + closing",
            ("tests/test_tiles.py::test_label_writer_matches_reference",)),
