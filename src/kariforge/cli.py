@@ -97,14 +97,14 @@ def _violation_json(v: dict) -> str:
 def _report_json(report: dict) -> str:
     """`json.dumps(report, indent=1) + "\n"` for a verify report.  The
     soundness violations, which can number thousands, are written field by
-    field; the other entries are few and go through json.dumps, indented one
-    level deeper (a JSON text has no raw newline inside a string)."""
+    field; the other entries are few and go through `tiles._json_text` at
+    depth 1 (a JSON text has no raw newline inside a string)."""
     entries = []
     for key, value in report.items():
         if key == "soundness_violations" and value:
             text = "[\n" + ",\n".join(map(_violation_json, value)) + "\n ]"
         else:
-            text = json.dumps(value, indent=1).replace("\n", "\n ")
+            text = tiles._json_text(value, 1)
         entries.append(encode_basestring_ascii(key) + ": " + text)
     return "{\n " + ",\n ".join(entries) + "\n}\n"
 

@@ -28,7 +28,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
-Rat = Fraction
 RatLike = Union[Fraction, int, str]
 Pair = tuple[int, int]  # a rational as (numerator, denominator), reduced, denominator > 0
 Row = tuple[int, int, int, int, int, int, int, int]  # lo, hi, slope, offset as flattened pairs
@@ -885,13 +884,7 @@ def _candidate_points(ivs: Sequence[Interval]) -> list[Fraction]:
     for iv in ivs:
         span = iv.hi - iv.lo
         pts.extend([iv.lo, iv.hi, iv.lo + span / 2, iv.lo + span / 3, iv.lo + 2 * span / 3])
-    seen = set()
-    out = []
-    for p in sorted(pts):
-        if p not in seen:
-            seen.add(p)
-            out.append(p)
-    return out
+    return sorted(set(pts))
 
 
 def nontriviality_witness(pres: PAGroupPresentation, word: Word, budget: int) -> Optional[Fraction]:
@@ -955,18 +948,18 @@ def _shown(v) -> str:
 
 def _json_value(v, path: str, kind: type):
     """v as the JSON type `kind`: dict, list, str, int or bool (a bool is no
-    integer), or Fraction for a rational, which is a "p/q" string or a JSON
-    integer.  The ValueError names the field by its `path`."""
-    if kind is Fraction:
-        if type(v) is not str and type(v) is not int:
-            raise ValueError(f"{path}: not a rational string or JSON integer: {_shown(v)}")
-        try:
+    integer), or Fraction for a rational, a "p/q" string or a JSON integer.
+    The ValueError names the field by its `path`, unless that is empty."""
+    try:
+        if kind is Fraction:
+            if type(v) is not str and type(v) is not int:
+                raise ValueError(f"not a rational string or JSON integer: {_shown(v)}")
             return rat(v)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-    if type(v) is not kind:
-        raise ValueError(f"{path}: not a JSON {_JSON_NAMES[kind]}: {_shown(v)}")
-    return v
+        if type(v) is not kind:
+            raise ValueError(f"not a JSON {_JSON_NAMES[kind]}: {_shown(v)}")
+        return v
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}" if path else str(exc)) from None
 
 
 def _json_field(obj: dict, key: str, prefix: str, kind: type):

@@ -18,6 +18,7 @@ explicit witness rows.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import marshal
@@ -29,7 +30,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from . import pamaps
-from .pamaps import PAGroupPresentation, PAMap, _shown, rat
+from .pamaps import PAGroupPresentation, PAMap, _json_field, _json_value, _shown, rat
 
 
 class TileSetError(Exception):
@@ -337,6 +338,11 @@ class ZTileSet:
 
     def __post_init__(self):
         _check_rows(self.in_max, self.out_maxes, self.generators, _distinct_bits(self.tiles))
+
+    @functools.cached_property
+    def _known(self) -> frozenset[ZTile]:
+        """The tiles as a frozenset, built once per set, for membership tests."""
+        return frozenset(self.tiles)
 
     @staticmethod
     def make(in_max, out_maxes: dict[str, int], tiles: Iterable[ZTile], source=None) -> "ZTileSet":
@@ -858,12 +864,6 @@ def family_rows(pres: PAGroupPresentation, fast_path: bool = True) -> _Rows:
 # JSON forms (bit-exact round trip)
 
 
-def _int(v) -> int:
-    if type(v) is not int:
-        raise ValueError(f"not a JSON integer: {_shown(v)}")
-    return v
-
-
 def _bits(obj, memo: dict) -> tuple[tuple[str, int], ...]:
     """_mk_bottoms of a JSON object of named integers.  A load passes one
     `memo`, so each distinct object becomes one tuple."""
@@ -891,28 +891,6 @@ def _psi_top(obj, memo: dict, gens: list[str]) -> int:
     if len(tops) != 1:
         raise ValueError("psi colors must agree across generators")
     return tops.pop()
-
-
-def _read_tile(obj, read, bits: dict, names: tuple[str, str], read_top) -> ZTile:
-    """One tile of a tile set's JSON form: its input bit read by read_top
-    from the field names[0], its output bits from names[1] and its labels
-    decoded by `read`; a ValueError names the field at fault."""
-    if type(obj) is not dict:
-        raise ValueError(f"not a JSON object: {_shown(obj)}")
-    field = names[0]
-    try:
-        top = read_top(obj[field])
-        field = names[1]
-        bottoms = _bits(obj[field], bits)
-        field = "left"
-        left = read(obj[field])
-        field = "right"
-        right = read(obj[field])
-    except KeyError:
-        raise ValueError(f"missing field {field!r}") from None
-    except ValueError as exc:
-        raise ValueError(f"{field}: {exc}") from None
-    return ZTile(top, bottoms, left, right)
 
 
 def _head(gens: Optional[tuple[str, ...]]) -> dict:
@@ -1004,49 +982,49 @@ def tileset_to_json(ts: ZTileSet) -> str:
 
 def tileset_from_obj(obj: dict) -> ZTileSet:
     """Inverse of tileset_to_obj: a set over Z x G when the document has
-    generators, else over Z.  One label reader, which reads each distinct
-    JSON value once, and one bits memo serve the whole load; malformed
-    input is a ValueError naming the tile and the field."""
+    generators, else over Z, each tile read as the mirror of `_tile_obj`.
+    One label reader, which reads each distinct JSON value once, and one bits
+    memo serve the whole load; a malformed field is refused by `_json_field`."""
     if type(obj) is not dict:
         raise ValueError(f"a tile set is a JSON object, not {_shown(obj)}")
-    bits: dict = {}
-    generators = None
+    gens = None
+    if "generators" in obj:
+        gens = obj["generators"]
+        if type(gens) is not list or any(type(h) is not str for h in gens):
+            raise ValueError(f"generators: not a JSON list of strings: {_shown(gens)}")
+        gens = tuple(gens)
+    in_max = _json_field(obj, "in_max", "", int)
+    outs = _json_field(obj, "outs", "", dict)
     try:
-        if "generators" in obj:
-            field = "generators"
-            gens = obj[field]
-            if type(gens) is not list or any(type(h) is not str for h in gens):
-                raise ValueError(f"not a JSON list of strings: {_shown(gens)}")
-            generators = tuple(gens)
-        field = "in_max"
-        in_max = _int(obj[field])
-        field = "outs"
-        outs = _bits(obj[field], {})
-        field = "tiles"
-        items = obj[field]
-        if type(items) is not list:
-            raise ValueError(f"not a JSON list: {_shown(items)}")
-    except KeyError:
-        raise ValueError(f"tile set has no {field!r} field") from None
+        outs = _bits(outs, {})
     except ValueError as exc:
-        raise ValueError(f"{field}: {exc}") from None
-    if generators is not None:
-        names = ("psi", "phi")
-        gens = sorted(generators)
-
-        def read_top(psi) -> int:
-            return _psi_top(psi, bits, gens)
-    else:
-        names = ("top", "bottom")
-        read_top = _int
+        raise ValueError(f"outs: {exc}") from None
+    items = _json_field(obj, "tiles", "", list)
+    order = sorted(gens or ())
     read = _obj_labels()
+    bits: dict = {}
     tiles = []
-    for i, t in enumerate(items):
-        try:
-            tiles.append(_read_tile(t, read, bits, names, read_top))
-        except ValueError as exc:
-            raise ValueError(f"tile {i}: {exc}") from None
-    return ZTileSet(in_max, outs, tuple(tiles), generators=generators)
+    try:
+        for t in items:
+            if type(t) is not dict:
+                _json_value(t, "", dict)
+            try:  # each field is read as `key`, which names it in an error
+                if gens is None:
+                    top = t[(key := "top")]
+                    if type(top) is not int:
+                        _json_value(top, "", int)
+                    bottoms = _bits(t[(key := "bottom")], bits)
+                else:
+                    top = _psi_top(t[(key := "psi")], bits, order)
+                    bottoms = _bits(t[(key := "phi")], bits)
+                tiles.append(ZTile(top, bottoms, read(t[(key := "left")]), read(t[(key := "right")])))
+            except KeyError:  # t has no `key`, which _json_field refuses
+                _json_field(t, key, "", object)
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"tile {len(tiles)}: {exc}") from None
+    return ZTileSet(in_max, outs, tuple(tiles), generators=gens)
 
 
 # The benchmark harness (bench/workloads.py) calls the writer and the reader

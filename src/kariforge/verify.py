@@ -227,7 +227,7 @@ def witness_row(ts: ZTileSet, x, N: int) -> list[ZTile]:
     if ts.source is None:
         raise ValueError("tile set carries no generation plan")
     tiles, _ = plan_row(ts.source, x, -N, N, ts.in_max, _out_max(ts))
-    _check_row(tiles, frozenset(ts.tiles))
+    _check_row(tiles, ts._known)
     return tiles
 
 
@@ -536,7 +536,6 @@ def patch_check(gts: ZTileSet, patch: dict[FGWord, PatchRow],
     """
     if gts.generators is None:
         raise ValueError("patch_check expects a tile set over Z x G, not over Z")
-    known = frozenset(gts.tiles)
     nf = freegroup.word_problem(is_identity).nf
     rep_of: dict = {}
     for w in patch:
@@ -545,7 +544,7 @@ def patch_check(gts: ZTileSet, patch: dict[FGWord, PatchRow],
             raise InconsistentPatch(f"{v} and {w} are equal in G but carry different rows")
     try:
         for w in rep_of.values():
-            _check_row(patch[w].tiles, known)
+            _check_row(patch[w].tiles, gts._known)
     except WitnessFailure:
         return False
     for w in rep_of.values():

@@ -773,9 +773,14 @@ def test_render_refuses_an_oversized_file_before_decoding(tmp_path, capsys, monk
     obj = json.loads(small.read_text())
     n = len(obj["tiles"]) * copies
     assert n > 500
-    decoded = []
-    read = tiles._read_tile
-    monkeypatch.setattr(tiles, "_read_tile", lambda *args: decoded.append(1) or read(*args))
+    decoded = []  # one entry per side label read
+    labels = tiles._obj_labels
+
+    def counting_labels():
+        read = labels()
+        return lambda obj: decoded.append(1) or read(obj)
+
+    monkeypatch.setattr(tiles, "_obj_labels", counting_labels)
     capsys.readouterr()
     # the repeated tiles would be refused as duplicates; size is checked first
     assert main(["render", "--tiles", _oversized(tmp_path, obj, copies), "--out", str(tmp_path / "o.svg")]) == 1
@@ -784,7 +789,7 @@ def test_render_refuses_an_oversized_file_before_decoding(tmp_path, capsys, monk
     assert not (tmp_path / "o.svg").exists()
     # a set of at most 500 tiles is still decoded and drawn
     assert main(["render", "--tiles", str(small), "--out", str(tmp_path / "o.svg")]) == 0
-    assert len(decoded) == len(obj["tiles"])
+    assert len(decoded) == 2 * len(obj["tiles"])
 
 
 # -- output does not depend on the hash seed --------------------------------

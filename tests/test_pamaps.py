@@ -841,6 +841,21 @@ def test_circle_homeos_make_compose_and_invert_in_one_sweep(data):
             assert compose(invert(h), h) == identity(space)
 
 
+def test_decreasing_segment_maps_compose_and_invert_in_one_sweep():
+    """Maps with decreasing pieces: the preimages of f's rows under a
+    decreasing piece come hi first, and an inverse's rows come in image
+    order, so both must be reordered before the sweep."""
+    flip = piecemap(SEG1, [(0, 1, -1, 1)])
+    zig = piecemap(SEG1, [(0, F(1, 4), -1, 1), (F(1, 2), 1, 1, F(-1, 2))])  # injective, with a gap
+    tent = piecemap(SEG1, [(0, F(1, 2), 2, 0), (F(1, 2), 1, -2, 2)])
+    maps = [flip, zig, tent]
+    with mock.patch.object(kernel, "_canonical_general", _refuse):
+        composites = [compose(f, g) for f in maps for g in maps]
+        inverses = [invert(f) for f in (flip, zig)]
+    assert composites == [reference.compose(f, g) for f in maps for g in maps]
+    assert inverses == [reference.invert(f) for f in (flip, zig)]
+
+
 WORD_LETTERS =st.sampled_from(PRESET_NAMES).flatmap(
     lambda name: st.tuples(st.just(name), st.lists(
         st.tuples(st.sampled_from(PRESETS[name].names()), st.sampled_from([1, -1])), max_size=12)))

@@ -821,7 +821,9 @@ def _malformed_tile_files():
     yield "tile 7", edit(z, ("tiles", 0), 7), ["tile 0", "not a JSON object: 7"]
     yield "in_max '1'", edit(z, ("in_max",), "1"), ["in_max", 'not a JSON integer: "1"']
     yield "outs true", edit(z, ("outs", "f"), True), ["outs", "f: not a JSON integer: true"]
-    yield "no tiles", edit(z, ("tiles",), KeyError), ["no 'tiles' field"]
+    yield "no tiles", edit(z, ("tiles",), KeyError), ["missing field 'tiles'"]
+    yield "no in_max", edit(z, ("in_max",), KeyError), ["missing field 'in_max'"]
+    yield "outs list", edit(z, ("outs",), [1]), ["outs: not a JSON object: [1]"]
     yield "tiles object", edit(z, ("tiles",), {}), ["tiles", "not a JSON list"]
     yield "document [1, 2]", [1, 2], ["a tile set is a JSON object, not [1, 2]"]
     yield "document 5", 5, ["a tile set is a JSON object, not 5"]
@@ -832,6 +834,8 @@ def _malformed_tile_files():
     yield ("psi missing name", edit(g, ("tiles", 0, "psi"), {"b": 1}),
            ["tile 0", "psi: names ['b'] are not the generators ['a', 'b']"])
     yield "phi 0.0", edit(g, ("tiles", 0, "phi", "a"), 0.0), ["tile 0", "phi", "a: not a JSON integer: 0.0"]
+    yield "no psi", edit(g, ("tiles", 0, "psi"), KeyError), ["tile 0: missing field 'psi'"]
+    yield "no phi", edit(g, ("tiles", 0, "phi"), KeyError), ["tile 0: missing field 'phi'"]
     yield "group label null", edit(g, ("tiles", 0, "left"), None), ["tile 0", "left", "not a label: null"]
     yield "generators string", edit(g, ("generators",), "ab"), ["generators", "not a JSON list of strings"]
     yield "generators 1", edit(g, ("generators",), [1, "b"]), ["generators", "not a JSON list of strings"]

@@ -64,8 +64,8 @@ MUTANTS = [
           'return {} if not gens else {"generators": list(gens)}',
           "tests/test_tiles.py::test_object_form_is_the_text_form"),
     _gens("tileset_from_obj", "tiles.py",
-          "    if generators is not None:\n        names = (\"psi\", \"phi\")",
-          "    if generators:\n        names = (\"psi\", \"phi\")",
+          "                if gens is None:\n                    top = t[(key := \"top\")]",
+          "                if not gens:\n                    top = t[(key := \"top\")]",
           "tests/test_tiles.py::test_loaders_refuse_malformed_json[psi of no generators]"),
     _gens("render_tileset", "render.py", "if gens is not None:", "if gens:",
           "tests/test_render.py::test_one_renderer_for_both_kinds"),
@@ -95,6 +95,16 @@ MUTANTS = [
     Mutant("probes skipped", "pamaps.py",
            "        if y != x:\n            return False\n", "",
            ("tests/test_pamaps.py::test_a_word_a_probe_refutes_composes_nothing",)),
+    # a decreasing piece meets f's rows from its hi down, and an inverse's
+    # rows come in image order: each is put in lo order for the one sweep
+    Mutant("compose sweep order", "pamaps.py",
+           "        if qan < 0:  # a decreasing q meets f's rows from its hi down\n"
+           "            out[block:] = out[block:][::-1]\n", "",
+           ("tests/test_pamaps.py::test_decreasing_segment_maps_compose_and_invert_in_one_sweep",)),
+    Mutant("invert sweep order", "pamaps.py",
+           "    if len(inv) > 1:  # by lo, so `_canonical` takes its sweep\n"
+           "        inv.sort(key=_exact_key(inv, 1))\n", "",
+           ("tests/test_pamaps.py::test_decreasing_segment_maps_compose_and_invert_in_one_sweep",)),
     # one memoized fold builds every label form
     Mutant("fold memo", "tiles.py", "            memo[k] = v\n", "",
            ("tests/test_tiles.py::test_fold_builds_each_distinct_node_once",)),
