@@ -215,29 +215,8 @@ def _interval(lo: Fraction, hi: Fraction) -> Interval:
     return iv
 
 
-def _pairs(ivs: Iterable[Interval]) -> list[Span]:
-    return [(iv.lo.numerator, iv.lo.denominator, iv.hi.numerator, iv.hi.denominator) for iv in ivs]
-
-
 def _intervals(ivs: Iterable[Span]) -> tuple[Interval, ...]:
     return tuple([_interval(Fraction(lon, lod), Fraction(hin, hid)) for lon, lod, hin, hid in ivs])
-
-
-def merge_intervals(ivs: Iterable[Interval]) -> tuple[Interval, ...]:
-    """Disjoint sorted closure of a family of closed intervals (touching merge)."""
-    ivs = _pairs(ivs)
-    ivs.sort(key=_exact_key(ivs, 1))
-    return _intervals(_union(ivs))
-
-
-def intersect_interval_sets(a: Sequence[Interval], b: Sequence[Interval]) -> tuple[Interval, ...]:
-    """Intersection of two outputs of `merge_intervals` (sorted, never
-    touching), in one sweep over both."""
-    return _intervals(_intersect(_pairs(a), _pairs(b)))
-
-
-def interval_set_contains(ivs: Sequence[Interval], x: Fraction) -> bool:
-    return any(iv.contains(x) for iv in ivs)
 
 
 @dataclass(frozen=True)
@@ -375,84 +354,62 @@ def _canonical(space: Space, rows: Sequence[Row]) -> tuple[Row, ...]:
 
 
 def _canonical_general(space: Space, rows: Iterable[Row]) -> tuple[Row, ...]:
-    """Canonical rows of any list of rows, whatever their order and overlaps:
-    rows of one function are merged, then all are sorted, points covered by
-    another piece dropped, and every remaining overlap and the wrap checked.
-    Each row carries its values at lo and hi, so these steps rarely evaluate
-    a piece again."""
+    """Canonical rows of any list of rows, whatever their order and overlaps,
+    in the steps of the object reference: rows of one function are merged,
+    then all are sorted, points covered by another piece dropped, and every
+    remaining overlap and the wrap checked."""
     L = space.length
     Ln, Ld = L.numerator, L.denominator
-    circle = space.circle
-    by_fn: dict[Row, list] = {}
-    for lon, lod, hin, hid, an, ad, bn, bd, va, vb in _prepared(space, rows):
-        by_fn.setdefault((an, ad, bn, bd), []).append((lon, lod, hin, hid, va, vb))
 
-    # merge touching/overlapping pieces carrying the same affine function;
-    # a row of `merged` is (*row, value at lo, value at hi)
-    merged: list[tuple] = []
-    for (an, ad, bn, bd), doms in by_fn.items():
-        if len(doms) > 1:
-            doms.sort(key=_exact_key(doms, 1))
-        lon, lod, hin, hid, va, vb = doms[0]
-        for lo2n, lo2d, hi2n, hi2d, va2, vb2 in doms[1:]:
-            if lo2n * hid <= hin * lo2d:
-                if hi2n * hid > hin * hi2d:
-                    hin, hid, vb = hi2n, hi2d, vb2
-            else:
-                merged.append((lon, lod, hin, hid, an, ad, bn, bd, va, vb))
-                lon, lod, hin, hid, va, vb = lo2n, lo2d, hi2n, hi2d, va2, vb2
-        merged.append((lon, lod, hin, hid, an, ad, bn, bd, va, vb))
-    if len(merged) > 1:
-        merged.sort(key=_exact_key(merged, 4))
+    def same(u: Pair, w: Pair) -> bool:
+        """u and w are one point of the space."""
+        return u == w or space.circle and _equiv(u, w, Ln, Ld)
 
-    # drop degenerate pieces already covered by another piece (values must agree)
-    kept = merged
-    if any(r[0] == r[2] and r[1] == r[3] for r in merged):
-        kept = []
-        for i, p in enumerate(merged):
-            xn, xd, x_hin, x_hid, _, _, vn, vd, _, _ = p
-            if xn == x_hin and xd == x_hid:
-                v = (vn, vd)
-                covered = False
-                for j, (lon, lod, hin, hid, an, ad, bn, bd, va, vb) in enumerate(merged):
-                    at_lo = lon == xn and lod == xd
-                    if j > i and not at_lo:
-                        break  # sorted by lo: no later piece contains x
-                    if j == i or hin * xd < xn * hid:
-                        continue
-                    w = va if at_lo else vb if hin == xn and hid == xd else _at(an, ad, xn, xd, bn, bd)
-                    if w != v and (not circle or not _equiv(w, v, Ln, Ld)):
-                        raise Conflict(f"values disagree at {_str(xn, xd)}: {_str(*w)} vs {_str(*v)}")
-                    if lon != hin or lod != hid:
-                        covered = True
-                if covered:
+    by_fn: dict[tuple, list[Span]] = {}
+    for r in _prepared(space, rows):
+        by_fn.setdefault(r[4:8], []).append(r[:4])
+    merged = [(*dom, *fn) for fn, doms in by_fn.items()
+              for dom in _union(sorted(doms, key=_exact_key(doms, 1)))]
+    merged.sort(key=_exact_key(merged, 4))
+
+    # drop points already covered by another piece (values must agree)
+    kept = []
+    for p in merged:
+        xn, xd, hn, hd, _, _, vn, vd = p
+        covered = False
+        if xn == hn and xd == hd:
+            for q in merged:
+                lon, lod, hin, hid, an, ad, bn, bd = q
+                if q is p or lon * xd > xn * lod or hin * xd < xn * hid:
                     continue
+                w = _at(an, ad, xn, xd, bn, bd)
+                if not same(w, (vn, vd)):
+                    raise Conflict(f"values disagree at {_str(xn, xd)}: {_str(*w)} vs {_str(vn, vd)}")
+                covered = covered or lon != hin or lod != hid
+        if not covered:
             kept.append(p)
 
     # remaining overlaps must be single shared endpoints with agreeing values
-    for i, (_, _, phin, phid, _, _, _, _, _, pv) in enumerate(kept):
-        for qlon, qlod, qhin, qhid, _, _, _, _, qv, _ in kept[i + 1:]:
-            if qlon * phid > phin * qlod:
+    for i, (_, _, phn, phd, pan, pad, pbn, pbd) in enumerate(kept):
+        for qln, qld, qhn, qhd, qan, qad, qbn, qbd in kept[i + 1:]:
+            if qln * phd > phn * qld:
                 break
-            if phin * qhid > qhin * phid:  # q is nested in p; points inside p were dropped above
-                raise Conflict(f"overlapping pieces on [{_str(qlon, qlod)}, {_str(qhin, qhid)}]"
+            hn, hd = (qhn, qhd) if qhn * phd < phn * qhd else (phn, phd)
+            if qln != hn or qld != hd:
+                raise Conflict(f"overlapping pieces on [{_str(qln, qld)}, {_str(hn, hd)}]"
                                " with different functions")
-            if qlon != phin or qlod != phid:
-                raise Conflict(f"overlapping pieces on [{_str(qlon, qlod)}, {_str(phin, phid)}]"
-                               " with different functions")
-            if pv != qv and (not circle or not _equiv(pv, qv, Ln, Ld)):
-                raise Conflict(f"values disagree at {_str(qlon, qlod)}: {_str(*pv)} vs {_str(*qv)}")
+            u, w = _at(pan, pad, qln, qld, pbn, pbd), _at(qan, qad, qln, qld, qbn, qbd)
+            if not same(u, w):
+                raise Conflict(f"values disagree at {_str(qln, qld)}: {_str(*u)} vs {_str(*w)}")
 
     # on a circle, 0 and length are one point: all pieces defined there must agree
-    if circle and kept:
-        at_zero = [r[8] for r in kept if not r[0]]
-        if at_zero:
-            at_len = [r[9] for r in kept if r[2] == Ln and r[3] == Ld]
-            for u in at_zero:
-                for w in at_len:
-                    if u != w and not _equiv(u, w, Ln, Ld):
-                        raise Conflict(f"wrap point ill-defined: {_str(*u)} vs {_str(*w)}")
-    return tuple([r[:8] for r in kept])
+    if space.circle:
+        at_len = [_at(*r[4:6], Ln, Ld, *r[6:]) for r in kept if r[2] == Ln and r[3] == Ld]
+        for u in [r[6:] for r in kept if not r[0]]:  # a row's value at 0 is its offset
+            for w in at_len:
+                if not same(u, w):
+                    raise Conflict(f"wrap point ill-defined: {_str(*u)} vs {_str(*w)}")
+    return tuple(kept)
 
 
 @dataclass(frozen=True)
@@ -559,23 +516,34 @@ def apply(f: PAMap, x: RatLike) -> Fraction:
     return Fraction(*v)
 
 
+def _across_wrap(fs: tuple[Row, ...], space: Space) -> tuple[Row, ...]:
+    """A map's canonical rows `fs`, extended across the wrap point of a
+    circle: where the map is defined at just one of 0 and L, one point row
+    gives the other end the map's value there.  A canonical map defined at
+    both already agrees across the wrap; on a segment nothing is added."""
+    if not space.circle or not fs:
+        return fs
+    Ln, Ld = space.length.numerator, space.length.denominator
+    at_zero = not fs[0][0]  # only the first row can start at 0
+    if fs[-1][2] == Ln and fs[-1][3] == Ld:  # only the last can end at L
+        if at_zero:
+            return fs
+        _, _, _, _, an, ad, bn, bd = fs[-1]
+        return ((0, 1, 0, 1, 0, 1, *_at(an, ad, Ln, Ld, bn, bd)),) + fs
+    if at_zero:
+        return fs + ((Ln, Ld, Ln, Ld, 0, 1, *fs[0][6:]),)  # the first row's value at 0 is its offset
+    return fs
+
+
 def compose(f: PAMap, g: PAMap) -> PAMap:
-    """f after g: x maps to f(g(x)), on the exact pullback domain."""
+    """f after g: x maps to f(g(x)), on the exact pullback domain.  One loop
+    serves both spaces: on a circle, f's rows are first extended across the
+    wrap point (`_across_wrap`), so a piece of g that reaches 0 or L meets f
+    at either end."""
     sp = f.space
     if g.space is not sp and g.space != sp:
         raise SpaceMismatch(f"{f.space} vs {g.space}")
-    L = sp.length
-    Ln, Ld = L.numerator, L.denominator
-    circle = sp.circle
-    fs = f._core
-    if circle:
-        # f's values at 0 and at L; hitting one representative of the wrap
-        # point counts for the other
-        at_zero = [(0, 1) if pbn == Ln and pbd == Ld else (pbn, pbd)
-                   for plon, _, _, _, _, _, pbn, pbd in fs if not plon]
-        at_len = [(0, 1) if v == (Ln, Ld) else v
-                  for v in (_at(pan, pad, Ln, Ld, pbn, pbd)
-                            for _, _, phin, phid, pan, pad, pbn, pbd in fs if phin == Ln and phid == Ld)]
+    fs = _across_wrap(f._core, sp)
     out: list[Row] = []
     for qln, qld, qhn, qhd, qan, qad, qbn, qbd in g._core:
         # q's values y0, y1 at its ends, and its image [ylo, yhi]
@@ -585,15 +553,6 @@ def compose(f: PAMap, g: PAMap) -> PAMap:
             y0 = _at(qan, qad, qln, qld, qbn, qbd)
             y1 = _at(qan, qad, qhn, qhd, qbn, qbd)
         (ylon, ylod), (yhin, yhid) = (y1, y0) if qan < 0 else (y0, y1)
-        if circle:
-            # where q reaches 0 (L), f's value at L (0) pins that end of q's
-            # domain, or all of it if q is constant; each pin goes on the
-            # side of the block where it lies, so rows stay sorted by lo
-            lo_pin = at_len if not y0[0] else at_zero if y0[0] == Ln and y0[1] == Ld else ()
-            hi_pin = () if not qan else at_len if not y1[0] else at_zero if y1[0] == Ln and y1[1] == Ld else ()
-            if lo_pin:
-                lo_end = (qln, qld, qln, qld) if qan else (qln, qld, qhn, qhd)
-                out += [(*lo_end, 0, 1, *v) for v in lo_pin]
         block = len(out)
         for plon, plod, phin, phid, pan, pad, pbn, pbd in fs:
             if plon * yhid > yhin * plod:
@@ -612,8 +571,6 @@ def compose(f: PAMap, g: PAMap) -> PAMap:
             out.append((*lo, *hi, *_mul(pan, pad, qan, qad), *_at(pan, pad, qbn, qbd, pbn, pbd)))
         if qan < 0:  # a decreasing q meets f's rows from its hi down
             out[block:] = out[block:][::-1]
-        if circle and hi_pin:
-            out += [(qhn, qhd, qhn, qhd, 0, 1, *v) for v in hi_pin]
     return _make(sp, out)
 
 

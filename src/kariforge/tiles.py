@@ -868,10 +868,10 @@ def _bits(obj, memo: dict) -> tuple[tuple[str, int], ...]:
     """_mk_bottoms of a JSON object of named integers.  A load passes one
     `memo`, so each distinct object becomes one tuple."""
     if type(obj) is not dict:
-        raise ValueError(f"not a JSON object: {_shown(obj)}")
+        _json_value(obj, "", dict)
     for name, v in obj.items():
         if type(v) is not int:
-            raise ValueError(f"{name}: not a JSON integer: {_shown(v)}")
+            _json_value(v, name, int)
     key = tuple(obj.items())
     bits = memo.get(key)
     if bits is None:

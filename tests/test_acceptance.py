@@ -33,6 +33,8 @@ from kariforge.verify import (
     witness_row,
 )
 
+import pamaps_reference as reference
+
 
 @contextmanager
 def criterion(num, limit_s, description):
@@ -230,9 +232,9 @@ def test_criterion_8_thompson_v_domain_refinement():
             pamaps.Interval(F(2, 3), F(7, 9)),
             pamaps.Interval(F(8, 9), F(1)),
         )
-        assert pamaps.intersect_interval_sets(got, target) == got
+        assert reference.intersect_interval_sets(got, target) == got
         for point in (F(0), F(2, 3), F(8, 9), F(1)):
-            assert pamaps.interval_set_contains(got, point)
+            assert any(iv.contains(point) for iv in got)
 
 
 def _brute_force_empty(problem):

@@ -24,12 +24,9 @@ from kariforge.pamaps import (
     equals,
     fixed_points,
     identity,
-    intersect_interval_sets,
-    interval_set_contains,
     invert,
     is_circle_homeo,
     is_identity_word,
-    merge_intervals,
     nontriviality_witness,
     pamap_from_obj,
     pamap_to_obj,
@@ -397,7 +394,7 @@ def test_common_domain_monotone(thompson_v):
     prev = common_domain(thompson_v, 0)
     for depth in (1, 2, 3):
         cur = common_domain(thompson_v, depth)
-        assert intersect_interval_sets(cur, prev) == cur  # cur is a subset
+        assert reference.intersect_interval_sets(cur, prev) == cur  # cur is a subset
         prev = cur
 
 
@@ -413,14 +410,14 @@ def test_thompson_v_depth3_inside_quoted_union(thompson_v):
         Interval(F(8, 9), F(1)),
     )
     got = common_domain(thompson_v, 3)
-    assert intersect_interval_sets(got, target) == got
+    assert reference.intersect_interval_sets(got, target) == got
 
 
 def test_thompson_v_cantor_points_survive(thompson_v):
     for depth in (1, 2, 3):
         got = common_domain(thompson_v, depth)
         for point in (F(0), F(1), F(2, 3), F(8, 9)):
-            assert interval_set_contains(got, point)
+            assert any(iv.contains(point) for iv in got)
 
 
 # -- nontriviality witness ----------------------------------------------
@@ -856,6 +853,35 @@ def test_decreasing_segment_maps_compose_and_invert_in_one_sweep():
     assert inverses == [reference.invert(f) for f in (flip, zig)]
 
 
+WRAP_F = {  # circle maps by where they are defined of 0 and L
+    "at L only": [(F(1, 2), 1, 1, F(-1, 4))],
+    "at 0 only": [(0, F(1, 2), 1, F(1, 4))],
+    "at both": [(0, F(1, 4), 1, F(1, 2)), (F(3, 4), 1, 1, F(-1, 2))],
+}
+WRAP_Q = {  # one piece on [1/4, 1/2] by where it reaches 0 or L; a constant L is stored as 0
+    "increasing, 0 at lo": (1, F(-1, 4)),
+    "increasing, L at hi": (1, F(1, 2)),
+    "decreasing, L at lo": (-1, F(5, 4)),
+    "decreasing, 0 at hi": (-1, F(1, 2)),
+    "constant 0": (0, 0),
+}
+
+
+@pytest.mark.parametrize("q", WRAP_Q)
+@pytest.mark.parametrize("f", WRAP_F)
+def test_compose_across_the_wrap(f, q):
+    """A piece of g that reaches 0 or L meets f at both: where f is defined
+    at one end only, its rows gain one point row at the other, and none
+    where it is defined at both.  The composite is the reference's, made in
+    one sweep."""
+    fm = piecemap(CIRCLE1, WRAP_F[f])
+    g = piecemap(CIRCLE1, [(F(1, 4), F(1, 2), *WRAP_Q[q])])
+    assert len(kernel._across_wrap(fm._core, CIRCLE1)) == len(fm._core) + (f != "at both")
+    with mock.patch.object(kernel, "_canonical_general", _refuse):
+        got = compose(fm, g)
+    assert got.pieces == reference.compose(fm, g).pieces != ()
+
+
 WORD_LETTERS =st.sampled_from(PRESET_NAMES).flatmap(
     lambda name: st.tuples(st.just(name), st.lists(
         st.tuples(st.sampled_from(PRESETS[name].names()), st.sampled_from([1, -1])), max_size=12)))
@@ -939,18 +965,6 @@ def test_enumerate_and_common_domain_match_reference(name):
         got = enumerate_maps(pres, depth)
         assert [m.pieces for m in got] == [m.pieces for m in reference.enumerate_maps(pres, depth)]
         assert common_domain(pres, depth) == reference.common_domain(pres, depth)
-
-
-@st.composite
-def merged_sets(draw):
-    return merge_intervals(Interval(*sorted(draw(st.tuples(grid(F(1), 8), grid(F(1), 8)))))
-                           for _ in range(draw(st.integers(0, 4))))
-
-
-@given(merged_sets(), merged_sets())
-@settings(max_examples=200, deadline=None)
-def test_intersect_interval_sets_matches_reference(a, b):
-    assert intersect_interval_sets(a, b) == reference.intersect_interval_sets(a, b)
 
 
 @pytest.mark.parametrize("budget", [0, -1])

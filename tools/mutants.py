@@ -101,6 +101,15 @@ MUTANTS = [
            "        if qan < 0:  # a decreasing q meets f's rows from its hi down\n"
            "            out[block:] = out[block:][::-1]\n", "",
            ("tests/test_pamaps.py::test_decreasing_segment_maps_compose_and_invert_in_one_sweep",)),
+    # on a circle, a map defined at one of 0 and L is read at the other too
+    Mutant("compose wrap at 0", "pamaps.py",
+           "        return ((0, 1, 0, 1, 0, 1, *_at(an, ad, Ln, Ld, bn, bd)),) + fs\n",
+           "        return fs\n",
+           ("tests/test_pamaps.py::test_compose_across_the_wrap",)),
+    Mutant("compose wrap at L", "pamaps.py",
+           "        return fs + ((Ln, Ld, Ln, Ld, 0, 1, *fs[0][6:]),)  # the first row's value at 0 is its offset\n",
+           "        return fs\n",
+           ("tests/test_pamaps.py::test_compose_across_the_wrap",)),
     Mutant("invert sweep order", "pamaps.py",
            "    if len(inv) > 1:  # by lo, so `_canonical` takes its sweep\n"
            "        inv.sort(key=_exact_key(inv, 1))\n", "",
