@@ -225,11 +225,13 @@ class Space:
 
     length: Fraction
     circle: bool
+    _L: Pair = field(init=False, compare=False, repr=False)  # length as a reduced int pair
 
     def __post_init__(self):
         object.__setattr__(self, "length", rat(self.length))
         if self.length <= 0:
             raise ValueError("space length must be positive")
+        object.__setattr__(self, "_L", self.length.as_integer_ratio())
 
     def normalize(self, x: Fraction) -> Fraction:
         """Canonical representative: [0, length) on a circle, x unchanged otherwise."""
@@ -280,12 +282,11 @@ def _prepared(space: Space, rows: Iterable[Row]) -> Iterator[tuple]:
     """Each row range-checked, in input order, as (*domain, *function, value
     at lo, value at hi).  The function is the row's (slope, offset), or
     (0, v) for a point or a constant, with v normalized on a circle."""
-    L = space.length
-    Ln, Ld = L.numerator, L.denominator
+    Ln, Ld = space._L
     circle = space.circle
     for lon, lod, hin, hid, an, ad, bn, bd in rows:
         if lon < 0 or hin * Ld > Ln * hid:
-            raise ValueError(f"piece domain [{_str(lon, lod)}, {_str(hin, hid)}] outside [0, {L}]")
+            raise ValueError(f"piece domain [{_str(lon, lod)}, {_str(hin, hid)}] outside [0, {_str(Ln, Ld)}]")
         point = not an or (lon == hin and lod == hid)
         if not an:
             va = vb = ilo = ihi = (bn, bd)
@@ -296,7 +297,7 @@ def _prepared(space: Space, rows: Iterable[Row]) -> Iterator[tuple]:
             vb = _at(an, ad, hin, hid, bn, bd)
             ilo, ihi = (va, vb) if an > 0 else (vb, va)
         if ilo[0] < 0 or ihi[0] * Ld > Ln * ihi[1]:
-            raise ValueError(f"piece image [{_str(*ilo)}, {_str(*ihi)}] outside [0, {L}]")
+            raise ValueError(f"piece image [{_str(*ilo)}, {_str(*ihi)}] outside [0, {_str(Ln, Ld)}]")
         if point:  # a point or a constant: slope 0 and a normalized value
             if circle and va[0] == Ln and va[1] == Ld:
                 va = vb = (0, 1)
@@ -318,8 +319,7 @@ def _canonical(space: Space, rows: Sequence[Row]) -> tuple[Row, ...]:
     values disagree somewhere, so every `Conflict` is raised there, with one
     text whichever path the list started on.
     """
-    L = space.length
-    Ln, Ld = L.numerator, L.denominator
+    Ln, Ld = space._L
     circle = space.circle
     # a row of `kept` is (*row, value at lo, value at hi); lo strictly rises
     kept: list[tuple] = []
@@ -358,8 +358,7 @@ def _canonical_general(space: Space, rows: Iterable[Row]) -> tuple[Row, ...]:
     in the steps of the object reference: rows of one function are merged,
     then all are sorted, points covered by another piece dropped, and every
     remaining overlap and the wrap checked."""
-    L = space.length
-    Ln, Ld = L.numerator, L.denominator
+    Ln, Ld = space._L
 
     def same(u: Pair, w: Pair) -> bool:
         """u and w are one point of the space."""
@@ -442,8 +441,7 @@ class PAMap:
         return _intervals(_domain(self._core))
 
     def is_total(self) -> bool:
-        L = self.space.length
-        return _domain(self._core) == [(0, 1, L.numerator, L.denominator)]
+        return _domain(self._core) == [(0, 1, *self.space._L)]
 
     def __eq__(self, other):
         if other.__class__ is not PAMap:
@@ -474,8 +472,7 @@ def _make(space: Space, rows: Sequence[Row]) -> PAMap:
 
 def _identity_row(space: Space) -> Row:
     """x -> x on the whole space: the identity's one canonical row."""
-    L = space.length
-    return (0, 1, L.numerator, L.denominator, 1, 1, 0, 1)
+    return (0, 1, *space._L, 1, 1, 0, 1)
 
 
 def identity(space: Space) -> PAMap:
@@ -483,22 +480,18 @@ def identity(space: Space) -> PAMap:
 
 
 def _value(f: PAMap, xn: int, xd: int) -> Optional[Pair]:
-    """f at x, a canonical point of the space; None off f's domain."""
+    """f at x, None off f's domain.  On a circle, x and the value are read
+    mod L, and f's rows across the wrap point (`_across_wrap`)."""
     sp = f.space
-    L = sp.length
-    Ln, Ld = L.numerator, L.denominator
+    Ln, Ld = sp._L
     circle = sp.circle
     if circle:
         xn, xd = _mod(xn, xd, Ln, Ld)
-    for lon, lod, hin, hid, an, ad, bn, bd in f._core:
+    for lon, lod, hin, hid, an, ad, bn, bd in _across_wrap(f._core, sp):
         if lon * xd > xn * lod:
             break  # sorted by lo: no later piece contains x
         if xn * hid <= hin * xd:
             return _mod(*_at(an, ad, xn, xd, bn, bd), Ln, Ld) if circle else _at(an, ad, xn, xd, bn, bd)
-    if circle and not xn:
-        for _, _, hin, hid, an, ad, bn, bd in f._core:
-            if hin == Ln and hid == Ld:
-                return _mod(*_at(an, ad, Ln, Ld, bn, bd), Ln, Ld)
     return None
 
 
@@ -506,13 +499,11 @@ def apply(f: PAMap, x: RatLike) -> Fraction:
     """Evaluate f at x; the result is a canonical point of the space."""
     x = rat(x)
     sp = f.space
-    if sp.circle:
-        x = sp.normalize(x)
-    elif not 0 <= x <= sp.length:
+    if not sp.circle and not 0 <= x <= sp.length:
         raise OutOfDomain(f"{x} outside [0, {sp.length}]")
     v = _value(f, x.numerator, x.denominator)
     if v is None:
-        raise OutOfDomain(f"{x} not in domain")
+        raise OutOfDomain(f"{sp.normalize(x)} not in domain")
     return Fraction(*v)
 
 
@@ -523,7 +514,7 @@ def _across_wrap(fs: tuple[Row, ...], space: Space) -> tuple[Row, ...]:
     both already agrees across the wrap; on a segment nothing is added."""
     if not space.circle or not fs:
         return fs
-    Ln, Ld = space.length.numerator, space.length.denominator
+    Ln, Ld = space._L
     at_zero = not fs[0][0]  # only the first row can start at 0
     if fs[-1][2] == Ln and fs[-1][3] == Ld:  # only the last can end at L
         if at_zero:
@@ -734,7 +725,7 @@ def is_identity_word(pres: PAGroupPresentation, word: Word) -> bool:
     domain, refutes the word without composing.  A word that fixes both
     probes is folded, and its composite compared with the one identity row."""
     maps = [pres.letters[pres.letter(n, s)] for n, s in word]
-    Ln, Ld = pres.space.length.numerator, pres.space.length.denominator
+    Ln, Ld = pres.space._L
     for x in ((0, 1), (Ln // 2, Ld) if Ln % 2 == 0 else (Ln, 2 * Ld)):  # 0 and L/2, reduced
         y = x
         for f in reversed(maps):
@@ -749,8 +740,7 @@ def is_identity_word(pres: PAGroupPresentation, word: Word) -> bool:
 def fixed_points(f: PAMap) -> tuple[Interval, ...]:
     """Exact solution set of f(x) = x (mod the wrap on circles)."""
     sp = f.space
-    L = sp.length
-    Ln, Ld = L.numerator, L.denominator
+    Ln, Ld = sp._L
     circle = sp.circle
     shifts = ((-Ln, Ld), (0, 1), (Ln, Ld)) if circle else ((0, 1),)
     found = []
@@ -826,8 +816,7 @@ def common_domain(pres: PAGroupPresentation, depth: int) -> tuple[Interval, ...]
 
     Monotone nonincreasing in depth; depth 0 is the whole space.
     """
-    L = pres.space.length
-    common = [(0, 1, L.numerator, L.denominator)]
+    common = [(0, 1, *pres.space._L)]
     for level in _levels(pres, depth):
         for m in level:
             common = _intersect(common, _domain(m._core))
@@ -855,8 +844,7 @@ def nontriviality_witness(pres: PAGroupPresentation, word: Word, budget: int) ->
     g = word_apply(pres, word)
     levels = _levels(pres, budget)
     maps = list(next(levels))  # the identity, defined everywhere
-    L = pres.space.length
-    common = [(0, 1, L.numerator, L.denominator)]
+    common = [(0, 1, *pres.space._L)]
     checked = None  # common at the last level searched: no map so far finds a t among its candidates
     moved: dict[Fraction, bool] = {}  # g moves s; False where g is undefined
     for level in levels:  # lengths 1..budget, each composed once

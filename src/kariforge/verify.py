@@ -216,6 +216,8 @@ def _check_row(tiles: Sequence[ZTile], known: frozenset[ZTile]) -> None:
 
 def _out_max(ts: ZTileSet) -> int:
     """The bound of the one output alphabet that plan_row's rows use."""
+    if not ts.out_maxes:
+        raise ValueError("tile set has no output")
     out_max = ts.out_maxes[0][1]
     if any(m != out_max for _, m in ts.out_maxes):
         raise ValueError("outputs use different alphabets")

@@ -33,8 +33,6 @@ from kariforge.verify import (
     witness_row,
 )
 
-import pamaps_reference as reference
-
 
 @contextmanager
 def criterion(num, limit_s, description):
@@ -222,6 +220,9 @@ def test_criterion_7_group_patch_witness():
 
 
 def test_criterion_8_thompson_v_domain_refinement():
+    # imported here: bench/selftest.py loads this module by its path, without tests/ on sys.path
+    import pamaps_reference as reference
+
     with criterion(8, 30.0, "thompson-v common domain at depth 3 sits inside the four "
                             "Cantor intervals and keeps 0, 2/3, 8/9, 1"):
         pres = thompson_v()

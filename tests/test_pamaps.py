@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction as F
 from unittest import mock
@@ -374,6 +375,16 @@ def test_intervals_and_spaces_refuse_empty_extents():
     for length in (0, -1):
         with pytest.raises(ValueError, match="space length must be positive"):
             Space(F(length), circle=True)
+
+
+def test_space_keeps_its_length_pair_out_of_sight():
+    """The length's int pair changes no equality, hash or repr, and a
+    replaced length brings its own pair."""
+    sp = Space(1, True)
+    assert sp == Space(F(1), True) and hash(sp) == hash(Space(F(1), True))
+    assert repr(sp) == "Space(length=Fraction(1, 1), circle=True)"
+    wide = dataclasses.replace(sp, length=F(4, 6))
+    assert wide == Space(F(2, 3), True) and wide._L == (2, 3)
 
 
 def test_union_and_equals_refuse_other_spaces(kari):
@@ -880,6 +891,15 @@ def test_compose_across_the_wrap(f, q):
     with mock.patch.object(kernel, "_canonical_general", _refuse):
         got = compose(fm, g)
     assert got.pieces == reference.compose(fm, g).pieces != ()
+
+
+@pytest.mark.parametrize("b", [F(-1, 4), 0])
+def test_apply_across_the_wrap(b):
+    """A circle map defined on [1/2, 1] only is read at 0 as at 1: both
+    give f(1) mod 1."""
+    f = piecemap(CIRCLE1, [(F(1, 2), 1, 1, b)])
+    for x in (0, 1):
+        assert apply(f, x) == (1 + b) % 1 == reference.apply(f, F(x))
 
 
 WORD_LETTERS =st.sampled_from(PRESET_NAMES).flatmap(

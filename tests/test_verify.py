@@ -833,6 +833,15 @@ def test_rows_and_patches_refuse_outputs_over_different_alphabets(psl2z, psl2z_f
         build_orbit_patch(psl2z, mixed, 1, 4, F(1, 5))
 
 
+def test_rows_and_patches_refuse_a_set_with_no_output(kari_tiles, psl2z, psl2z_family):
+    bare = ZTileSet(1, (), (), source=kari_tiles.source)
+    with pytest.raises(ValueError, match="^tile set has no output$"):
+        witness_row(bare, F(1, 3), 4)
+    bare = ZTileSet(1, (), (), source=psl2z_family.source, generators=())  # no generators, so no outputs
+    with pytest.raises(ValueError, match="^tile set has no output$"):
+        build_orbit_patch(psl2z, bare, 1, 4, F(1, 5))
+
+
 def test_orbit_patch_needs_a_generation_plan(psl2z, psl2z_family):
     from kariforge.tiles import grouptileset_from_obj, tileset_to_obj
 

@@ -110,6 +110,10 @@ MUTANTS = [
            "        return fs + ((Ln, Ld, Ln, Ld, 0, 1, *fs[0][6:]),)  # the first row's value at 0 is its offset\n",
            "        return fs\n",
            ("tests/test_pamaps.py::test_compose_across_the_wrap",)),
+    Mutant("_value wrap at 0", "pamaps.py",
+           "    for lon, lod, hin, hid, an, ad, bn, bd in _across_wrap(f._core, sp):\n",
+           "    for lon, lod, hin, hid, an, ad, bn, bd in f._core:\n",
+           ("tests/test_pamaps.py::test_apply_across_the_wrap",)),
     Mutant("invert sweep order", "pamaps.py",
            "    if len(inv) > 1:  # by lo, so `_canonical` takes its sweep\n"
            "        inv.sort(key=_exact_key(inv, 1))\n", "",
@@ -142,6 +146,10 @@ MUTANTS = [
            ("tests/test_tiles.py::test_label_writer_matches_reference",)),
     Mutant("nested too deeply", "cli.py", "    except RecursionError:", "    except ZeroDivisionError:",
            ("tests/test_cli.py::test_deeply_nested_tile_file_is_an_error",)),
+    # a set with no output is refused before its alphabet is read
+    Mutant("no-output refusal in _out_max", "verify.py",
+           '    if not ts.out_maxes:\n        raise ValueError("tile set has no output")\n', "",
+           ("tests/test_verify.py::test_rows_and_patches_refuse_a_set_with_no_output",)),
     Mutant("one label graph", "tiles.py",
            "return _label_ids([t.left for t in ts.tiles], [t.right for t in ts.tiles])",
            "return _label_ids([t.right for t in ts.tiles], [t.left for t in ts.tiles])",
