@@ -57,8 +57,8 @@ def cmd_verify(args) -> int:
     ts = tiles.tileset_from_obj(_read_json(args.tiles))
     if ts.generators is not None:
         raise ValueError("verify expects a tile set over Z, not a group tile set")
-    report: dict = {"nonempty": verify.nonempty_rows(ts)}
-    sums = verify.RowSums.of(ts, args.max_n)  # one walk search for both checks
+    sums = verify.RowSums.of(ts, args.max_n)  # one label graph and sums DP for every check
+    report: dict = {"nonempty": sums.nonempty()}
     periodic = verify.stacked_periodic_scan(ts, args.max_n, args.max_k, sums)
     report["periodic"] = periodic
     violations = []
@@ -82,27 +82,45 @@ def cmd_verify(args) -> int:
     return 0
 
 
+def _list_json(items: list[str], indent: str) -> str:
+    """A list of written items as `json.dumps(indent=1)` writes it where its
+    opening bracket's line is indented by `indent`."""
+    if not items:
+        return "[]"
+    step = "\n" + indent + " "
+    return "[" + step + ("," + step).join(items) + "\n" + indent + "]"
+
+
 def _violation_json(v: dict) -> str:
-    """Text of a soundness violation at depth 2 of `json.dumps(report, indent=1)`;
-    its cycle, a closed walk, has at least one tile."""
+    """Text of a soundness violation at depth 2 of `json.dumps(report, indent=1)`."""
     expected = v["expected"]
-    return ('  {\n   "n": ' + str(v["n"])
-            + ',\n   "cycle": [\n    ' + ",\n    ".join(map(str, v["cycle"]))
-            + '\n   ],\n   "top_avg": ' + encode_basestring_ascii(v["top_avg"])
+    return ('{\n   "n": ' + str(v["n"])
+            + ',\n   "cycle": ' + _list_json(list(map(str, v["cycle"])), "   ")
+            + ',\n   "top_avg": ' + encode_basestring_ascii(v["top_avg"])
             + ',\n   "bottom_avg": ' + encode_basestring_ascii(v["bottom_avg"])
             + ',\n   "expected": ' + ("null" if expected is None else encode_basestring_ascii(expected))
             + "\n  }")
 
 
+def _lattice_json(e: dict) -> str:
+    """Text of a stacked periodic configuration at depth 2 of `json.dumps(report, indent=1)`."""
+    rows = [_list_json(list(map(str, row)), "    ") for row in e["rows"]]
+    return ('{\n   "n": ' + str(e["n"]) + ',\n   "k": ' + str(e["k"]) + ',\n   "shear": ' + str(e["shear"])
+            + ',\n   "rows": ' + _list_json(rows, "   ") + "\n  }")
+
+
 def _report_json(report: dict) -> str:
     """`json.dumps(report, indent=1) + "\n"` for a verify report.  The
-    soundness violations, which can number thousands, are written field by
-    field; the other entries are few and go through `tiles._json_text` at
-    depth 1 (a JSON text has no raw newline inside a string)."""
+    soundness violations, which can number thousands, and the periodic
+    configurations are written field by field; the other entries are small
+    and go through `tiles._json_text` at depth 1 (a JSON text has no raw
+    newline inside a string)."""
     entries = []
     for key, value in report.items():
-        if key == "soundness_violations" and value:
-            text = "[\n" + ",\n".join(map(_violation_json, value)) + "\n ]"
+        if key == "soundness_violations":
+            text = _list_json(list(map(_violation_json, value)), " ")
+        elif key == "periodic":
+            text = _list_json(list(map(_lattice_json, value)), " ")
         else:
             text = tiles._json_text(value, 1)
         entries.append(encode_basestring_ascii(key) + ": " + text)

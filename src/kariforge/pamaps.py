@@ -860,7 +860,7 @@ def nontriviality_witness(pres: PAGroupPresentation, word: Word, budget: int) ->
                 moves = moved.get(s)
                 if moves is None:
                     try:
-                        moves = not pres.space.equiv(apply(g, s), s)
+                        moves = apply(g, s) != s  # both are canonical points
                     except OutOfDomain:
                         moves = False
                     moved[s] = moves

@@ -15,6 +15,7 @@ has no periodic points).
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -237,15 +238,16 @@ def witness_row(ts: ZTileSet, x, N: int) -> list[ZTile]:
 # Transition graph and periodic rows
 
 
-def _label_graph(ts: ZTileSet) -> tuple[list[tuple[int, ...]], list[int]]:
+def _label_graph(ts: ZTileSet) -> tuple[tuple[tuple[int, ...], ...], list[int], list[int]]:
     """The label graph that `tiles.trim_tiles` peels: tile i is an edge from
-    its left label to its right label rights[i], and outs[l] lists the tiles
-    whose left label is l, in index order.  A row is a walk on it."""
+    label lefts[i] to label rights[i], and outs[l] lists the tiles whose
+    left label is l, in index order.  A row is a walk on it.  Returns
+    (outs, lefts, rights)."""
     labels, lefts, rights = tiles._tile_label_ids(ts)
     outs: list = [[] for _ in labels]
     for i, l in enumerate(lefts):
         outs[l].append(i)
-    return list(map(tuple, outs)), rights
+    return tuple(map(tuple, outs)), lefts, rights
 
 
 @dataclass(frozen=True)
@@ -257,7 +259,7 @@ class TransitionGraph:
 
     @staticmethod
     def of(ts: ZTileSet) -> "TransitionGraph":
-        outs, rights = _label_graph(ts)
+        outs, _, rights = _label_graph(ts)
         return TransitionGraph(tuple(outs[r] for r in rights))
 
 
@@ -365,13 +367,16 @@ def _closed_walk_sums(outs: Sequence[Sequence[int]], rights: Sequence[int], tops
 @dataclass(frozen=True)
 class RowSums:
     """The periodic rows of a tile set up to length n_max, read by their sums:
-    the transition graph, each tile's top and bottom, and the (top sum,
-    bottom sum) classes of the closed walks of each length n <= n_max.
-    `periodic_soundness` and `stacked_periodic_scan` both start from it, so
-    a caller running both builds it once."""
+    the label graph (outs, lefts, rights, as `_label_graph` gives them),
+    each tile's top and bottom, and the (top sum, bottom sum) classes of the closed walks of each length n <= n_max.
+    `periodic_soundness` and `stacked_periodic_scan` both start from it and
+    list walks through `_walk_search`, so a caller running both builds it,
+    and the label-level tables that search reads, once."""
 
     n_max: int
-    succ: tuple[tuple[int, ...], ...]
+    outs: tuple[tuple[int, ...], ...]
+    lefts: list[int]
+    rights: list[int]
     tops: list[int]
     bots: list[int]
     sums: dict[int, set[tuple[int, int]]]
@@ -381,11 +386,111 @@ class RowSums:
         if n_max < 1:  # a bound below 1 searches nothing and would read as clean
             raise ValueError(f"n_max must be >= 1, got {n_max}")
         name = ts.single_out()
-        outs, rights = _label_graph(ts)
+        outs, lefts, rights = _label_graph(ts)
         tops = [t.top for t in ts.tiles]
         bots = [t.bottom(name) for t in ts.tiles]
-        return RowSums(n_max, tuple(outs[r] for r in rights), tops, bots,
+        return RowSums(n_max, outs, lefts, rights, tops, bots,
                        _closed_walk_sums(outs, rights, tops, bots, n_max))
+
+    def nonempty(self) -> bool:
+        """`nonempty_rows` of the set, read off the label graph held here."""
+        return any(tiles._live(len(self.outs), self.lefts, self.rights))
+
+    @functools.cached_property
+    def _reach(self) -> list[list[int]]:
+        """_reach[r][l]: the labels reachable from label l in exactly r steps,
+        r < n_max, as a bitmask with bit m set for label m.  Built on the
+        first walk search and shared by every length and both checks."""
+        rights = self.rights
+        nexts = [{rights[t] for t in out} for out in self.outs]
+        reach = [[1 << l for l in range(len(nexts))]]
+        for _ in range(1, self.n_max):
+            prev = reach[-1]
+            layer = []
+            for ms in nexts:
+                mask = 0
+                for m in ms:
+                    mask |= prev[m]
+                layer.append(mask)
+            reach.append(layer)
+        return reach
+
+    @functools.cached_property
+    def _top_bounds(self) -> tuple[list[list], list[list]]:
+        """(lo, hi): lo[r][l] and hi[r][l] are the least and the greatest
+        top sum of a walk of r steps from label l, r < n_max, and inf and
+        -inf where no such walk leaves l."""
+        tops, rights = self.tops, self.rights
+        lo = [[0] * len(self.outs)]
+        hi = [[0] * len(self.outs)]
+        for _ in range(1, self.n_max):
+            below, above = lo[-1], hi[-1]
+            lo.append([min([tops[t] + below[rights[t]] for t in out], default=math.inf) for out in self.outs])
+            hi.append([max([tops[t] + above[rights[t]] for t in out], default=-math.inf) for out in self.outs])
+        return lo, hi
+
+
+def _walk_search(rs: RowSums, n: int, kept, mult: int,
+                 digits: Sequence[int]) -> Iterator[tuple[list[int], int]]:
+    """The closed walks of length n whose top sum is in `kept`, in
+    `closed_walks`' order: by start tile, then by each step's position in
+    its tile's successor list.  Each comes as (path, key): path holds its
+    tiles in a list that the search reuses, and key reads its tiles'
+    digits[t] as the digits of a base-`mult` number (with mult 1, their sum).
+
+    A step goes to a tile from whose right label the start tile's left label
+    is reachable in exactly the steps that remain (`RowSums._reach`), so
+    every path the search extends closes.  The path's top sum runs along
+    with it.  When some class of length n has a top sum outside `kept`, a
+    step is also refused when no kept sum lies between the least and the
+    greatest top sum with which the walk can still close (`RowSums._top_bounds`);
+    with no such class every closed walk is kept and no bound is read.
+    """
+    outs, lefts, rights, tops = rs.outs, rs.lefts, rs.rights, rs.tops
+    reach = rs._reach
+    last = n - 1
+    bounded = any(T not in kept for T, _ in rs.sums[n])
+    if bounded:
+        lo, hi = rs._top_bounds
+        most = n * max(tops)
+        at_least = [most + 1] * (most + 2)  # at_least[a]: the least kept sum >= a, most + 1 if none
+        for a in range(most, -1, -1):
+            at_least[a] = a if a in kept else at_least[a + 1]
+    path, top_sums, keys = [0] * n, [0] * n, [0] * n
+    steps: list = [None] * n  # steps[d]: the candidates for path[d] not yet tried
+    for start in range(len(tops)):
+        home = 1 << lefts[start]
+        u, T = rights[start], tops[start]
+        if not reach[last][u] & home or bounded and at_least[T + lo[last][u]] > T + hi[last][u]:
+            continue
+        path[0], top_sums[0], keys[0] = start, T, digits[start]
+        if n == 1:
+            yield path, keys[0]
+            continue
+        steps[1] = iter(outs[u])
+        d = 1
+        while d:
+            r = last - d
+            to_go, before = reach[r], top_sums[d - 1]
+            for v in steps[d]:
+                u = rights[v]
+                if to_go[u] & home:
+                    if not bounded:
+                        break
+                    T = before + tops[v]
+                    if at_least[T + lo[r][u]] <= T + hi[r][u]:
+                        break
+            else:
+                d -= 1
+                continue
+            path[d] = v
+            top_sums[d] = before + tops[v]
+            keys[d] = keys[d - 1] * mult + digits[v]
+            if d == last:
+                yield path, keys[d]
+            else:
+                d += 1
+                steps[d] = iter(outs[u])
 
 
 def _row_sums(ts: ZTileSet, n_max: int, sums: Optional[RowSums]) -> RowSums:
@@ -403,16 +508,18 @@ def periodic_soundness(ts: ZTileSet, f: PAMap, n_max: int,
     Returns violation records; an empty list certifies soundness up to n_max.
     A row whose top average lies outside f's domain is a violation with
     "expected" None.  Each (n, top sum, bottom sum) class is checked once;
-    only the lengths with a violating class list their walks, to report them.
+    only the lengths with a violating class list their walks, to report
+    them, and only the walks whose top sum is a violating class's.
     `sums`, if given, is `RowSums.of(ts, n_max)`.
     """
     sp = f.space
     rs = _row_sums(ts, n_max, sums)
-    succ, tops, bots = rs.succ, rs.tops, rs.bots
+    width = n_max * max(rs.bots, default=0) + 1  # B < width, so T * width + B keys a class
+    steps = [T * width + B for T, B in zip(rs.tops, rs.bots)]
     violations = []
     for n, classes in rs.sums.items():
         expected: dict[int, Optional[Fraction]] = {}
-        bad: dict[tuple[int, int], tuple[str, str, Optional[str]]] = {}  # class -> its texts
+        bad: dict[int, tuple[str, str, Optional[str]]] = {}  # T * width + B -> the class's texts
         for T, B in classes:
             if T not in expected:
                 try:
@@ -421,14 +528,14 @@ def periodic_soundness(ts: ZTileSet, f: PAMap, n_max: int,
                     expected[T] = None  # a row the map cannot account for
             e = expected[T]
             if e is None or not sp.equiv(Fraction(B, n), e):
-                bad[T, B] = (str(Fraction(T, n)), str(Fraction(B, n)), None if e is None else str(e))
+                bad[T * width + B] = (str(Fraction(T, n)), str(Fraction(B, n)), None if e is None else str(e))
         if not bad:
             continue
-        for walk in closed_walks(succ, n):
-            texts = bad.get((sum(map(tops.__getitem__, walk)), sum(map(bots.__getitem__, walk))))
+        for walk, key in _walk_search(rs, n, {key // width for key in bad}, 1, steps):
+            texts = bad.get(key)
             if texts is not None:
                 top_avg, bottom_avg, expected_text = texts
-                violations.append({"n": n, "cycle": list(walk), "top_avg": top_avg,
+                violations.append({"n": n, "cycle": walk[:], "top_avg": top_avg,
                                    "bottom_avg": bottom_avg, "expected": expected_text})
     return violations
 
@@ -461,7 +568,10 @@ def stacked_periodic_scan(ts: ZTileSet, n_max: int, k_max: int,
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     rs = _row_sums(ts, n_max, sums)
-    succ, tops, bots = rs.succ, rs.tops, rs.bots
+    tops, bots = rs.tops, rs.bots
+    # A row's top and bottom words are its bits as the digits of base-`base`
+    # numbers, which at one length sort as the tuples of bits do.
+    base = max(tops + bots, default=0) + 1
     found: dict[tuple[int, int, int], dict] = {}
     for n, classes in rs.sums.items():
         sum_succ: dict[int, set[int]] = {}  # top sum -> bottom sums, as averages over n
@@ -473,25 +583,32 @@ def stacked_periodic_scan(ts: ZTileSet, n_max: int, k_max: int,
         # Every row of a stacked configuration, and every row on a BFS path
         # from one row to a row that closes the stack, has its top sum on a
         # cycle of length <= k_max.  Leaving the other walks out changes
-        # neither those rows' BFS levels nor their parents.
-        pairs: dict[tuple, dict[tuple, tuple]] = {}
-        for walk in closed_walks(succ, n):
-            row_tops = tuple(map(tops.__getitem__, walk))
-            if sum(row_tops) in loops:
-                pairs.setdefault(row_tops, {}).setdefault(tuple(map(bots.__getitem__, walk)), walk)
+        # neither those rows' BFS levels nor their parents.  A walk's key is
+        # its top word * high + its bottom word.
+        high = base ** n
+        first: dict[int, tuple[int, ...]] = {}  # key -> the first walk with it
+        for walk, key in _walk_search(rs, n, loops, base, [t * high + b for t, b in zip(tops, bots)]):
+            if key not in first:
+                first[key] = tuple(walk)
+        pairs: dict[int, dict[int, tuple]] = {}  # top word -> bottom word -> first walk
+        for key, walk in first.items():
+            top_word, bottom_word = divmod(key, high)
+            pairs.setdefault(top_word, {})[bottom_word] = walk
         for t0 in sorted(pairs):
             # a found (n, k, s) is never replaced, so only lengths with a
             # shear still open can add to the report
-            ks = [k for k in loops[sum(t0)] if any((n, k, s) not in found for s in range(n))]
+            T0 = sum(map(tops.__getitem__, next(iter(pairs[t0].values()))))
+            ks = [k for k in loops[T0] if any((n, k, s) not in found for s in range(n))]
             if not ks:
                 continue
-            shears: dict[tuple, list[int]] = {}  # t0 rotated right by s -> s
+            shears: dict[int, list[int]] = {}  # t0 rotated right by s -> s
             for s in range(n):
-                shears.setdefault(t0[n - s:] + t0[:n - s], []).append(s)
+                low = base ** s  # the last s digits move to the front
+                shears.setdefault(t0 % low * (high // low) + t0 // low, []).append(s)
             # BFS over top words, remembering one parent per word per level
-            levels: list[dict[tuple, Optional[tuple]]] = [{t0: None}]
+            levels: list[dict[int, Optional[int]]] = [{t0: None}]
             for _ in range(1, ks[-1]):
-                cur: dict[tuple, Optional[tuple]] = {}
+                cur: dict[int, Optional[int]] = {}
                 for w in levels[-1]:
                     for b in pairs.get(w, ()):
                         if b in pairs and b not in cur:

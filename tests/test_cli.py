@@ -353,6 +353,24 @@ def test_group_witness(capsys):
     assert capsys.readouterr().out.startswith("witness t = ")
 
 
+# (preset, word, budget, answer): words that move 0, words whose first
+# witness is not 0, and words that fix every point they reach
+WITNESS_ANSWERS = [
+    ("z-kari", "f", 4, "witness t = 0"), ("z-kari", "fF", 4, "unknown"),
+    ("psl2z", "de", 4, "witness t = 0"), ("psl2z", "ee", 4, "unknown"), ("psl2z", "ddd", 4, "unknown"),
+    ("thompson-t", "aB", 4, "witness t = 0"), ("thompson-t", "Aba", 4, "witness t = 1/3"),
+    ("thompson-t", "ccc", 4, "unknown"),
+    ("thompson-v", "a", 4, "witness t = 0"), ("thompson-v", "Aba", 4, "witness t = 1/27"),
+    ("thompson-v", "pi0pi0", 2, "unknown"),
+]
+
+
+@pytest.mark.parametrize("preset, word, budget, answer", WITNESS_ANSWERS)
+def test_group_witness_answers_on_every_preset(capsys, preset, word, budget, answer):
+    assert main(["group", "--preset", preset, "--word", word, "--witness", "--budget", str(budget)]) == 0
+    assert capsys.readouterr().out == answer + "\n"
+
+
 def test_group_witness_unknown_for_identity(capsys):
     assert main(["group", "--preset", "psl2z", "--word", "ee", "--witness", "--budget", "2"]) == 0
     assert capsys.readouterr().out.strip() == "unknown"
@@ -841,6 +859,11 @@ def _reports():
 @given(_reports())
 @example({"nonempty": True, "periodic": [], "soundness_violations": [], "oracle_periodic_points": None})
 @example({"nonempty": False, "periodic": [], "soundness_violations": [], "oracle_periodic_points": []})
+# k >= 2, a shear > 0 and rows of one tile, as verify reports them
+@example({"nonempty": True, "periodic": [{"n": 1, "k": 1, "shear": 0, "rows": [[7]]},
+                                          {"n": 1, "k": 3, "shear": 0, "rows": [[5], [12], [5]]},
+                                          {"n": 3, "k": 2, "shear": 2, "rows": [[0, 14, 9], [3, 3, 11]]}],
+          "soundness_violations": [], "oracle_periodic_points": [{"k": 1, "points": [["0", "0"]]}]})
 @settings(max_examples=200, deadline=None)
 def test_report_writer_equals_json_dumps(report):
     from kariforge.cli import _report_json

@@ -583,7 +583,7 @@ def assert_sums_match_the_tile_dp(ts, n_max):
         return
     rs = verify.RowSums.of(ts, n_max)
     succ = reference.successors(ts)
-    assert rs.succ == succ
+    assert TransitionGraph.of(ts).succ == succ
     assert rs.sums == reference.closed_walk_sums(succ, rs.tops, rs.bots, n_max)
 
 
@@ -643,8 +643,8 @@ def test_stacked_scan_finds_lattices_only_later_top_words_close(rows, found):
 
 def test_kari_checks_list_no_walks(kari, kari_tiles, monkeypatch):
     listed = []
-    real = verify.closed_walks
-    monkeypatch.setattr(verify, "closed_walks", lambda succ, n: listed.append(n) or real(succ, n))
+    real = verify._walk_search
+    monkeypatch.setattr(verify, "_walk_search", lambda rs, n, *rest: listed.append(n) or real(rs, n, *rest))
     assert periodic_soundness(kari_tiles, kari, 12) == []
     assert stacked_periodic_scan(kari_tiles, 12, 8) == []
     assert listed == []
@@ -854,8 +854,9 @@ def test_orbit_patch_needs_a_generation_plan(psl2z, psl2z_family):
 
 
 @st.composite
-def circle_homeos(draw, max_denominator=8):
+def circle_homeos(draw, max_denominator=8, rotate=True):
     # monotone dyadic-ish bijection of [0,1] fixing the ends, then a rotation
+    # unless rotate is false
     fracs = st.fractions(min_value=0, max_value=1, max_denominator=max_denominator)
     inner_x = sorted(draw(st.sets(fracs, min_size=1, max_size=3)) - {F(0), F(1)})
     inner_y = sorted(draw(st.sets(fracs, min_size=len(inner_x), max_size=len(inner_x))
@@ -870,7 +871,7 @@ def circle_homeos(draw, max_denominator=8):
         slope = (y1 - y0) / (x1 - x0)
         pieces.append(AffinePiece(Interval(x0, x1), slope, y0 - slope * x0))
     g = PAMap.make(sp, pieces)
-    c = draw(fracs)
+    c = draw(fracs) if rotate else 0
     if c in (0, 1):
         return g
     rot = PAMap.make(sp, [
@@ -891,6 +892,61 @@ def test_random_circle_homeo_end_to_end(f, x):
     assert periodic_soundness(ts, f, 3) == []
     row = witness_row(ts, x, 16)
     assert tuple(t.top for t in row) == disc(x, -16, 16).bits
+
+
+# -- the pruned walk search on maps with a fixed point -------------------
+
+# fixes 0 ~ 1; its 142 tiles close 25,380 walks of length 10
+SLOW_AT_ZERO = PAMap.make(Space(F(1), circle=True), [AffinePiece(Interval(F(0), F(1, 2)), F(1, 2), F(0)),
+                                                     AffinePiece(Interval(F(1, 2), F(1)), F(3, 2), F(-1, 2))])
+
+
+@st.composite
+def fixed_point_cases(draw):
+    """(tile set, map) pairs from circle maps that fix 0: a set against its
+    own map, with one bottom bit flipped, or against another such map.  At a
+    length some top sums lie on a loop and others do not, and some classes
+    violate while others do not, so both checks prune."""
+    f = draw(circle_homeos(max_denominator=4, rotate=False))
+    ts = compiled(f)
+    kind = draw(st.sampled_from(["own", "flipped", "other"]))
+    if kind == "flipped":
+        ts = flip_bottom(ts, draw(st.integers(0, len(ts.tiles) - 1)))
+    elif kind == "other":
+        f = draw(circle_homeos(max_denominator=4, rotate=False))
+    return ts, f
+
+
+@given(fixed_point_cases(), st.integers(1, 8), st.integers(1, 4))
+@example((compiled(SLOW_AT_ZERO), SLOW_AT_ZERO), 8, 3)
+@example((flip_bottom(compiled(SLOW_AT_ZERO), 5), SLOW_AT_ZERO), 6, 2)
+@example((compiled(SLOW_AT_ZERO), IDENTITY_CIRCLE), 7, 4)
+@settings(max_examples=40, deadline=None)
+def test_pruned_checks_match_walk_enumeration_on_fixed_point_maps(case, n_max, k_max):
+    ts, f = case
+    assert periodic_soundness(ts, f, n_max) == reference.periodic_soundness(ts, f, n_max)
+    assert stacked_periodic_scan(ts, n_max, k_max) == reference.stacked_periodic_scan(ts, n_max, k_max)
+
+
+def test_scan_searches_only_the_walks_whose_top_sum_is_on_a_loop(monkeypatch):
+    ts = compiled(SLOW_AT_ZERO)
+    searched = {}
+    real = verify._walk_search
+
+    def spy(rs, n, *rest):
+        walks = searched.setdefault(n, [])
+        for walk, key in real(rs, n, *rest):
+            walks.append(tuple(walk))
+            yield walk, key
+
+    monkeypatch.setattr(verify, "_walk_search", spy)
+    assert stacked_periodic_scan(ts, 10, 3) == reference.stacked_periodic_scan(ts, 10, 3)
+    walks = list(reference.closed_walks(reference.successors(ts), 10))
+    # at n = 10 only the rows that encode the fixed point, averaging 0 or 1,
+    # have a top sum on a loop
+    on_loops = [w for w in walks if sum(ts.tiles[i].top for i in w) in (0, 10)]
+    assert searched[10] == on_loops
+    assert (len(on_loops), len(walks)) == (80, 25380)
 
 
 def test_orbit_patch_over_z_times_z(kari):

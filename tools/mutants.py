@@ -150,6 +150,16 @@ MUTANTS = [
     Mutant("no-output refusal in _out_max", "verify.py",
            '    if not ts.out_maxes:\n        raise ValueError("tile set has no output")\n', "",
            ("tests/test_verify.py::test_rows_and_patches_refuse_a_set_with_no_output",)),
+    # the walk search keeps every walk whose top sum is kept, and only those
+    Mutant("walk search sum bound off by one", "verify.py",
+           "if at_least[T + lo[r][u]] <= T + hi[r][u]:", "if at_least[T + lo[r][u]] < T + hi[r][u]:",
+           ("tests/test_verify.py::test_scan_searches_only_the_walks_whose_top_sum_is_on_a_loop",)),
+    Mutant("walk search reach one level off", "verify.py",
+           "to_go, before = reach[r], top_sums[d - 1]", "to_go, before = reach[r + 1], top_sums[d - 1]",
+           ("tests/test_verify.py::test_periodic_checks_match_walk_enumeration",)),
+    Mutant("soundness search keyed on bottom sums", "verify.py",
+           "{key // width for key in bad}", "{key % width for key in bad}",
+           ("tests/test_verify.py::test_pruned_checks_match_walk_enumeration_on_fixed_point_maps",)),
     Mutant("one label graph", "tiles.py",
            "return _label_ids([t.left for t in ts.tiles], [t.right for t in ts.tiles])",
            "return _label_ids([t.right for t in ts.tiles], [t.left for t in ts.tiles])",
