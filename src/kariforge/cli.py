@@ -233,11 +233,28 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("render", help="draw a tile set as SVG")
     r.add_argument("--tiles", required=True)
     r.add_argument("--out", help="SVG file (default stdout)")
+    ap.commands = sub.choices  # command name -> its parser, for _parse()
     return ap
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """`build_parser().parse_args(argv)` in one pass.  parse_args matches
+    the whole line in the top-level parser and then again in the command's
+    parser; a line that starts with a command goes here to that command's
+    parser only, which prints its own help and errors, as under parse_args.
+    A line with arguments left over, or with no command first, goes to
+    parse_args, so the top-level parser reports it as parse_args does."""
+    ap = build_parser()
+    command = ap.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return ap.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         # looked up by name: the shared parser may predate a wrapper that
         # replaced a cmd_* function on this module (bench/tracing.py does)

@@ -288,14 +288,15 @@ def perg_forbidden(oracle: Oracle, p: int, radius: int, alphabet_size: int = 2) 
     classes: dict[FGWord, list[FGWord]] = {}
     for w in words:
         classes.setdefault(canon[w], []).append(w)
-    out = []
+    letters = [(a, b) for a in range(alphabet_size) for b in range(alphabet_size) if a != b]
+    out: list[Pattern] = []
     for rep in sorted(classes):
-        members = classes[rep]
-        for g, h in itertools.combinations(members, 2):
-            for a in range(alphabet_size):
-                for b in range(alphabet_size):
-                    if a != b:
-                        out.append(Pattern.make({g: a, h: b}))
+        for g, h in itertools.combinations(classes[rep], 2):
+            # cells sorted by word, as Pattern.make sorts them
+            if g < h:
+                out += [Pattern(((g, a), (h, b))) for a, b in letters]
+            else:
+                out += [Pattern(((h, b), (g, a))) for a, b in letters]
     return out
 
 
@@ -305,7 +306,7 @@ def xleq1_forbidden(oracle: Oracle, p: int, radius: int) -> list[Pattern]:
     words = ball(p, radius)
     canon = canonical_classes(words, oracle)
     reps = sorted({canon[w] for w in words})
-    return [Pattern.make({(): 1, g: 1}) for g in reps if g != ()]
+    return [Pattern((((), 1), (g, 1))) for g in reps if g != ()]  # () sorts first
 
 
 def simple_sft_check(oracle: Oracle, p: int, radius: int, a: FGWord) -> dict[FGWord, int]:

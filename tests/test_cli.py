@@ -755,7 +755,7 @@ def test_malformed_problem_file_is_an_error(tmp_path, capsys, edit, words):
 import shlex  # noqa: E402
 from pathlib import Path  # noqa: E402
 
-from kariforge.cli import build_parser  # noqa: E402
+from kariforge.cli import _parse, build_parser  # noqa: E402
 
 
 def readme_commands() -> list[list[str]]:
@@ -769,7 +769,52 @@ def test_readme_command_lines_parse():
     commands = readme_commands()
     assert len(commands) >= 8
     for argv in commands:
-        build_parser().parse_args(argv[1:])  # exits with status 2 on an unknown command or flag
+        _parse(argv[1:])  # exits with status 1 on an unknown command or flag
+
+
+# -- main parses a line once, as parse_args does ---------------------------
+
+GROUP = ["group", "--preset", "psl2z", "--word", "ddd"]
+PARSE_CASES = [
+    [], ["-h"], ["--help"], ["nope"], ["--", "gen"], ["-x", "gen"],
+    ["verify", "--help"], ["group", "-h"], ["verify", "--tiles", "t.json", "--h"],
+    ["verify", "--max-n", "3"],  # no --tiles
+    ["render"], ["gen", "--map"],
+    GROUP + ["--is-identity", "--witness"],  # exclusive flags
+    ["gen", "--map", "m.json", "--preset", "z-kari"],
+    ["verify", "--tiles", "t.json", "--max-n", "abc"],
+    ["gen", "--preset", "z-kari", "--fast-path", "maybe"],
+    ["group", "--pres", "psl2z", "--wor", "ddd", "--is-id"],  # abbreviations
+    ["group", "--preset", "psl2z", "--w", "ddd", "--is-identity"],  # ambiguous: --word or --witness
+    ["simulate", "--map", "m.json", "--x=-1/2"],
+    ["simulate", "--map", "m.json", "--x", "-1/2"],  # -1/2 reads as a flag
+    GROUP + ["--witness", "--budget", "-1"],  # -1 reads as a number
+    ["verify", "--tiles=t.json", "--max-k", "2", "--out", "r.json"],
+    ["gen", "--", "--preset", "z-kari"],
+    GROUP + ["--is-identity", "--"],
+    GROUP + ["--is-identity", "--", "extra"],
+    GROUP + ["--is-identity", "--bogus"],
+    GROUP + ["--is-identity", "extra"],
+    ["freegroup", "--problem", "p.json", "--budget", "7", "--problem", "q.json"],
+]
+
+
+def _parse_outcome(parse, argv, capsys):
+    """(namespace or None, stdout, stderr, exit code or None) of parse(argv)."""
+    try:
+        args, code = parse(list(argv)), None
+    except SystemExit as exc:
+        args, code = None, exc.code
+    out, err = capsys.readouterr()
+    return args, out, err, code
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES + [argv[1:] for argv in readme_commands()], ids=" ".join)
+def test_one_pass_parse_matches_parse_args(argv, capsys):
+    """main's parse gives parse_args's namespace, output and exit code; a
+    line with an argument its command's parser leaves over is refused by
+    the top-level parser, as parse_args refuses it."""
+    assert _parse_outcome(_parse, argv, capsys) == _parse_outcome(build_parser().parse_args, argv, capsys)
 
 
 # -- render refuses an oversized file before decoding it -------------------

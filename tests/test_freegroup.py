@@ -200,6 +200,26 @@ def test_perg_psl2z_d_cubed(psl2z):
     assert any(set(p.support()) == {(), (1, 1, 1)} for p in pats)
 
 
+@pytest.mark.parametrize("name", ["free", "abelian", "psl2z"])
+@pytest.mark.parametrize("radius", [4, 5])
+def test_pattern_families_equal_the_pattern_make_lists(psl2z, name, radius):
+    """Both families build their two-cell patterns directly; the lists, in
+    order, are the ones `Pattern.make` gives on the same pairs."""
+    oracle = {"free": free_oracle, "abelian": abelian_oracle, "psl2z": pa_oracle(psl2z)}[name]
+    words = ball(2, radius)
+    canon = canonical_classes(words, oracle)
+    classes: dict = {}
+    for w in words:
+        classes.setdefault(canon[w], []).append(w)
+    for size in (2, 3):
+        want = [Pattern.make({g: a, h: b}) for rep in sorted(classes)
+                for g, h in itertools.combinations(classes[rep], 2)
+                for a in range(size) for b in range(size) if a != b]
+        assert perg_forbidden(oracle, 2, radius, alphabet_size=size) == want
+    reps = sorted(set(canon.values()))
+    assert xleq1_forbidden(oracle, 2, radius) == [Pattern.make({(): 1, g: 1}) for g in reps if g != ()]
+
+
 def test_xleq1_trivial_group():
     assert xleq1_forbidden(cyclic_oracle(1), 1, 2) == []
 

@@ -144,6 +144,11 @@ MUTANTS = [
     Mutant("writer re-indent", "tiles.py", '.replace("\\n", "\\n ") + close + closing',
            " + close + closing",
            ("tests/test_tiles.py::test_label_writer_matches_reference",)),
+    # a command's parser parses its line once; what it leaves over goes to
+    # the top-level parser, which refuses it
+    Mutant("dispatch ignores leftover arguments", "cli.py",
+           "        if not rest:\n            return args\n", "        return args\n",
+           ("tests/test_cli.py::test_one_pass_parse_matches_parse_args",)),
     Mutant("nested too deeply", "cli.py", "    except RecursionError:", "    except ZeroDivisionError:",
            ("tests/test_cli.py::test_deeply_nested_tile_file_is_an_error",)),
     # a set with no output is refused before its alphabet is read
@@ -160,6 +165,10 @@ MUTANTS = [
     Mutant("soundness search keyed on bottom sums", "verify.py",
            "{key // width for key in bad}", "{key % width for key in bad}",
            ("tests/test_verify.py::test_pruned_checks_match_walk_enumeration_on_fixed_point_maps",)),
+    # two-cell patterns are built with their cells sorted by word
+    Mutant("two-cell pattern cells unsorted", "freegroup.py", "            if g < h:\n",
+           "            if True:\n",
+           ("tests/test_freegroup.py::test_pattern_families_equal_the_pattern_make_lists",)),
     Mutant("one label graph", "tiles.py",
            "return _label_ids([t.left for t in ts.tiles], [t.right for t in ts.tiles])",
            "return _label_ids([t.right for t in ts.tiles], [t.left for t in ts.tiles])",
