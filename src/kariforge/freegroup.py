@@ -171,8 +171,16 @@ def table_oracle(mult: Sequence[Sequence[int]], gens: Sequence[int]) -> WordProb
     """Finite group by multiplication table, its identity the e with mult[e][x] == x for every x;
     gens[i] is the element of x_{i+1}."""
     elements = range(len(mult))
-    [identity] = [e for e in elements if all(mult[e][x] == x for x in elements)]
+    identities = [e for e in elements if all(mult[e][x] == x for x in elements)]
+    if len(identities) != 1:
+        raise ValueError(f"table has {len(identities)} identity rows (rows fixing every element), not one")
+    [identity] = identities
     inv = {a: b for a in elements for b in elements if mult[a][b] == identity}
+    for g in gens:
+        if g not in elements:
+            raise ValueError(f"generator {g} is not an element of the table, 0..{len(mult) - 1}")
+        if g not in inv:
+            raise ValueError(f"generator {g} has no inverse in the table")
 
     def nf(w: FGWord) -> int:
         acc = identity

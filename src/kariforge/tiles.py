@@ -344,6 +344,11 @@ class ZTileSet:
         """The tiles as a frozenset, built once per set, for membership tests."""
         return frozenset(self.tiles)
 
+    @functools.cached_property
+    def _label_ids(self) -> tuple[list, list[int], list[int]]:
+        """`_tile_label_ids` of the set, numbered once per set; callers share the lists."""
+        return _tile_label_ids(self)
+
     @staticmethod
     def make(in_max, out_maxes: dict[str, int], tiles: Iterable[ZTile], source=None) -> "ZTileSet":
         """The set of these tiles, deduplicated, validated and sorted by

@@ -243,7 +243,7 @@ def _label_graph(ts: ZTileSet) -> tuple[tuple[tuple[int, ...], ...], list[int], 
     label lefts[i] to label rights[i], and outs[l] lists the tiles whose
     left label is l, in index order.  A row is a walk on it.  Returns
     (outs, lefts, rights)."""
-    labels, lefts, rights = tiles._tile_label_ids(ts)
+    labels, lefts, rights = ts._label_ids
     outs: list = [[] for _ in labels]
     for i, l in enumerate(lefts):
         outs[l].append(i)
@@ -265,63 +265,8 @@ class TransitionGraph:
 
 def nonempty_rows(ts: ZTileSet) -> bool:
     """A bi-infinite row exists iff some label starts an infinite walk (the label graph is finite)."""
-    labels, lefts, rights = tiles._tile_label_ids(ts)
+    labels, lefts, rights = ts._label_ids
     return any(tiles._live(len(labels), lefts, rights))
-
-
-def _reach_masks(succ: Sequence[Sequence[int]], n: int) -> list[list[int]]:
-    """reach[L][v]: the tiles reachable from v in exactly L steps, L <= n, as
-    a bitmask with bit u set for tile u."""
-    reach = [[1 << v for v in range(len(succ))]]
-    for _ in range(n):
-        prev = reach[-1]
-        layer = []
-        for vs in succ:
-            mask = 0
-            for w in vs:
-                mask |= prev[w]
-            layer.append(mask)
-        reach.append(layer)
-    return reach
-
-
-def closed_walks(succ: Sequence[Sequence[int]], n: int) -> Iterator[tuple[int, ...]]:
-    """All closed walks of length n, start tile marked (rotations distinct).
-
-    Walks come in depth-first order: by start tile, then by each step's
-    position in its tile's successor list.  A step goes to a successor only
-    if the start tile is reachable from it in exactly the steps that remain,
-    so every path the search extends closes at least once.
-    """
-    if n < 1:
-        raise ValueError("row length must be >= 1")
-    reach = _reach_masks(succ, n)
-    last = n - 1
-    for start in range(len(succ)):
-        bit = 1 << start
-        if not reach[n][start] & bit:
-            continue
-        if n == 1:
-            yield (start,)
-            continue
-        path = [start] * n
-        steps: list = [None] * n  # steps[d]: the candidates for path[d] not yet tried
-        steps[1] = iter(succ[start])
-        d = 1
-        while d:
-            to_go = reach[n - d]
-            for v in steps[d]:
-                if to_go[v] & bit:
-                    path[d] = v
-                    break
-            else:
-                d -= 1
-                continue
-            if d == last:
-                yield tuple(path)
-            else:
-                d += 1
-                steps[d] = iter(succ[v])
 
 
 def _closed_walk_sums(outs: Sequence[Sequence[int]], rights: Sequence[int], tops: Sequence[int],
@@ -335,7 +280,7 @@ def _closed_walk_sums(outs: Sequence[Sequence[int]], rights: Sequence[int], tops
     has a rotation starting at its smallest label, so the walks from each
     start label stay on labels at or after it.  A set of sum pairs is one
     integer with bit T * width + B set: taking a tile shifts it, merging two
-    sets ORs them.  `RowSums.of` has checked that n_max >= 1.
+    sets ORs them.  The callers have checked that n_max >= 1.
     """
     width = n_max * max(bots, default=0) + 1
     shift = [t * width + b for t, b in zip(tops, bots)]
@@ -392,10 +337,6 @@ class RowSums:
         return RowSums(n_max, outs, lefts, rights, tops, bots,
                        _closed_walk_sums(outs, rights, tops, bots, n_max))
 
-    def nonempty(self) -> bool:
-        """`nonempty_rows` of the set, read off the label graph held here."""
-        return any(tiles._live(len(self.outs), self.lefts, self.rights))
-
     @functools.cached_property
     def _reach(self) -> list[list[int]]:
         """_reach[r][l]: the labels reachable from label l in exactly r steps,
@@ -433,10 +374,10 @@ class RowSums:
 def _walk_search(rs: RowSums, n: int, kept, mult: int,
                  digits: Sequence[int]) -> Iterator[tuple[list[int], int]]:
     """The closed walks of length n whose top sum is in `kept`, in
-    `closed_walks`' order: by start tile, then by each step's position in
-    its tile's successor list.  Each comes as (path, key): path holds its
-    tiles in a list that the search reuses, and key reads its tiles'
-    digits[t] as the digits of a base-`mult` number (with mult 1, their sum).
+    depth-first order: by start tile, then by each step's position in its
+    tile's successor list.  Each comes as (path, key): path holds its tiles
+    in a list that the search reuses, and key reads its tiles' digits[t] as
+    the digits of a base-`mult` number (with mult 1, their sum).
 
     A step goes to a tile from whose right label the start tile's left label
     is reachable in exactly the steps that remain (`RowSums._reach`), so
@@ -491,6 +432,27 @@ def _walk_search(rs: RowSums, n: int, kept, mult: int,
             else:
                 d += 1
                 steps[d] = iter(outs[u])
+
+
+def closed_walks(succ: Sequence[Sequence[int]], n: int) -> Iterator[tuple[int, ...]]:
+    """All closed walks of length n, start tile marked (rotations distinct),
+    in `_walk_search`'s order: by start tile, then by each step's position
+    in its tile's successor list.  That search runs on the tile graph read
+    as a label graph, every top bit 0 and the top sum 0 kept: the labels are
+    the tiles, the edges the pairs (i, j), j in succ[i], numbered by i, then
+    by j's place in succ[i], and a walk is its edges' left ends.  A successor
+    list names a tile at most once, as in `TransitionGraph.of`; a repeat
+    would be two edges, and its walks would come twice."""
+    if n < 1:
+        raise ValueError("row length must be >= 1")
+    lefts = [i for i, vs in enumerate(succ) for _ in vs]
+    rights = [j for vs in succ for j in vs]
+    edges = iter(range(len(lefts)))  # succ[i]'s edges come next in number order
+    outs = tuple(tuple(next(edges) for _ in vs) for vs in succ)
+    zeros = [0] * len(lefts)
+    rs = RowSums(n, outs, lefts, rights, zeros, zeros, _closed_walk_sums(outs, rights, zeros, zeros, n))
+    for path, _ in _walk_search(rs, n, {0}, 1, zeros):
+        yield tuple(map(lefts.__getitem__, path))
 
 
 def _row_sums(ts: ZTileSet, n_max: int, sums: Optional[RowSums]) -> RowSums:

@@ -289,6 +289,20 @@ def test_verify_report_bytes_with_one_walk_search(tmp_path, monkeypatch, case):
     assert len(searches) == 1
 
 
+def test_verify_asks_nonempty_rows_and_numbers_the_labels_once(tmp_path, kari_map_file, monkeypatch):
+    from kariforge import tiles, verify
+
+    tiles_file = tmp_path / "kari.json"
+    assert main(["gen", "--preset", "z-kari", "--out", str(tiles_file)]) == 0
+    calls = []
+    for module, name in ((verify, "nonempty_rows"), (tiles, "_tile_label_ids")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, name=name, real=real: calls.append(name) or real(*args))
+    assert main(["verify", "--tiles", str(tiles_file), "--map", kari_map_file, "--max-n", "4",
+                 "--max-k", "2", "--out", str(tmp_path / "rep.json")]) == 0
+    assert sorted(calls) == ["_tile_label_ids", "nonempty_rows"]
+
+
 def test_verify_corrupted_exit3(tmp_path, kari_map_file):
     tiles_file = tmp_path / "kari.json"
     main(["gen", "--preset", "z-kari", "--out", str(tiles_file)])

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -295,6 +296,21 @@ def test_table_oracle_reads_its_identity_off_the_table():
     assert not oracle((1,)) and not oracle((-1,))
     with pytest.raises(ValueError):  # no row fixes every element
         table_oracle([[1, 0], [1, 0]], gens=[0])
+
+
+Z2 = [[0, 1], [1, 0]]
+
+
+@pytest.mark.parametrize("mult, gens, fault", [
+    ([[1, 0], [1, 0]], [0], "table has 0 identity rows"),
+    ([[0, 1], [0, 1]], [0], "table has 2 identity rows"),  # both rows fix every element
+    (Z2, [2], "generator 2 is not an element of the table, 0..1"),
+    (Z2, [-1], "generator -1 is not an element of the table, 0..1"),  # not read from the end
+    ([[0, 1], [1, 1]], [1], "generator 1 has no inverse in the table"),
+])
+def test_table_oracle_refuses_a_bad_table_at_construction(mult, gens, fault):
+    with pytest.raises(ValueError, match=re.escape(fault)):
+        table_oracle(mult, gens)
 
 
 # -- normal forms --------------------------------------------------------

@@ -529,6 +529,8 @@ def successor_lists(draw):
 @given(successor_lists(), st.integers(1, 8))
 @example([[0], [], [1, 0]], 3)  # a self-loop, a sink, and a tile nothing reaches
 @example([[1], [2], [0, 3], [3]], 7)  # a 3-cycle beside a self-loop: walks of 7 need both
+@example([[0]], 1)  # one self-loop: the search's n == 1 branch on the edge graph
+@example([[]], 2)  # a graph with no edge
 @settings(max_examples=300, deadline=None)
 def test_closed_walks_match_the_unpruned_search(succ, n):
     assert list(closed_walks(succ, n)) == list(reference.closed_walks(succ, n))

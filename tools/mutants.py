@@ -162,6 +162,10 @@ MUTANTS = [
     Mutant("walk search reach one level off", "verify.py",
            "to_go, before = reach[r], top_sums[d - 1]", "to_go, before = reach[r + 1], top_sums[d - 1]",
            ("tests/test_verify.py::test_periodic_checks_match_walk_enumeration",)),
+    # closed_walks is the walk search on the tile graph; a walk is its edges' left ends
+    Mutant("closed walks read off the edges' right ends", "verify.py",
+           "yield tuple(map(lefts.__getitem__, path))", "yield tuple(map(rights.__getitem__, path))",
+           ("tests/test_verify.py::test_closed_walks_match_the_unpruned_search",)),
     Mutant("soundness search keyed on bottom sums", "verify.py",
            "{key // width for key in bad}", "{key % width for key in bad}",
            ("tests/test_verify.py::test_pruned_checks_match_walk_enumeration_on_fixed_point_maps",)),
